@@ -445,12 +445,6 @@ def random_net(seed: int, params: GenParams | None = None) -> Net:
     return net
 
 
-def generate_corpus(
-    count: int, base_seed: int = 0, params: GenParams | None = None
-) -> list[Net]:
-    return [random_net(base_seed + k, params) for k in range(count)]
-
-
 __all__ = [
     "RuleError",
     "GenParams",
@@ -468,5 +462,4 @@ __all__ = [
     "promotion",
     "random_formula",
     "random_net",
-    "generate_corpus",
 ]

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 invalid input
-or usage, 3 undecided within budget, 4 internal disagreement between
-deciders (never expected).  The STRATNET_BUDGET environment variable
-overrides the switching and step budgets.
+or usage, 3 undecided within the rewrite-step budget, 4 internal
+disagreement between deciders (never expected).  The STRATNET_BUDGET
+environment variable overrides the rewrite-step budget; the switching
+check is polynomial and always decides.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ EXIT_BUDGET = 3
 EXIT_DISAGREE = 4
 
 
-def _budget(default: int) -> int:
+def _step_budget() -> int:
     raw = os.environ.get("STRATNET_BUDGET")
     if raw:
         try:
             return int(raw)
         except ValueError:
             pass
-    return default
+    return rewrite.DEFAULT_STEP_BUDGET
 
 
 def _emit(doc, pretty: bool) -> None:
@@ -100,52 +101,47 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _check_one(path: str, criterion: str, budget: int, pretty: bool) -> int:
+def _check_one(path: str, criterion: str, pretty: bool) -> int:
     try:
         n = _read_net(path)
     except (NetFormatError, InvalidNetError, OSError) as exc:
         print(f"{path}: invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        if criterion == "dr":
-            witness = correctness.find_cyclic_switching(n, budget)
-            if witness is None:
-                _emit({"file": path, "criterion": "dr", "holds": True}, pretty)
-                return EXIT_OK
-            _emit(
-                {
-                    "file": path,
-                    "criterion": "dr",
-                    "holds": False,
-                    "witness": {
-                        "chosen": witness.chosen,
-                        "cycle_edges": list(witness.cycle_edges),
-                        "inside": list(witness.depth_context),
-                    },
-                },
-                pretty,
-            )
-            return EXIT_FAIL
-        if not correctness.is_dr_correct(n, budget) or n.has_flat_conclusion():
-            _emit({"file": path, "criterion": "proofnet", "holds": False, "reason": "not a DR-net"}, pretty)
-            return EXIT_FAIL
-        strong = correctness.is_strongly_indexable(n)
-        if strong is True:
-            _emit({"file": path, "criterion": "proofnet", "holds": True}, pretty)
+    if criterion == "dr":
+        witness = correctness.find_cyclic_switching(n)
+        if witness is None:
+            _emit({"file": path, "criterion": "dr", "holds": True}, pretty)
             return EXIT_OK
         _emit(
-            {"file": path, "criterion": "proofnet", "holds": False, "witness": _witness_doc(strong)},
+            {
+                "file": path,
+                "criterion": "dr",
+                "holds": False,
+                "witness": {
+                    "chosen": witness.chosen,
+                    "cycle_edges": list(witness.cycle_edges),
+                    "inside": list(witness.depth_context),
+                },
+            },
             pretty,
         )
         return EXIT_FAIL
-    except BudgetExceeded as exc:
-        print(f"{path}: undecided: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    if not correctness.is_dr_correct(n) or n.has_flat_conclusion():
+        _emit({"file": path, "criterion": "proofnet", "holds": False, "reason": "not a DR-net"}, pretty)
+        return EXIT_FAIL
+    strong = correctness.is_strongly_indexable(n)
+    if strong is True:
+        _emit({"file": path, "criterion": "proofnet", "holds": True}, pretty)
+        return EXIT_OK
+    _emit(
+        {"file": path, "criterion": "proofnet", "holds": False, "witness": _witness_doc(strong)},
+        pretty,
+    )
+    return EXIT_FAIL
 
 
 def cmd_check(args) -> int:
-    budget = _budget(correctness.DEFAULT_SWITCHING_BUDGET)
-    codes = _for_each(args.files, args.jobs, lambda p: _check_one(p, args.criterion, budget, args.pretty))
+    codes = _for_each(args.files, args.jobs, lambda p: _check_one(p, args.criterion, args.pretty))
     return max(codes)
 
 
@@ -169,20 +165,20 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _l3_verdicts(n: Net, methods: list[str], budget: int, step_budget: int) -> dict[str, bool]:
+def _l3_verdicts(n: Net, methods: list[str], step_budget: int) -> dict[str, bool]:
     out: dict[str, bool] = {}
     for m in methods:
         if m == "indexing":
-            out[m] = correctness.is_l3_indexing_route(n, budget, check_preconditions=False) is True
+            out[m] = correctness.is_l3_indexing_route(n, check_preconditions=False) is True
         elif m == "geometric":
-            out[m] = correctness.is_l3_geometric(n, budget, check_preconditions=False) is True
+            out[m] = correctness.is_l3_geometric(n, check_preconditions=False) is True
         elif m == "interactive":
             closed = net_mod.parr_closure(n)
             out[m] = interactive.interactive_l3_check(closed, budget=step_budget).member
     return out
 
 
-def _l3_one(path: str, method: str, budget: int, step_budget: int, pretty: bool) -> int:
+def _l3_one(path: str, method: str, step_budget: int, pretty: bool) -> int:
     try:
         n = _read_net(path)
     except (NetFormatError, InvalidNetError, OSError) as exc:
@@ -195,11 +191,11 @@ def _l3_one(path: str, method: str, budget: int, step_budget: int, pretty: bool)
             file=sys.stderr,
         )
         return EXIT_INVALID
+    if not correctness.is_dr_correct(n) or n.has_flat_conclusion():
+        print(f"{path}: not a DR-net, membership is undefined", file=sys.stderr)
+        return EXIT_INVALID
     try:
-        if not correctness.is_dr_correct(n, budget) or n.has_flat_conclusion():
-            print(f"{path}: not a DR-net, membership is undefined", file=sys.stderr)
-            return EXIT_INVALID
-        verdicts = _l3_verdicts(n, methods, budget, step_budget)
+        verdicts = _l3_verdicts(n, methods, step_budget)
     except BudgetExceeded as exc:
         print(f"{path}: undecided: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -212,11 +208,8 @@ def _l3_one(path: str, method: str, budget: int, step_budget: int, pretty: bool)
 
 
 def cmd_l3(args) -> int:
-    budget = _budget(correctness.DEFAULT_SWITCHING_BUDGET)
-    step_budget = _budget(rewrite.DEFAULT_STEP_BUDGET)
-    codes = _for_each(
-        args.files, args.jobs, lambda p: _l3_one(p, args.method, budget, step_budget, args.pretty)
-    )
+    step_budget = _step_budget()
+    codes = _for_each(args.files, args.jobs, lambda p: _l3_one(p, args.method, step_budget, args.pretty))
     return max(codes)
 
 
@@ -226,7 +219,7 @@ def cmd_normalize(args) -> int:
     except (NetFormatError, InvalidNetError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    budget = _budget(rewrite.DEFAULT_STEP_BUDGET)
+    budget = _step_budget()
     try:
         result, trace = rewrite.normalize(
             n, strategy=args.strategy, budget=budget, no_axiom=args.no_axiom
@@ -283,7 +276,7 @@ def cmd_test(args) -> int:
             file=sys.stderr,
         )
         n = net_mod.parr_closure(n)
-    budget = _budget(rewrite.DEFAULT_STEP_BUDGET)
+    budget = _step_budget()
     formula = n.edges[n.conclusions[0]].formula
     try:
         report = interactive.interactive_l3_check(n, budget=budget)

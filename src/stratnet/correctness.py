@@ -1,5 +1,17 @@
-"""Switchings, acyclicity correctness, integer indexings, and the
-level-membership deciders that rest on them.
+"""Switching acyclicity, integer indexings, and the level-membership
+deciders that rest on them.
+
+Switching acyclicity is decided per depth in polynomial time, without
+enumerating switchings.  Union-find contraction merges the ends of every
+fixed edge and merges a par or why-not link into its premises' component
+once they all lie in one; an edge inside one component closes a cycle.
+Contraction alone decides connected nets only, and nets built with mix may
+stop short while correct, so the switched links left over are read as edge
+colours on the graph of components and a vertex that every other component
+meets in one colour is deleted until the graph empties (correct) or no
+such vertex is left (some switching has a cycle).  A negative verdict
+always carries a concrete switching and one of its cycles.  The check has
+no budget.
 
 An indexing assigns an integer to every edge so that each link equates the
 indexes of its incident edges, except that crossing a paragraph link shifts
@@ -12,15 +24,12 @@ returned as a concrete unbalanced cycle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .net import Box, Net, UGraph, parr_closure
+from .net import Box, Net, parr_closure
 
 Flavor = Literal["plain", "exponential", "quasi"]
-
-DEFAULT_SWITCHING_BUDGET = 1 << 20
 
 
 class BudgetExceeded(RuntimeError):
@@ -35,16 +44,16 @@ class PreconditionError(ValueError):
     pass
 
 
-# -- switchings --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Switching:
-    """One premise chosen for every par and non-weakening why-not link at
-    depth zero, with depth-zero boxes collapsed into single nodes."""
-
-    chosen: dict[str, str]
-    graph: UGraph
+# -- switching acyclicity ---------------------------------------------------------
+#
+# A switching keeps one premise of every par and non-weakening why-not link
+# at one depth, with the boxes at that depth collapsed into single nodes; the
+# net is switching-acyclic when no switching's graph has a cycle, at every
+# depth.  Contraction grows components that stay trees under every
+# switching, so on the graph of components, where each leftover switched
+# link colours its premise edges, a switching cycle shows as a cycle whose
+# consecutive edges differ in colour (the edges of one colour all meet at
+# the link's own component, so such a cycle uses at most one of them).
 
 
 def _top_structure(net: Net):
@@ -87,28 +96,6 @@ def _top_structure(net: Net):
     return nodes, fixed, switched, candidates
 
 
-def count_switchings(net: Net) -> int:
-    _, _, switched, _ = _top_structure(net)
-    n = 1
-    for _, prems in switched:
-        n *= len(prems)
-    return n
-
-
-def enumerate_switchings(net: Net, budget: int = DEFAULT_SWITCHING_BUDGET) -> Iterator[Switching]:
-    """All switchings of the net at depth zero.  Weakening links contribute
-    no choice; deeper levels are reached by recursing into box contents."""
-    nodes, fixed, switched, candidates = _top_structure(net)
-    total = count_switchings(net)
-    if total > budget:
-        raise BudgetExceeded("switching enumeration", total, budget)
-    names = [lid for lid, _ in switched]
-    for combo in itertools.product(*(prems for _, prems in switched)):
-        chosen = dict(zip(names, combo))
-        edges = list(fixed) + [(candidates[e][0], candidates[e][1], e) for e in combo]
-        yield Switching(chosen, UGraph(nodes, tuple(edges)))
-
-
 @dataclass(frozen=True)
 class CyclicSwitching:
     """Witness that some switching contains a cycle."""
@@ -134,27 +121,183 @@ def contained_net(net: Net, box: Box) -> Net:
     return Net(edges, links, box.children, tuple(conclusions))
 
 
-def find_cyclic_switching(
-    net: Net, budget: int = DEFAULT_SWITCHING_BUDGET, _context: tuple[str, ...] = ()
-) -> CyclicSwitching | None:
-    for sw in enumerate_switchings(net, budget):
-        cyc = sw.graph.find_cycle()
-        if cyc is not None:
-            return CyclicSwitching(sw.chosen, tuple(cyc), _context)
+class _Forest:
+    """Union-find over graph nodes that keeps the edges joining its classes,
+    so that an edge inside one class can be closed into a cycle."""
+
+    def __init__(self, nodes) -> None:
+        self.parent = {n: n for n in nodes}
+        self.tree: dict[str, list[tuple[str, str]]] = {n: [] for n in nodes}
+
+    def find(self, x: str) -> str:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: str, b: str, eid: str) -> None:
+        self.parent[self.find(a)] = self.find(b)
+        self.tree[a].append((b, eid))
+        self.tree[b].append((a, eid))
+
+    def cycle(self, a: str, b: str, eid: str) -> tuple[str, ...]:
+        """The edge eid plus the tree path from b back to a."""
+        via: dict[str, tuple[str, str] | None] = {a: None}
+        stack = [a]
+        while b not in via:
+            x = stack.pop()
+            for y, e in self.tree[x]:
+                if y not in via:
+                    via[y] = (x, e)
+                    stack.append(y)
+        edges = [eid]
+        step = via[b]
+        while step is not None:
+            x, e = step
+            edges.append(e)
+            step = via[x]
+        return tuple(edges)
+
+
+def _has_properly_coloured_cycle(edges: list[tuple[str, str, str]]) -> bool:
+    """Whether the multigraph of (x, y, colour) edges has a cycle in which
+    consecutive edges differ in colour.  A vertex z such that every
+    component of the graph without z meets z in one colour lies on no such
+    cycle, so it can be deleted; while the graph has no such cycle, it has
+    such a vertex (Yeo, JCTB 1997).  The graph empties iff no cycle exists."""
+    adj: dict[str, list[tuple[str, str]]] = {}
+    for x, y, colour in edges:
+        adj.setdefault(x, []).append((y, colour))
+        adj.setdefault(y, []).append((x, colour))
+    alive = dict.fromkeys(adj)
+
+    def separates(z: str) -> bool:
+        around = [(y, colour) for y, colour in adj[z] if y in alive]
+        if len({colour for _, colour in around}) <= 1:
+            return True
+        component: dict[str, int] = {}
+        meets: list[str] = []  # the colour in which each component meets z
+        for y, colour in around:
+            if y in component:
+                if meets[component[y]] != colour:
+                    return False
+                continue
+            component[y] = len(meets)
+            meets.append(colour)
+            stack = [y]
+            while stack:
+                v = stack.pop()
+                for w, _ in adj[v]:
+                    if w != z and w in alive and w not in component:
+                        component[w] = component[y]
+                        stack.append(w)
+        return True
+
+    while alive:
+        stuck = True
+        for z in list(alive):
+            if separates(z):
+                del alive[z]
+                stuck = False
+        if stuck:
+            return True
+    return False
+
+
+def _decide(
+    nodes, fixed, choice: dict[str, list[str]], candidates: dict[str, tuple[str, str]]
+) -> tuple[str, ...] | list[str] | None:
+    """One switching-acyclicity decision at one depth, the switched links
+    restricted to the premises in ``choice``.
+
+    Contraction merges the ends of every fixed edge, and merges a switched
+    link into its premises' component once they all lie in one; each
+    component stays a tree under every switching.  An edge whose ends are
+    already merged closes a cycle that every switching (agreeing with the
+    tree edges) contains; it is returned as edge ids.  Otherwise the
+    switched links left over are returned when the coloured graph of
+    components has a properly coloured cycle, and None when no switching
+    has a cycle."""
+    forest = _Forest(nodes)
+    find = forest.find
+    for a, b, eid in fixed:
+        if find(a) == find(b):
+            return forest.cycle(a, b, eid)
+        forest.union(a, b, eid)
+    pending = list(choice)
+    while pending:
+        left = []
+        for lid in pending:
+            home = find(lid)
+            roots = set()
+            for p in choice[lid]:
+                a = candidates[p][0]
+                root = find(a)
+                if root == home:
+                    return forest.cycle(a, lid, p)
+                roots.add(root)
+            if len(roots) == 1:
+                first = choice[lid][0]
+                forest.union(candidates[first][0], lid, first)
+            else:
+                left.append(lid)
+        if len(left) == len(pending):
+            break
+        pending = left
+    coloured = [(find(candidates[p][0]), find(lid), lid) for lid in pending for p in choice[lid]]
+    return pending if coloured and _has_properly_coloured_cycle(coloured) else None
+
+
+def _cyclic_switching_at_depth(net: Net) -> tuple[dict[str, str], tuple[str, ...]] | None:
+    """A switching at depth zero and one of its cycles, or None.  When only
+    the coloured graph finds a cycle, the leftover switched links are fixed
+    to one premise at a time, each time keeping a premise under which some
+    cycle remains, until contraction itself closes one."""
+    nodes, fixed, switched, candidates = _top_structure(net)
+    choice = dict(switched)
+    outcome = _decide(nodes, fixed, choice, candidates)
+    while isinstance(outcome, list):
+        lid = outcome[0]
+        for p in choice[lid]:
+            trial = {**choice, lid: [p]}
+            again = _decide(nodes, fixed, trial, candidates)
+            if again is not None:
+                choice, outcome = trial, again
+                break
+        else:
+            raise AssertionError(f"no premise of {lid} keeps the switching cycle")
+    if outcome is None:
+        return None
+    on_cycle = set(outcome)
+    chosen = {lid: next((p for p in prems if p in on_cycle), choice[lid][0]) for lid, prems in switched}
+    return chosen, outcome
+
+
+def find_cyclic_switching(net: Net, _context: tuple[str, ...] = ()) -> CyclicSwitching | None:
+    """A switching with a cycle, at depth zero or inside some box, or None
+    when the net is switching-acyclic at every depth.  Polynomial: see
+    ``_decide``.  The witness names a premise for every switched link at
+    its depth and the edges of one cycle of that switching."""
+    found = _cyclic_switching_at_depth(net)
+    if found is not None:
+        return CyclicSwitching(found[0], found[1], _context)
     for box in net.boxes:
-        inner = find_cyclic_switching(contained_net(net, box), budget, _context + (box.principal,))
+        inner = find_cyclic_switching(contained_net(net, box), _context + (box.principal,))
         if inner is not None:
             return inner
     return None
 
 
-def is_dr_correct(net: Net, budget: int = DEFAULT_SWITCHING_BUDGET) -> bool:
-    return find_cyclic_switching(net, budget) is None
+def is_dr_correct(net: Net) -> bool:
+    return find_cyclic_switching(net) is None
 
 
-def is_dr_net(net: Net, budget: int = DEFAULT_SWITCHING_BUDGET) -> bool:
+def is_dr_net(net: Net) -> bool:
     """Switching-acyclic at every depth and no flat-labelled conclusion."""
-    return not net.has_flat_conclusion() and is_dr_correct(net, budget)
+    return not net.has_flat_conclusion() and is_dr_correct(net)
 
 
 # -- indexings ---------------------------------------------------------------
@@ -381,29 +524,27 @@ def is_strongly_indexable(net: Net) -> bool | BalanceWitness:
     return conclusion_path_witness(net, pair[0], pair[1], "plain")
 
 
-def is_proof_net(net: Net, budget: int = DEFAULT_SWITCHING_BUDGET) -> bool:
+def is_proof_net(net: Net) -> bool:
     """Switching-acyclic, no flat conclusion, and strongly indexable."""
     if net.has_flat_conclusion():
         return False
-    if not is_dr_correct(net, budget):
+    if not is_dr_correct(net):
         return False
     return is_strongly_indexable(net) is True
 
 
-def _require_l3_preconditions(net: Net, budget: int) -> None:
+def _require_l3_preconditions(net: Net) -> None:
     if net.has_flat_conclusion():
         raise PreconditionError("net has a flat-labelled conclusion")
-    if not is_dr_correct(net, budget):
+    if not is_dr_correct(net):
         raise PreconditionError("net is not switching-acyclic")
 
 
-def is_l3_indexing_route(
-    net: Net, budget: int = DEFAULT_SWITCHING_BUDGET, check_preconditions: bool = True
-) -> bool | BalanceWitness:
+def is_l3_indexing_route(net: Net, check_preconditions: bool = True) -> bool | BalanceWitness:
     """Membership via existence of an exponential indexing with equal
     conclusion indexes (component-wise, translations being free)."""
     if check_preconditions:
-        _require_l3_preconditions(net, budget)
+        _require_l3_preconditions(net)
     result = solve_indexing(net, "exponential")
     if isinstance(result, BalanceWitness):
         return result
@@ -413,13 +554,11 @@ def is_l3_indexing_route(
     return conclusion_path_witness(net, pair[0], pair[1], "exponential")
 
 
-def is_l3_geometric(
-    net: Net, budget: int = DEFAULT_SWITCHING_BUDGET, check_preconditions: bool = True
-) -> bool | BalanceWitness:
+def is_l3_geometric(net: Net, check_preconditions: bool = True) -> bool | BalanceWitness:
     """Membership via balance: every cycle of the par-closure must cancel
     its exponential and paragraph crossings."""
     if check_preconditions:
-        _require_l3_preconditions(net, budget)
+        _require_l3_preconditions(net)
     closed = parr_closure(net)
     result = solve_indexing(closed, "exponential")
     if isinstance(result, BalanceWitness):
@@ -498,13 +637,9 @@ def balance(net: Net, elements: list[str], exponential: bool = False, closed: bo
 
 __all__ = [
     "Flavor",
-    "DEFAULT_SWITCHING_BUDGET",
     "BudgetExceeded",
     "PreconditionError",
-    "Switching",
     "CyclicSwitching",
-    "count_switchings",
-    "enumerate_switchings",
     "contained_net",
     "find_cyclic_switching",
     "is_dr_correct",

@@ -454,13 +454,6 @@ def validate(net: Net) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def check_valid(net: Net) -> Net:
-    report = validate(net)
-    if not report.ok():
-        raise InvalidNetError(report)
-    return net
-
-
 # -- derived constructions -------------------------------------------------
 
 
@@ -1144,7 +1137,6 @@ __all__ = [
     "LINK_ARITIES",
     "UNORDERED_PREMISES",
     "validate",
-    "check_valid",
     "parr_closure",
     "UGraph",
     "underlying_graph",

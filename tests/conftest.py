@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from stratnet.formula import Atom, OfCourse
+from stratnet.formula import Atom, OfCourse, Tensor
 from stratnet.net import Box, Label, Link, Net, UNORDERED_PREMISES
 from stratnet import builder
 
@@ -73,19 +73,23 @@ def make_unstable_membership_net():
     return left, normal_form
 
 
-def tensor_loop_net(context: Net | None = None) -> Net:
-    """A valid net that fails switching-acyclicity: a tensor over both
-    conclusions of one axiom, optionally juxtaposed with a correct context."""
-    base = builder.ax(Atom("X")) if context is None else builder.mix(context, builder.ax(Atom("X")))
+def tensor_last_two(base: Net) -> Net:
+    """The net with a tensor link "looplink" over its last two conclusions,
+    which no sequent rule allows when they already share a component."""
     e1, e2 = base.conclusions[-2:]
     edges = dict(base.edges)
     links = dict(base.links)
-    from stratnet.formula import Tensor
-
     edges["loop"] = Label(Tensor(edges[e1].formula, edges[e2].formula))
     links["looplink"] = Link("tensor", (e1, e2), ("loop",))
     conclusions = tuple(e for e in base.conclusions if e not in (e1, e2)) + ("loop",)
     return Net(edges, links, base.boxes, conclusions)
+
+
+def tensor_loop_net(context: Net | None = None) -> Net:
+    """A valid net that fails switching-acyclicity: a tensor over both
+    conclusions of one axiom, optionally juxtaposed with a correct context."""
+    base = builder.ax(Atom("X")) if context is None else builder.mix(context, builder.ax(Atom("X")))
+    return tensor_last_two(base)
 
 
 # -- shuffling oracle -----------------------------------------------------------

@@ -1,0 +1,118 @@
+"""Exhaustive switching enumeration, kept as the reference for the
+polynomial switching-acyclicity check in ``stratnet.correctness``.
+
+Its cost doubles with each par, so it serves small nets only; the budget
+guards the test suite against a net too large to enumerate.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from typing import Iterator
+
+from stratnet.correctness import BudgetExceeded, CyclicSwitching, _top_structure, contained_net
+from stratnet.net import Net, UGraph
+
+ORACLE_BUDGET = 1 << 20
+
+
+@dataclass(frozen=True)
+class Switching:
+    """One premise chosen for every par and non-weakening why-not link at
+    depth zero, with depth-zero boxes collapsed into single nodes."""
+
+    chosen: dict[str, str]
+    graph: UGraph
+
+
+def count_switchings(net: Net) -> int:
+    _, _, switched, _ = _top_structure(net)
+    n = 1
+    for _, prems in switched:
+        n *= len(prems)
+    return n
+
+
+def total_switchings(net: Net) -> int:
+    """Switchings the oracle enumerates for a correct net: the sum over
+    depth zero and every box level."""
+    return count_switchings(net) + sum(total_switchings(contained_net(net, box)) for box in net.boxes)
+
+
+def _graph(structure, chosen: dict[str, str]) -> UGraph:
+    nodes, fixed, _, candidates = structure
+    edges = list(fixed) + [(candidates[e][0], candidates[e][1], e) for e in chosen.values()]
+    return UGraph(nodes, tuple(edges))
+
+
+def enumerate_switchings(net: Net, budget: int = ORACLE_BUDGET) -> Iterator[Switching]:
+    """All switchings of the net at depth zero.  Weakening links contribute
+    no choice; deeper levels are reached by recursing into box contents."""
+    structure = _top_structure(net)
+    switched = structure[2]
+    total = count_switchings(net)
+    if total > budget:
+        raise BudgetExceeded("switching enumeration", total, budget)
+    names = [lid for lid, _ in switched]
+    for combo in itertools.product(*(prems for _, prems in switched)):
+        chosen = dict(zip(names, combo))
+        yield Switching(chosen, _graph(structure, chosen))
+
+
+def find_cyclic_switching(net: Net, _context: tuple[str, ...] = ()) -> CyclicSwitching | None:
+    """The first switching with a cycle, depth zero first, then each box."""
+    for sw in enumerate_switchings(net):
+        cyc = sw.graph.find_cycle()
+        if cyc is not None:
+            return CyclicSwitching(sw.chosen, tuple(cyc), _context)
+    for box in net.boxes:
+        inner = find_cyclic_switching(contained_net(net, box), _context + (box.principal,))
+        if inner is not None:
+            return inner
+    return None
+
+
+def witness_problem(net: Net, witness: CyclicSwitching) -> str | None:
+    """None when ``chosen`` names one premise of every switched link at the
+    witness's depth and ``cycle_edges`` is a cycle of that switching's
+    graph; otherwise what is wrong."""
+    level = net
+    for principal in witness.depth_context:
+        box = next((b for b in level.boxes if b.principal == principal), None)
+        if box is None:
+            return f"no box with principal {principal} at this depth"
+        level = contained_net(level, box)
+    structure = _top_structure(level)
+    switched = dict(structure[2])
+    if set(witness.chosen) != set(switched):
+        return "chosen does not name exactly the switched links"
+    for lid, prems in switched.items():
+        if witness.chosen[lid] not in prems:
+            return f"{witness.chosen[lid]} is not a premise of {lid}"
+    ends = {e: (a, b) for a, b, e in _graph(structure, witness.chosen).edges}
+    cycle = witness.cycle_edges
+    if not cycle or len(set(cycle)) != len(cycle):
+        return "cycle_edges is empty or repeats an edge"
+    if any(e not in ends for e in cycle):
+        return "cycle_edges leaves the switching graph"
+    degree: Counter = Counter()
+    neighbours = defaultdict(set)
+    for e in cycle:
+        a, b = ends[e]
+        degree[a] += 1
+        degree[b] += 1
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    if any(d != 2 for d in degree.values()):
+        return "cycle_edges is not 2-regular"
+    reached = {ends[cycle[0]][0]}
+    frontier = list(reached)
+    while frontier:
+        for y in neighbours[frontier.pop()] - reached:
+            reached.add(y)
+            frontier.append(y)
+    if reached != set(degree):
+        return "cycle_edges is not connected"
+    return None

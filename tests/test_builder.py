@@ -119,7 +119,7 @@ def test_builder_outputs_valid_and_dr():
 
 
 def test_weakening_contributes_no_switching_choice():
-    from stratnet.correctness import count_switchings
+    from switching_oracle import count_switchings
 
     n = builder.whynot_rule(builder.daimon(), [], weakening_of=X)
     assert count_switchings(n) == 1

@@ -236,11 +236,27 @@ def test_pretty_flag_both_positions(tmp_path, capsys):
 
 
 def test_check_budget_exit(tmp_path, monkeypatch, capsys):
-    # five pars make 32 switchings; a budget of 4 leaves the check undecided
+    # five pars make 32 switchings; the switching check has no budget, so a
+    # step budget of 4 leaves it decided (exit 3 is the rewrite budget's,
+    # see test_normalize_budget_env)
     n = builder.par_rule(builder.ax(X), 0, 1)
     for _ in range(4):
         n = builder.mix(n, builder.par_rule(builder.ax(X), 0, 1))
     p = write_net(tmp_path, "wide.json", n)
     monkeypatch.setenv("STRATNET_BUDGET", "4")
-    assert main(["check", "--criterion", "dr", p]) == 3
-    assert "undecided" in capsys.readouterr().err
+    assert main(["check", "--criterion", "dr", p]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
+def test_check_decides_net_with_millions_of_switchings(tmp_path, capsys):
+    # 168 links and 6.3M switchings at depth zero, more than an enumeration
+    # could visit; both criteria still come back decided
+    p = str(tmp_path / "big.json")
+    assert main(["gen", "--seed", "1", "--size", "160", "--cut-bias", "0.4", "-o", p]) == 0
+    capsys.readouterr()
+    assert main(["check", "--criterion", "dr", p]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+    assert main(["check", "--criterion", "proofnet", p]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["holds"] is False
+    assert doc["witness"]["kind"] == "path" and doc["witness"]["weights"] == "plain"

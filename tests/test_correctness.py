@@ -1,7 +1,11 @@
+import itertools
+import random
+from collections import defaultdict
+
 import pytest
 
 from stratnet.formula import Atom, Paragraph, parse_formula
-from stratnet.net import nets_equal
+from stratnet.net import Link, Net, nets_equal, validate
 from stratnet import builder
 from stratnet.builder import GenParams
 from stratnet.correctness import (
@@ -10,9 +14,7 @@ from stratnet.correctness import (
     PreconditionError,
     balance,
     check_indexing,
-    count_switchings,
     default_exponential_quasi_indexing,
-    enumerate_switchings,
     find_cyclic_switching,
     indexing_components,
     is_dr_correct,
@@ -24,7 +26,9 @@ from stratnet.correctness import (
     solve_indexing,
 )
 
-from conftest import brute_force_indexable, make_unstable_membership_net, tensor_loop_net
+from conftest import brute_force_indexable, make_unstable_membership_net, tensor_last_two, tensor_loop_net
+from switching_oracle import count_switchings, enumerate_switchings, total_switchings, witness_problem
+from switching_oracle import find_cyclic_switching as oracle_find_cyclic_switching
 
 X = Atom("X")
 
@@ -97,6 +101,101 @@ def test_dr_recurses_into_boxes():
     pr = builder.promotion(m, 0)  # principal = the loop tensor conclusion
     witness = find_cyclic_switching(pr)
     assert witness is not None and witness.depth_context != ()
+    assert witness_problem(pr, witness) is None
+
+
+def _crossed_pars() -> Net:
+    """A^ @ B^, A @ B over two mixed axioms: each par's premises lie in
+    two components, so contraction stops with both pars left over."""
+    A, B = Atom("A"), Atom("B")
+    n = builder.mix(builder.ax(A), builder.ax(B))  # A^, A, B^, B
+    n = builder.par_rule(n, 1, 3)  # A^, A @ B, B^
+    return builder.par_rule(n, 0, 2)  # A^ @ B^, A @ B
+
+
+def test_dr_correct_net_that_contraction_leaves():
+    n = _crossed_pars()
+    assert count_switchings(n) == 4
+    assert find_cyclic_switching(n) is None
+    assert oracle_find_cyclic_switching(n) is None
+
+
+def test_dr_cycle_found_only_past_contraction():
+    # (A^ @ B^) * (A @ B): the switching taking A^ and A has the cycle
+    # axiom - par - tensor - par - axiom, yet each par's premises still lie
+    # in two components when contraction stops.
+    n = tensor_last_two(_crossed_pars())
+    witness = find_cyclic_switching(n)
+    assert witness is not None and witness.depth_context == ()
+    assert witness_problem(n, witness) is None
+    assert oracle_find_cyclic_switching(n) is not None
+
+
+def _premise_swaps(net: Net, rng: random.Random, count: int) -> list[Net]:
+    """Valid nets made by swapping two equal-labelled premises between
+    their consuming links; the labels still match, the switchings change."""
+    by_label: dict = defaultdict(list)
+    for e in net.edges:
+        if net.consumer(e) is not None:
+            by_label[net.edges[e]].append(e)
+    pairs = [
+        (a, b)
+        for group in by_label.values()
+        for a, b in itertools.combinations(group, 2)
+        if net.consumer(a) != net.consumer(b)
+    ]
+    out = []
+    for a, b in rng.sample(pairs, min(count, len(pairs))):
+        links = dict(net.links)
+        for old, new in ((a, b), (b, a)):
+            lid = net.consumer(old)
+            link = links[lid]
+            links[lid] = Link(link.kind, tuple(new if e == old else e for e in link.premises), link.conclusions)
+        mutated = Net(net.edges, links, net.boxes, net.conclusions)
+        if validate(mutated).ok():
+            out.append(mutated)
+    return out
+
+
+def test_dr_check_agrees_with_switching_enumeration():
+    """The polynomial check against the exhaustive oracle on 1000 generated
+    nets (mixed biases, boxes included), each also with a tensor loop beside
+    it and with premise swaps.  A net the oracle would spend more than 2048
+    switchings on is passed over, which keeps the test to seconds."""
+    rng = random.Random(2024)
+    nets: list[Net] = []
+    seed = 0
+    while len(nets) < 1000:
+        seed += 1
+        params = GenParams(
+            target_size=rng.randint(2, 24),
+            cut_bias=rng.choice((0.0, 0.2, 0.4)),
+            box_bias=rng.choice((0.1, 0.3, 0.6)),
+            paragraph_bias=rng.choice((0.0, 0.2)),
+            exponential_bias=rng.choice((0.1, 0.3, 0.5)),
+        )
+        n = builder.random_net(seed, params)
+        if total_switchings(n) <= 2048:
+            nets.append(n)
+    loops = [tensor_loop_net(n) for n in nets]
+    swaps = [m for n in nets for m in _premise_swaps(n, rng, 3)]
+    disagreements, bad_witnesses = [], []
+    negatives = {"generated": 0, "loop": 0, "swap": 0}
+    for kind, group in (("generated", nets), ("loop", loops), ("swap", swaps)):
+        for i, n in enumerate(group):
+            witness = find_cyclic_switching(n)
+            if (witness is None) != (oracle_find_cyclic_switching(n) is None):
+                disagreements.append((kind, i))
+            if witness is not None:
+                negatives[kind] += 1
+                problem = witness_problem(n, witness)
+                if problem is not None:
+                    bad_witnesses.append((kind, i, problem))
+    assert disagreements == []
+    assert bad_witnesses == []
+    assert negatives["generated"] == 0 and negatives["loop"] == len(loops)
+    # the loops fail contraction outright; the swaps give subtler negatives
+    assert len(swaps) >= 1000 and negatives["swap"] >= 100
 
 
 # -- indexings ----------------------------------------------------------------------
