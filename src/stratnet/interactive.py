@@ -32,6 +32,7 @@ from .formula import (
     WhyNot,
     bullet_formula,
     dual,
+    print_formula,
 )
 from .net import Box, Label, Link, Net, canonical_form, canonical_order, nets_equal
 from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, normalize, normalize_no_axiom
@@ -441,8 +442,6 @@ class InteractiveReport:
     levels: tuple[LevelReport, ...]
 
     def to_document(self, formula: Formula) -> dict:
-        from .formula import print_formula
-
         return {
             "formula": print_formula(formula),
             "member": self.member,
@@ -453,20 +452,29 @@ class InteractiveReport:
         }
 
 
-def interactive_l3_check(net: Net, budget: int = DEFAULT_STEP_BUDGET) -> InteractiveReport:
-    """Cut the doubled form against the test of every level and demand it
-    reduce back to itself.  Levels range over the blocks of the identity
-    net of the doubled conclusion; higher tests equal the identity and pass
-    trivially."""
+def interactive_l3_check(
+    net: Net, budget: int = DEFAULT_STEP_BUDGET, level: int | None = None
+) -> InteractiveReport:
+    """Cut the doubled form against the test of every level (or of the one
+    level given) and demand it reduce back to itself.  Levels range over
+    the blocks of the identity net of the doubled conclusion; higher tests
+    equal the identity and pass trivially."""
     if net.cut_links():
         raise PreconditionError("the interactive check needs a cut-free net; normalize first")
     if len(net.conclusions) != 1:
         raise PreconditionError("the interactive check needs a single conclusion; close the net first")
     a = net.edges[net.conclusions[0]].formula
+    levels = test_levels(a)
+    if level is not None:
+        if level not in levels:
+            raise PreconditionError(
+                f"{level} is not a level of {print_formula(a)}; its levels are {levels}"
+            )
+        levels = [level]
     pib = bullet_net(eta_expand(net))
     reports: list[LevelReport] = []
     ok = True
-    for k in test_levels(a):
+    for k in levels:
         theta = make_test(a, k)
         composed = cut_compose(pib, [theta.net])
         nf, _ = normalize(composed, budget=budget)

@@ -12,6 +12,7 @@ Nets are immutable after construction.  Rewrites build new nets.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -595,6 +596,17 @@ def underlying_graph(net: Net, at_depth_zero: bool = False) -> UGraph:
 
 
 # -- canonical form ---------------------------------------------------------
+#
+# A canonical labelling by individualization-refinement (McKay & Piperno,
+# "Practical graph isomorphism, II", 2014).  The links are the vertices.  An
+# edge joins its producer to its consumer, and a box joins each link to the
+# principal of the innermost box around it (an auxiliary, to the principal
+# of its own box).  Colour refinement splits an ordered partition of the
+# links until it is equitable; the colour of a link is the position of its
+# cell, and cells are ordered by their signatures, never by input order.
+# While a cell has more than one member, each member is individualized in
+# turn and the least leaf encoding wins.  Two leaves that encode equally
+# give an automorphism, which prunes the rest of the search.
 
 
 def _fresh_namer(net: Net):
@@ -612,225 +624,271 @@ def _fresh_namer(net: Net):
     return fresh
 
 
-class _Canonicalizer:
-    """Assigns canonical numbers to links, invariant under id renaming and
-    under permutation of unordered premise lists and box auxiliary lists.
+def _edge_order(net: Net, by_rank: list[str], rank: Mapping[str, int], lab: Mapping[str, str]) -> list[str]:
+    """Edges in the order of their producers; the two sides of an axiom by
+    label, then by where they lead."""
 
-    Two phases: an iterated color refinement separates links by structure
-    (with the declared conclusion positions as anchors), then an anchored
-    depth-first traversal numbers the links, ordering unordered ports by
-    edge label and refined color.  Exact color ties among unnumbered
-    neighbours fall back to independent recursive encodings."""
+    def side(e: str):
+        cons = net.consumer(e)
+        if cons is None:
+            return (lab[e], -1, net.conclusions.index(e))
+        link = net.links[cons]
+        return (lab[e], rank[cons], -1 if link.kind in UNORDERED_PREMISES else link.premises.index(e))
+
+    out: list[str] = []
+    for lid in by_rank:
+        conclusions = net.links[lid].conclusions
+        out.extend(sorted(conclusions, key=side) if net.links[lid].kind == "ax" else conclusions)
+    return out
+
+
+class _Canonicalizer:
+    """Canonical labelling of one net.  The part reached from the
+    conclusions is labelled as one piece; every closed component (one with
+    no conclusion) is labelled on its own, and these follow in the order of
+    their encodings."""
 
     def __init__(self, net: Net):
         self.net = net
-        self.glob: dict[str, int] = {}
-        self.order: list[str] = []
-        self.conclusion_pos = {e: i for i, e in enumerate(net.conclusions)}
-        self.lab = {e: label_str(lab) for e, lab in net.edges.items()}
-        self.color = self._refine()
-
-    # Phase 1: color refinement ---------------------------------------------
-
-    def _initial_color(self, lid: str):
-        net = self.net
-        link = net.links[lid]
-        box = net.box_of_border_link(lid)
-        role = ""
-        if box is not None:
-            role = "principal" if box.principal == lid else "aux"
-        conc_anchor = tuple(
-            sorted(self.conclusion_pos[e] for e in link.conclusions if e in self.conclusion_pos)
-        )
-        labels_prem = tuple(self.lab[e] for e in link.premises)
-        if link.kind in UNORDERED_PREMISES:
-            labels_prem = tuple(sorted(labels_prem))
-        labels_conc = tuple(self.lab[e] for e in link.conclusions)
-        if link.kind == "ax":
-            labels_conc = tuple(sorted(labels_conc))
-        return (link.kind, net.depth(lid), role, conc_anchor, labels_prem, labels_conc)
-
-    _MAX_ROUNDS = 12
-
-    def _refine(self) -> dict[str, int]:
-        net = self.net
-        keys = {lid: self._initial_color(lid) for lid in net.links}
-        palette: dict = {}
-        color = {lid: palette.setdefault(keys[lid], len(palette)) for lid in net.links}
-        # Precompute the port structure: (label, neighbour link or None,
-        # slot descriptor) per premise/conclusion; only colors vary below.
-        ports: dict[str, tuple] = {}
-        for lid, link in net.links.items():
-            prem = tuple(
-                (self.lab[e],) + self._neighbor_slot(e, True) for e in link.premises
-            )
-            conc = tuple(
-                (self.lab[e],) + self._neighbor_slot(e, False) for e in link.conclusions
-            )
-            ports[lid] = (link.kind in UNORDERED_PREMISES, link.kind == "ax", prem, conc)
-        width = len(set(color.values()))
-        for _ in range(min(len(net.links) + 1, self._MAX_ROUNDS)):
-            palette = {}
-            new: dict[str, int] = {}
-            for lid in net.links:
-                unordered, is_ax, prem, conc = ports[lid]
-                ps = [
-                    (lab, color[other] if other is not None else -1, slot)
-                    for (lab, other, slot) in prem
-                ]
-                if unordered:
-                    ps.sort()
-                cs = [
-                    (lab, color[other] if other is not None else -1, slot)
-                    for (lab, other, slot) in conc
-                ]
-                if is_ax:
-                    cs.sort()
-                new[lid] = palette.setdefault((color[lid], tuple(ps), tuple(cs)), len(palette))
-            new_width = len(set(new.values()))
-            if new_width == width:
-                return new
-            color = new
-            width = new_width
-        return color
-
-    def _neighbor_slot(self, eid: str, towards_producer: bool) -> tuple:
-        net = self.net
-        other = net.producer(eid) if towards_producer else net.consumer(eid)
-        if other is None:
-            return (None, ("pending", self.conclusion_pos[eid]))
-        link = net.links[other]
-        if eid in link.premises:
-            slot = ("u", -1) if link.kind in UNORDERED_PREMISES else ("p", link.premises.index(eid))
-        else:
-            slot = ("c", -1) if link.kind == "ax" else ("c", link.conclusions.index(eid))
-        return (other, slot)
-
-    # Phase 2: anchored numbering --------------------------------------------
-
-    def number(self) -> dict[str, int]:
-        net = self.net
-        for eid in net.conclusions:
-            prod = net.producer(eid)
-            if prod not in self.glob:
-                self._walk_link(prod)
-        remaining = sorted(
-            (lid for lid in net.links if lid not in self.glob),
-            key=lambda lid: (self.color[lid], self._encode(lid, None)),
-        )
-        for lid in remaining:
-            if lid not in self.glob:
-                self._walk_link(lid)
-        return self.glob
-
-    def _walk_link(self, start: str) -> None:
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            if cur in self.glob:
-                continue
-            self.glob[cur] = len(self.order)
-            self.order.append(cur)
-            nexts: list[str] = []
-            for eid, upward in self._ports(cur):
-                other = self.net.producer(eid) if upward else self.net.consumer(eid)
-                if other is not None and other not in self.glob:
-                    nexts.append(other)
-            stack.extend(reversed(nexts))
-
-    def _ports(self, lid: str) -> list[tuple[str, bool]]:
-        link = self.net.links[lid]
-        if link.kind in UNORDERED_PREMISES:
-            prem = self._sort_edges(link.premises, True)
-        else:
-            prem = list(link.premises)
-        if link.kind == "ax":
-            conc = self._sort_edges(link.conclusions, False)
-        else:
-            conc = list(link.conclusions)
-        return [(e, True) for e in prem] + [(e, False) for e in conc]
-
-    def _sort_edges(self, edges: tuple[str, ...], towards_producer: bool) -> list[str]:
-        def quick(eid: str):
-            net = self.net
-            other = net.producer(eid) if towards_producer else net.consumer(eid)
-            if other is None:
-                return (self.lab[eid], 0, ("pending", self.conclusion_pos[eid]), -1)
-            assigned = self.glob.get(other)
-            return (
-                self.lab[eid],
-                1 if assigned is None else 0,
-                ("n", self.color[other]) if assigned is None else ("g", assigned),
-                0,
-            )
-
-        groups: dict = {}
-        for e in edges:
-            groups.setdefault(quick(e), []).append(e)
-        out: list[tuple] = []
-        for key, members in groups.items():
-            if len(members) == 1:
-                out.append((key, (), members[0]))
+        self.ids = ids = list(net.links)
+        self.index = index = {lid: i for i, lid in enumerate(ids)}
+        self.lab = lab = {e: label_str(l) for e, l in net.edges.items()}
+        position = {e: i for i, e in enumerate(net.conclusions)}
+        # role: 0 plain, 1 box principal, 2 box auxiliary; up: the principal
+        # of the box an auxiliary borders, else of the innermost box around.
+        self.role: dict[str, int] = {}
+        self.up: dict[str, str | None] = {}
+        ports: list[list[tuple[int, tuple[int, int, str]]]] = [[] for _ in ids]
+        self.keys: list[tuple] = []
+        for i, lid in enumerate(ids):
+            link = net.links[lid]
+            box = net.box_of_border_link(lid)
+            if box is not None and box.principal != lid:
+                role, up = 2, box.principal
             else:
-                for e in members:
-                    other = (
-                        self.net.producer(e) if towards_producer else self.net.consumer(e)
-                    )
-                    deep = self._encode(other, e) if other is not None else ()
-                    out.append((key, deep, e))
-        out.sort(key=lambda item: (item[0], item[1]))
-        return [e for _, _, e in out]
+                chain = net.enclosing_boxes(lid)
+                role, up = int(box is not None), chain[-1].principal if chain else None
+            self.role[lid], self.up[lid] = role, up
+            if up is not None:
+                ports[i].append((index[up], (2, role, "")))
+                ports[index[up]].append((i, (3, role, "")))
+            unordered = link.kind in UNORDERED_PREMISES
+            for slot, e in enumerate(link.premises):
+                j = index[net.producer(e)]
+                port = -1 if unordered else slot
+                ports[i].append((j, (1, port, lab[e])))
+                ports[j].append((i, (0, port, lab[e])))
+            anchors = tuple(sorted(position[e] for e in link.conclusions if e in position))
+            self.keys.append((link.kind, role, net.depth(lid), anchors))
+        # Port tags are ranks of the sorted port descriptions, so that they
+        # order the same way in every isomorphic net.
+        tag = {p: t for t, p in enumerate(sorted({p for row in ports for _, p in row}))}
+        self.adj = [[(j, tag[p]) for j, p in row] for row in ports]
 
-    def _encode(self, lid: str | None, via: str | None):
-        """Independent structural encoding used only to break exact ties.
-        Global numbers anchor the walk; inner unordered ports are ordered by
-        label and color, which suffices at this depth."""
-        if lid is None:
-            return ()
-        local: dict[str, int] = {}
-        net = self.net
+    def labelling(self) -> tuple[list[str], list]:
+        """Link ids in canonical order, and their encoding."""
+        n = len(self.ids)
+        component = [-1] * n
+        parts: list[list[int]] = []
+        for root in range(n):
+            if component[root] >= 0:
+                continue
+            component[root] = len(parts)
+            members, stack = [], [root]
+            while stack:
+                v = stack.pop()
+                members.append(v)
+                for w, _ in self.adj[v]:
+                    if component[w] < 0:
+                        component[w] = component[root]
+                        stack.append(w)
+            parts.append(members)
+        anchored = {component[self.index[self.net.producer(e)]] for e in self.net.conclusions}
+        head = [v for c in sorted(anchored) for v in parts[c]]
+        found = [self._search(head)] if head else []
+        found += sorted(
+            (self._search(p) for c, p in enumerate(parts) if c not in anchored),
+            key=lambda leaf: leaf[0],
+        )
+        by_rank = [self.ids[v] for _, order in found for v in order]
+        return by_rank, found[0][0] if len(found) == 1 else self.encode(by_rank)
 
-        def enc(cur: str, came: str | None):
-            if cur in self.glob:
-                return ("G", self.glob[cur])
-            if cur in local:
-                return ("L", local[cur])
-            local[cur] = len(local)
-            link = net.links[cur]
-            items: list = [link.kind, self.color[cur]]
-            prem = [e for e in link.premises if e != came]
-            conc = [e for e in link.conclusions if e != came]
+    def encode(self, by_rank: list[str]) -> list:
+        """Encoding of the links listed, which must be closed under edges
+        and boxes, numbered in the order given: per link its kind, box role,
+        box, premises (edge numbers) and number of conclusions, then the edge
+        labels, then the conclusions of the net among them."""
+        net, lab = self.net, self.lab
+        rank = {lid: r for r, lid in enumerate(by_rank)}
+        edges = _edge_order(net, by_rank, rank, lab)
+        number = {e: i for i, e in enumerate(edges)}
+        links = []
+        for lid in by_rank:
+            link = net.links[lid]
+            premises = [number[e] for e in link.premises]
             if link.kind in UNORDERED_PREMISES:
-                prem = sorted(prem, key=lambda e: (self.lab[e], self._peek_color(e, True)))
-            if link.kind == "ax":
-                conc = sorted(conc, key=lambda e: (self.lab[e], self._peek_color(e, False)))
-            for e in prem:
-                items.append(("p", self.lab[e], self._follow(enc, e, True)))
-            for e in conc:
-                items.append(("c", self.lab[e], self._follow(enc, e, False)))
-            return ("N", tuple(items))
+                premises.sort()
+            up = self.up[lid]
+            links.append(
+                [
+                    link.kind,
+                    self.role[lid],
+                    -1 if up is None else rank[up],
+                    premises,
+                    len(link.conclusions),
+                ]
+            )
+        conclusions = [number[e] for e in net.conclusions if e in number]
+        return [links, [lab[e] for e in edges], conclusions]
 
-        return enc(lid, via)
+    # -- search ---------------------------------------------------------------
 
-    def _peek_color(self, eid: str, towards_producer: bool):
-        net = self.net
-        other = net.producer(eid) if towards_producer else net.consumer(eid)
-        if other is None:
-            return ("pending", self.conclusion_pos[eid])
-        return ("c", self.color[other])
+    def _search(self, part: list[int]) -> tuple[list, list[int]]:
+        """Least leaf encoding of a part and the vertex order that gives it."""
+        keys = self.keys
+        order = sorted(part, key=keys.__getitem__)
+        cell = [0] * len(self.ids)  # vertex -> start of its cell in order
+        end = [0] * len(order)  # cell start -> end of the cell
+        starts = []
+        for i, v in enumerate(order):
+            if i == 0 or keys[v] != keys[order[i - 1]]:
+                starts.append(i)
+            cell[v] = starts[-1]
+        for s, e in zip(starts, starts[1:] + [len(order)]):
+            end[s] = e
+        self._refine(order, cell, end, starts)
 
-    def _follow(self, enc, eid: str, towards_producer: bool):
-        net = self.net
-        other = net.producer(eid) if towards_producer else net.consumer(eid)
-        if other is None:
-            return ("pending", self.conclusion_pos[eid])
-        return enc(other, eid)
+        first: tuple | None = None  # (encoding, order, path) of the first leaf
+        best: tuple | None = None
+        path: list[int] = []
+        # orbits[i]: union-find over the vertices, merged by the automorphisms
+        # found that fix the first i vertices individualized on the first path
+        orbits: list[list[int]] = []
+
+        def root(parent: list[int], x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def leaf(order: list[int]) -> int | None:
+            """Record a leaf; return the level to go back to when the leaf
+            equals an earlier one."""
+            nonlocal first, best
+            enc = self.encode([self.ids[v] for v in order])
+            if first is None:
+                first = best = (enc, order, list(path))
+                orbits.extend(list(range(len(self.ids))) for _ in path)
+                return None
+            for known in (first, best):
+                if enc == known[0]:
+                    gamma = [(x, y) for x, y in zip(order, known[1]) if x != y]
+                    moved = {x for x, _ in gamma}
+                    first_path = first[2]
+                    fixed = 0
+                    while fixed < len(first_path) and first_path[fixed] not in moved:
+                        fixed += 1
+                    for parent in orbits[: fixed + 1]:
+                        for x, y in gamma:
+                            a, b = root(parent, x), root(parent, y)
+                            if a != b:
+                                parent[max(a, b)] = min(a, b)
+                    common = 0
+                    while path[common] == known[2][common]:
+                        common += 1
+                    return common
+            if enc < best[0]:
+                best = (enc, order, list(path))
+            return None
+
+        def visit(order: list[int], cell: list[int], end: list[int], level: int, on_first: bool) -> int | None:
+            t = 0
+            while t < len(order) and end[t] - t == 1:
+                t = end[t]
+            if t == len(order):
+                return leaf(order)
+            done: list[int] = []
+            for v in order[t : end[t]]:
+                if on_first and first is not None:
+                    parent = orbits[level]
+                    if any(root(parent, v) == root(parent, u) for u in done):
+                        continue
+                child, child_cell, child_end = list(order), list(cell), list(end)
+                i = child.index(v, t, end[t])
+                child[t], child[i] = v, child[t]
+                child_end[t], child_end[t + 1] = t + 1, end[t]
+                for x in child[t + 1 : end[t]]:
+                    child_cell[x] = t + 1
+                self._refine(child, child_cell, child_end, [t])
+                path.append(v)
+                jump = visit(
+                    child, child_cell, child_end, level + 1,
+                    on_first and (first is None or v == first[2][level]),
+                )
+                path.pop()
+                if jump is not None and jump < level:
+                    return jump
+                done.append(v)
+            return None
+
+        visit(order, cell, end, 0, True)
+        return best[0], best[1]
+
+    def _refine(self, order: list[int], cell: list[int], end: list[int], queue: list[int]) -> None:
+        """Split cells until every cell is equitable: each member has the
+        same multiset of port tags into every cell.  Fragments of a split
+        cell are ordered by that multiset."""
+        adj = self.adj
+        pending = set(queue)
+        queue = deque(queue)
+        while queue:
+            w = queue.popleft()
+            pending.discard(w)
+            seen: dict[int, list[int]] = {}
+            for u in order[w : end[w]]:
+                for x, t in adj[u]:
+                    if x in seen:
+                        seen[x].append(t)
+                    else:
+                        seen[x] = [t]
+            hit = {cell[x] for x in seen if end[cell[x]] - cell[x] > 1}
+            for c in sorted(hit):
+                stop = end[c]
+                groups: dict[tuple, list[int]] = {}
+                for x in order[c:stop]:
+                    tags = seen.get(x)
+                    key = () if tags is None else tuple(tags) if len(tags) == 1 else tuple(sorted(tags))
+                    if key in groups:
+                        groups[key].append(x)
+                    else:
+                        groups[key] = [x]
+                if len(groups) == 1:
+                    continue
+                pos = c
+                fragments = []
+                for key in sorted(groups):
+                    members = groups[key]
+                    order[pos : pos + len(members)] = members
+                    for x in members:
+                        cell[x] = pos
+                    end[pos] = pos + len(members)
+                    fragments.append(pos)
+                    pos += len(members)
+                if c not in pending:
+                    # Every cell already agrees on its tags into the whole of
+                    # c, so the largest fragment splits nothing the others
+                    # leave whole.
+                    fragments.remove(max(fragments, key=lambda f: (end[f] - f, -f)))
+                for f in fragments:
+                    if f not in pending:
+                        pending.add(f)
+                        queue.append(f)
 
 
 def canonical_order(net: Net) -> dict[str, int]:
     """Canonical rank of every link; stable under id renaming and under
     permutation of unordered premise lists and box auxiliary lists."""
-    return _Canonicalizer(net).number()
+    return {lid: r for r, lid in enumerate(_Canonicalizer(net).labelling()[0])}
 
 
 def traversal_order(net: Net) -> dict[str, int]:
@@ -879,144 +937,39 @@ def traversal_order(net: Net) -> dict[str, int]:
 
 def canonical_form(net: Net) -> bytes:
     """Byte string identifying the net up to id renaming and reordering of
-    unordered structure.  Conclusion order and labels are significant."""
-    rank = canonical_order(net)
-    edge_rank: dict[str, int] = {}
-    by_rank = sorted(net.links, key=lambda lid: rank[lid])
-
-    def edge_key(eid: str):
-        cons = net.consumer(eid)
-        if cons is None:
-            return (1, net.conclusions.index(eid), 0)
-        link = net.links[cons]
-        pos = link.premises.index(eid)
-        return (0, rank[cons], pos)
-
-    for lid in by_rank:
-        link = net.links[lid]
-        conclusions = link.conclusions
-        if link.kind == "ax":
-            conclusions = tuple(sorted(conclusions, key=lambda e: (str(net.edges[e]), edge_key(e))))
-        for eid in conclusions:
-            edge_rank[eid] = len(edge_rank)
-
-    def fmt_edge(eid: str) -> list:
-        return [edge_rank[eid], str(net.edges[eid])]
-
-    links_out = []
-    for lid in by_rank:
-        link = net.links[lid]
-        prem = [edge_rank[e] for e in link.premises]
-        if link.kind in UNORDERED_PREMISES:
-            prem = sorted(prem)
-        conc = sorted(edge_rank[e] for e in link.conclusions) if link.kind == "ax" else [
-            edge_rank[e] for e in link.conclusions
-        ]
-        links_out.append([rank[lid], link.kind, prem, conc])
-
-    def fmt_box(box: Box) -> list:
-        return [
-            rank[box.principal],
-            sorted(rank[a] for a in box.auxiliaries),
-            sorted(rank[c] for c in box.contents),
-            sorted((fmt_box(ch) for ch in box.children)),
-        ]
-
-    doc = {
-        "conclusions": [fmt_edge(e) for e in net.conclusions],
-        "edges": sorted([edge_rank[e], str(net.edges[e])] for e in net.edges),
-        "links": sorted(links_out),
-        "boxes": sorted(fmt_box(b) for b in net.boxes),
-    }
-    return json.dumps(doc, separators=(",", ":")).encode()
+    unordered structure: two nets have the same form exactly when they are
+    isomorphic.  Conclusion order and labels are significant."""
+    return json.dumps(_Canonicalizer(net).labelling()[1], separators=(",", ":")).encode()
 
 
 def nets_equal(a: Net, b: Net) -> bool:
-    """Equality up to id renaming and reordering of unordered structure.
-
-    The canonical byte form decides almost every comparison.  The anchored
-    canonicalization can, rarely, assign different forms to genuinely
-    isomorphic nets whose symmetric pieces tie under color refinement, so a
-    byte mismatch falls back to an exact isomorphism check."""
-    if canonical_form(a) == canonical_form(b):
-        return True
-    if len(a.links) != len(b.links) or len(a.edges) != len(b.edges):
-        return False
-    if [label_str(a.edges[e]) for e in a.conclusions] != [
-        label_str(b.edges[e]) for e in b.conclusions
-    ]:
-        return False
-    if sorted(label_str(l) for l in a.edges.values()) != sorted(
-        label_str(l) for l in b.edges.values()
-    ):
-        return False
-    return _isomorphic(a, b)
-
-
-def _isomorphic(a: Net, b: Net) -> bool:
-    import networkx as nx
-
-    def to_graph(net: Net) -> "nx.MultiGraph":
-        g = nx.MultiGraph()
-        for lid, lk in net.links.items():
-            box = net.box_of_border_link(lid)
-            role = "" if box is None else ("principal" if box.principal == lid else "aux")
-            g.add_node(("l", lid), kind=lk.kind, depth=net.depth(lid), role=role)
-        for i, e in enumerate(net.conclusions):
-            g.add_node(("c", i), kind=f"conclusion{i}", depth=-1, role="")
-            g.add_edge(("l", net.producer(e)), ("c", i), label=label_str(net.edges[e]), slot="c")
-        for e in net.edges:
-            cons = net.consumer(e)
-            if cons is None:
-                continue
-            lk = net.links[cons]
-            slot = "u" if lk.kind in UNORDERED_PREMISES else str(lk.premises.index(e))
-            g.add_edge(
-                ("l", net.producer(e)), ("l", cons), label=label_str(net.edges[e]), slot=slot
-            )
-        # The box forest: one node per box, wired to its border and to the
-        # child boxes, so the partition must match too.
-        def add_box(box: Box, parent) -> None:
-            node = ("b", box.principal)
-            g.add_node(node, kind="box", depth=-1, role="")
-            g.add_edge(node, ("l", box.principal), label="", slot="principal")
-            for aux in box.auxiliaries:
-                g.add_edge(node, ("l", aux), label="", slot="aux")
-            if parent is not None:
-                g.add_edge(node, parent, label="", slot="nest")
-            for child in box.children:
-                add_box(child, node)
-
-        for box in net.boxes:
-            add_box(box, None)
-        return g
-
-    nm = nx.algorithms.isomorphism.categorical_node_match(["kind", "depth", "role"], ["", 0, ""])
-    em = nx.algorithms.isomorphism.categorical_multiedge_match(["label", "slot"], ["", ""])
-    return nx.is_isomorphic(to_graph(a), to_graph(b), node_match=nm, edge_match=em)
+    """Equality up to id renaming and reordering of unordered structure."""
+    return canonical_form(a) == canonical_form(b)
 
 
 def renumber(net: Net) -> Net:
-    """Rebuild the net with canonical sequential ids (l0,l1,... / e0,e1,...).
-    Saving a renumbered net is deterministic across independent builds."""
+    """Rebuild the net with canonical sequential ids (l0,l1,... / e0,e1,...),
+    unordered premises and axiom sides in canonical order.  Saving a
+    renumbered net gives the same bytes for every isomorphic net."""
     rank = canonical_order(net)
-    link_name = {lid: f"l{rank[lid]}" for lid in net.links}
-    by_rank = sorted(net.links, key=lambda lid: rank[lid])
-    edge_name: dict[str, str] = {}
-    counter = 0
-    for lid in by_rank:
-        for eid in net.links[lid].conclusions:
-            edge_name[eid] = f"e{counter}"
-            counter += 1
+    by_rank = sorted(net.links, key=rank.__getitem__)
+    lab = {e: label_str(l) for e, l in net.edges.items()}
+    number = {e: i for i, e in enumerate(_edge_order(net, by_rank, rank, lab))}
+    edge_name = {e: f"e{i}" for e, i in number.items()}
+    link_name = {lid: f"l{r}" for lid, r in rank.items()}
+
+    def ports(edges: tuple[str, ...], unordered: bool) -> tuple[str, ...]:
+        return tuple(edge_name[e] for e in (sorted(edges, key=number.__getitem__) if unordered else edges))
+
     links = {
         link_name[lid]: Link(
             lk.kind,
-            tuple(edge_name[e] for e in lk.premises),
-            tuple(edge_name[e] for e in lk.conclusions),
+            ports(lk.premises, lk.kind in UNORDERED_PREMISES),
+            ports(lk.conclusions, lk.kind == "ax"),
         )
         for lid, lk in net.links.items()
     }
-    edges = {edge_name[e]: lab for e, lab in net.edges.items()}
+    edges = {edge_name[e]: label for e, label in net.edges.items()}
 
     def rebox(box: Box) -> Box:
         return Box(

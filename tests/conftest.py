@@ -96,8 +96,9 @@ def tensor_loop_net(context: Net | None = None) -> Net:
 
 
 def shuffle_net(net: Net, seed: int) -> Net:
-    """Same net with fresh random ids, shuffled unordered premise lists,
-    shuffled axiom conclusion pairs, and shuffled box bookkeeping."""
+    """Same net with fresh random ids in shuffled dict order, shuffled
+    unordered premise lists, shuffled axiom conclusion pairs, and shuffled
+    box bookkeeping."""
     rng = random.Random(seed)
     em = {e: f"E{rng.random():.17f}" for e in net.edges}
     lm = {l: f"L{rng.random():.17f}" for l in net.links}
@@ -108,7 +109,7 @@ def shuffle_net(net: Net, seed: int) -> Net:
         return tuple(items)
 
     links = {}
-    for l, lk in net.links.items():
+    for l, lk in shuffled(net.links.items()):
         prem = tuple(em[e] for e in lk.premises)
         if lk.kind in UNORDERED_PREMISES:
             prem = shuffled(prem)
@@ -126,7 +127,7 @@ def shuffle_net(net: Net, seed: int) -> Net:
         )
 
     return Net(
-        {em[e]: lab for e, lab in net.edges.items()},
+        {em[e]: lab for e, lab in shuffled(net.edges.items())},
         links,
         shuffled(rebox(b) for b in net.boxes),
         tuple(em[e] for e in net.conclusions),

@@ -198,10 +198,25 @@ def test_test_command_dereliction(dereliction_file, capsys):
     assert any(not lvl["pass"] and lvl["swapped_sites"] >= 1 for lvl in doc["levels"])
 
 
-def test_test_command_single_level(dereliction_file, capsys):
+def test_test_command_single_level(dereliction_file, capsys, monkeypatch):
+    from stratnet import interactive
+
+    made = []
+    make_test = interactive.make_test
+    monkeypatch.setattr(interactive, "make_test", lambda a, k: made.append(k) or make_test(a, k))
     assert main(["test", "--level", "0", dereliction_file]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [lvl["k"] for lvl in doc["levels"]] == [0]
+    assert made == [0]
+
+
+@pytest.mark.parametrize("level", ["99", "-1"])
+def test_test_command_rejects_level_out_of_range(tmp_path, capsys, level):
+    p = str(tmp_path / "g.json")
+    assert main(["gen", "--seed", "3", "--size", "10", "--cut-bias", "0", "-o", p]) == 0
+    assert main(["test", "--level", level, p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{level} is not a level" in captured.err
 
 
 def test_test_command_autocloses(tmp_path, capsys):
@@ -216,14 +231,23 @@ def test_test_command_rejects_cuts(tmp_path, capsys):
     assert main(["test", p]) == 2
 
 
-def test_jobs_flag(tmp_path):
+def test_several_files(tmp_path, capsys):
     files = []
     for seed in range(4):
         out = str(tmp_path / f"g{seed}.json")
         main(["gen", "--seed", str(seed), "--size", "10", "--cut-bias", "0", "-o", out])
         files.append(out)
-    code = main(["l3", "--method", "geometric", "--jobs", "4"] + files)
-    assert code in (0, 1)
+    codes = [main(["l3", "--method", "geometric", p]) for p in files]
+    capsys.readouterr()
+    assert main(["l3", "--method", "geometric"] + files) == max(codes)
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["file"] for line in lines] == files
+
+
+def test_parser_built_once():
+    from stratnet.cli import build_parser
+
+    assert build_parser() is build_parser()
 
 
 def test_pretty_flag_both_positions(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 
@@ -21,6 +23,7 @@ from stratnet.net import (
 from stratnet import builder
 
 from conftest import make_id_bang, shuffle_net, tensor_loop_net
+from isomorphism_oracle import isomorphic
 
 
 X = Atom("X")
@@ -150,11 +153,132 @@ def test_underlying_graph_box_collapse_parallel_edges():
     assert len(parallel) == 2
 
 
-def test_canonical_invariance_under_shuffle():
-    for seed in range(25):
-        n = builder.random_net(seed, builder.GenParams(target_size=15, cut_bias=0.3))
-        for s in (1, 2):
-            assert canonical_form(n) == canonical_form(shuffle_net(n, s))
+@pytest.fixture(scope="module")
+def oracle_corpus() -> list[Net]:
+    """1000 seeded nets with mixed sizes, cuts, boxes and biases."""
+    nets = []
+    for seed in range(1000):
+        rng = random.Random(seed)
+        params = builder.GenParams(
+            target_size=rng.randint(2, 30),
+            box_bias=rng.choice((0.1, 0.3, 0.6)),
+            paragraph_bias=rng.choice((0.0, 0.2)),
+            exponential_bias=rng.choice((0.2, 0.4, 0.6)),
+            cut_bias=rng.choice((0.0, 0.3, 0.5)),
+        )
+        nets.append(builder.random_net(seed, params))
+    return nets
+
+
+def premise_swaps(net: Net, rng: random.Random, count: int) -> list[Net]:
+    """Nets made by exchanging two equally labelled premises between their
+    consumers; some are isomorphic to the net, most are not."""
+    slots = [(lid, i, e) for lid, lk in net.links.items() for i, e in enumerate(lk.premises)]
+    out: list[Net] = []
+    for _ in range(5 * count):
+        if len(out) == count or len(slots) < 2:
+            break
+        (l1, i1, e1), (l2, i2, e2) = rng.sample(slots, 2)
+        if net.edges[e1] != net.edges[e2] or (l1 == l2 and net.links[l1].kind in ("cut", "whynot")):
+            continue
+        links = dict(net.links)
+        for lid, i, e in ((l1, i1, e2), (l2, i2, e1)):
+            premises = list(links[lid].premises)
+            premises[i] = e
+            links[lid] = Link(links[lid].kind, tuple(premises), links[lid].conclusions)
+        out.append(Net(net.edges, links, net.boxes, net.conclusions))
+    return out
+
+
+def test_canonical_invariance_under_shuffle(oracle_corpus):
+    for seed, n in enumerate(oracle_corpus):
+        shuffled = shuffle_net(n, seed)
+        assert canonical_form(n) == canonical_form(shuffled), seed
+        assert save(n) == save(shuffled), seed
+
+
+def test_save_bytes_ignore_document_order(oracle_corpus):
+    for seed, n in enumerate(oracle_corpus):
+        doc = json.loads(save(n))
+        doc["links"].reverse()
+        doc["edges"].reverse()
+        again = load(json.dumps(doc))
+        assert save(again) == save(n), seed
+        assert canonical_form(again) == canonical_form(n), seed
+
+
+def test_canonical_form_agrees_with_isomorphism_oracle(oracle_corpus):
+    outcomes = {True: 0, False: 0}
+    disagreements = []
+    for seed, n in enumerate(oracle_corpus):
+        pairs = [(n, m) for m in premise_swaps(n, random.Random(seed), 3)]
+        if seed:
+            pairs.append((oracle_corpus[seed - 1], n))
+        for a, b in pairs:
+            iso = isomorphic(a, b)
+            outcomes[iso] += 1
+            if (canonical_form(a) == canonical_form(b)) != iso:
+                disagreements.append(seed)
+    assert disagreements == []
+    assert outcomes[True] >= 20 and outcomes[False] >= 1000
+
+
+def paired_whynots(k: int) -> Net:
+    """?X^ @ ?X over k axioms, each with one side under each why-not: k
+    identical premises on each why-not, permuted together by k! automorphisms."""
+    n = builder.ax(X)
+    for _ in range(k - 1):
+        n = builder.mix(n, builder.ax(X))
+    for i in range(2 * k):
+        n = builder.flat_rule(n, i)
+    n = builder.whynot_rule(n, list(range(0, 2 * k, 2)))
+    n = builder.whynot_rule(n, list(range(1, k + 1)))
+    return builder.par_rule(n, 0, 1)
+
+
+def closed_islands(k: int) -> Net:
+    """An axiom beside k identical closed one-cut-bot components."""
+    island = builder.cut_rule(builder.one_rule(), 0, builder.bottom_rule(builder.daimon()), 0)
+    n = builder.ax(X)
+    for _ in range(k):
+        n = builder.mix(n, island)
+    return n
+
+
+@pytest.mark.parametrize("k", [8, 64])
+@pytest.mark.parametrize("make", [paired_whynots, closed_islands])
+def test_canonical_form_of_symmetric_nets(make, k):
+    n = make(k)
+    start = time.perf_counter()
+    form = canonical_form(n)
+    assert time.perf_counter() - start < 1.0
+    for seed in range(5):
+        assert canonical_form(shuffle_net(n, seed)) == form
+    assert not nets_equal(n, make(k - 1))
+
+
+def test_canonical_form_sees_box_membership():
+    """The same links, with a closed one-cut-bot island outside both boxes
+    or inside one of them: three nets that only their boxes tell apart."""
+    island = builder.cut_rule(builder.one_rule(), 0, builder.bottom_rule(builder.daimon()), 0)
+
+    def bang(a, inside):
+        n = builder.flat_rule(builder.ax(a), 0)
+        if inside:
+            n = builder.mix(n, island)
+        return builder.whynot_rule(builder.promotion(n, 1), [0])
+
+    nets = [
+        builder.mix(builder.mix(bang(X, False), bang(Y, False)), island),
+        builder.mix(bang(X, True), bang(Y, False)),
+        builder.mix(bang(X, False), bang(Y, True)),
+    ]
+    for i, a in enumerate(nets):
+        assert validate(a).ok()
+        for b in nets[i + 1 :]:
+            assert not isomorphic(a, b)
+            assert not nets_equal(a, b)
+        assert save(load(save(shuffle_net(a, i)))) == save(a)
 
 
 def test_canonical_distinguishes_tensor_premise_order():
