@@ -182,6 +182,12 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
+# Deepest formula nesting the parser accepts.  Formula functions recurse
+# once per connective, so this keeps every later pass well inside Python's
+# recursion limit.
+MAX_FORMULA_DEPTH = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -203,29 +209,31 @@ class _Parser:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def formula(self) -> Formula:
+    def formula(self, depth: int = 0) -> Formula:
+        if depth > MAX_FORMULA_DEPTH:
+            raise self.error(f"formula nested deeper than {MAX_FORMULA_DEPTH}")
         c = self.peek()
         if c == "":
             raise self.error("unexpected end of input")
         if c == "(":
             self.pos += 1
-            left = self.formula()
+            left = self.formula(depth + 1)
             op = self.peek()
             if op not in ("*", "@"):
                 raise self.error("expected '*' or '@'")
             self.pos += 1
-            right = self.formula()
+            right = self.formula(depth + 1)
             self.expect(")")
             return Tensor(left, right) if op == "*" else Par(left, right)
         if c == "!":
             self.pos += 1
-            return OfCourse(self.formula())
+            return OfCourse(self.formula(depth + 1))
         if c == "?":
             self.pos += 1
-            return WhyNot(self.formula())
+            return WhyNot(self.formula(depth + 1))
         if c == "#":
             self.pos += 1
-            return Paragraph(self.formula())
+            return Paragraph(self.formula(depth + 1))
         if c == "1":
             self.pos += 1
             return ONE
@@ -274,4 +282,5 @@ __all__ = [
     "print_formula",
     "parse_formula",
     "FormulaSyntaxError",
+    "MAX_FORMULA_DEPTH",
 ]

@@ -34,7 +34,7 @@ from .formula import (
     dual,
     print_formula,
 )
-from .net import Box, Label, Link, Net, canonical_form, canonical_order, nets_equal
+from .net import Box, Label, Link, Net, canonical_form, canonical_order
 from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, normalize, normalize_no_axiom
 
 
@@ -337,17 +337,29 @@ class Test:
 def make_test(a: Formula, k: int) -> Test:
     """Identity net of the doubled formula with every block at level k
     crossed.  Levels above the deepest block give back the identity."""
+    return _make_test(a, k, *_test_base(a))
+
+
+def test_levels(a: Formula) -> list[int]:
+    return _levels(*_test_base(a))
+
+
+def _test_base(a: Formula) -> tuple[Net, list[AtomSite]]:
+    """The identity net of the doubled formula and its blocks: what every
+    test of a shares."""
     base = identity_net(bullet_formula(a))
-    sites = atom_sites(base)
+    return base, atom_sites(base)
+
+
+def _make_test(a: Formula, k: int, base: Net, sites: list[AtomSite]) -> Test:
     picked = [s for s in sites if s.level == k]
     return Test(_swap_sites(base, picked), a, k, tuple(picked))
 
 
-def test_levels(a: Formula) -> list[int]:
-    base = identity_net(bullet_formula(a))
+def _levels(base: Net, sites: list[AtomSite]) -> list[int]:
     if not base.links:
         return []
-    levels = sorted({s.level for s in atom_sites(base) if s.level is not None})
+    levels = sorted({s.level for s in sites if s.level is not None})
     return list(range(0, (max(levels) + 1) if levels else 0))
 
 
@@ -464,7 +476,8 @@ def interactive_l3_check(
     if len(net.conclusions) != 1:
         raise PreconditionError("the interactive check needs a single conclusion; close the net first")
     a = net.edges[net.conclusions[0]].formula
-    levels = test_levels(a)
+    base, sites = _test_base(a)
+    levels = _levels(base, sites)
     if level is not None:
         if level not in levels:
             raise PreconditionError(
@@ -472,19 +485,23 @@ def interactive_l3_check(
             )
         levels = [level]
     pib = bullet_net(eta_expand(net))
+    pib_form = canonical_form(pib)
+    pib_unswapped = None
     reports: list[LevelReport] = []
     ok = True
     for k in levels:
-        theta = make_test(a, k)
+        theta = _make_test(a, k, base, sites)
         composed = cut_compose(pib, [theta.net])
         nf, _ = normalize(composed, budget=budget)
-        passed = nets_equal(nf, pib)
+        passed = canonical_form(nf) == pib_form
         swapped = 0
         residue_swapping = False
         if not passed:
             ok = False
-            swapped = sum(1 for s in atom_sites(nf) if s.crossed)
-            residue_swapping = swapping_compare(nf, pib)
+            nf_unswapped = _unswapped(nf)
+            swapped = sum(1 for s in nf_unswapped[0] if s.crossed)
+            pib_unswapped = pib_unswapped or _unswapped(pib)
+            residue_swapping = _swap_residue(nf_unswapped, pib_unswapped)
         reports.append(LevelReport(k, passed, swapped, residue_swapping))
     return InteractiveReport(ok, tuple(reports))
 
@@ -495,18 +512,24 @@ def interactive_l3_check(
 def swapping_compare(a: Net, b: Net) -> bool:
     """True iff a is b with at least one identity block turned into a swap
     block (and no change in the other direction)."""
-    sa = atom_sites(a)
-    sb = atom_sites(b)
-    if len(sa) != len(sb):
+    return _swap_residue(_unswapped(a), _unswapped(b))
+
+
+def _unswapped(net: Net) -> tuple[list[AtomSite], Net, bytes]:
+    """The net's blocks, the net with every swap block turned back into an
+    identity block, and that net's canonical form."""
+    sites = atom_sites(net)
+    plain = _swap_sites(net, [s for s in sites if s.crossed])
+    return sites, plain, canonical_form(plain)
+
+
+def _swap_residue(a: tuple[list[AtomSite], Net, bytes], b: tuple[list[AtomSite], Net, bytes]) -> bool:
+    """swapping_compare on the _unswapped views of both nets."""
+    (sa, na, form_a), (sb, nb, form_b) = a, b
+    if len(sa) != len(sb) or form_a != form_b:
         return False
-    na = _swap_sites(a, [s for s in sa if s.crossed])
-    nb = _swap_sites(b, [s for s in sb if s.crossed])
-    if canonical_form(na) != canonical_form(nb):
-        return False
-    flags_a = _flags_in_canonical_order(a, na)
-    flags_b = _flags_in_canonical_order(b, nb)
     strict = 0
-    for fa, fb in zip(flags_a, flags_b):
+    for fa, fb in zip(_flags_in_canonical_order(sa, na), _flags_in_canonical_order(sb, nb)):
         if fa and not fb:
             strict += 1
         elif fb and not fa:
@@ -514,13 +537,11 @@ def swapping_compare(a: Net, b: Net) -> bool:
     return strict > 0
 
 
-def _flags_in_canonical_order(net: Net, normalized: Net) -> list[bool]:
+def _flags_in_canonical_order(sites: list[AtomSite], normalized: Net) -> list[bool]:
     """Crossed-flags of the blocks, listed by the canonical rank of their
     tensor links in the identity-normalized net (ids are shared)."""
     rank = canonical_order(normalized)
-    sites = atom_sites(net)
-    sites.sort(key=lambda s: rank[s.tensor])
-    return [s.crossed for s in sites]
+    return [s.crossed for s in sorted(sites, key=lambda s: rank[s.tensor])]
 
 
 # -- feet --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Iterator, Mapping
 from .formula import (
     Bottom,
     Formula,
+    FormulaSyntaxError,
     OfCourse,
     One,
     Par,
@@ -80,10 +81,17 @@ def label_str(lab: Label) -> str:
 
 
 def parse_label(text: str) -> Label:
+    """Read an edge label; NetFormatError on anything but a well-formed,
+    boundedly nested label string."""
+    if type(text) is not str:
+        raise NetFormatError(f"an edge label must be a string, not {type(text).__name__}")
     text = text.strip()
-    if text.startswith("%"):
-        return Label(parse_formula(text[1:]), flat=True)
-    return Label(parse_formula(text))
+    flat = text.startswith("%")
+    try:
+        return Label(parse_formula(text[1:] if flat else text), flat=flat)
+    except FormulaSyntaxError as exc:
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise NetFormatError(f"bad edge label {shown!r}: {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -1033,28 +1041,50 @@ def save(net: Net, pretty: bool = False) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode()
 
 
+def _id(value, what: str) -> str:
+    if type(value) is not str:
+        raise NetFormatError(f"{what} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _ids(value, what: str) -> tuple[str, ...]:
+    if type(value) is list:
+        for x in value:
+            if type(x) is not str:
+                break
+        else:
+            return tuple(value)
+    raise NetFormatError(f"{what} must be a list of string ids, not {json.dumps(value)[:40]}")
+
+
 def from_document(doc: dict, allow_flat_conclusions: bool = False) -> Net:
     try:
-        edges = {e["id"]: parse_label(e["label"]) for e in doc["edges"]}
+        edges = {_id(e["id"], "an edge id"): parse_label(e["label"]) for e in doc["edges"]}
         links = {
-            l["id"]: Link(l["kind"], tuple(l["premises"]), tuple(l["conclusions"]))
+            _id(l["id"], "a link id"): Link(
+                _id(l["kind"], "a link kind"),
+                _ids(l["premises"], "link premises"),
+                _ids(l["conclusions"], "link conclusions"),
+            )
             for l in doc["links"]
         }
 
         def parse_box(b: dict) -> Box:
+            if type(b) is not dict:
+                raise NetFormatError(f"a box must be an object, not {type(b).__name__}")
             children = tuple(parse_box(ch) for ch in b.get("boxes", []))
-            contents = set(b.get("contents", []))
+            contents = set(_ids(b.get("contents", []), "box contents"))
             for ch in children:
                 contents |= set(ch.border()) | ch.contents
             return Box(
-                b["principal"],
-                tuple(b.get("auxiliaries", [])),
+                _id(b["principal"], "a box principal"),
+                _ids(b.get("auxiliaries", []), "box auxiliaries"),
                 frozenset(contents),
                 children,
             )
 
         boxes = tuple(parse_box(b) for b in doc.get("boxes", []))
-        conclusions = tuple(doc.get("conclusions", []))
+        conclusions = _ids(doc.get("conclusions", []), "net conclusions")
     except (KeyError, TypeError) as exc:
         raise NetFormatError(f"malformed net document: {exc}") from exc
     net = Net(edges, links, boxes, conclusions)
@@ -1072,6 +1102,8 @@ def load(data: bytes | str, allow_flat_conclusions: bool = False) -> Net:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise NetFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise NetFormatError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise NetFormatError("net document must be a JSON object")
     return from_document(doc, allow_flat_conclusions=allow_flat_conclusions)

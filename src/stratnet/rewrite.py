@@ -1,6 +1,35 @@
 """Cut-elimination engine: redex discovery, the five step families,
 normalization strategies, and residue tracking.
 
+``normalize`` reduces one mutable net, ``_Workspace``, from start to
+finish.  The workspace owns the links and edges, their producer and
+consumer maps, and the box tree with each link's place in it; a step edits
+them in place around its cut and records its lift map, and the immutable
+``Net`` is built once, at the end.  ``apply_step`` runs the same step code
+on a fresh workspace and freezes after one step.
+
+Cuts wait in a priority worklist.  A cut is classified by its premise
+producers (the shared ``_family``, which ``find_redexes`` also uses) when
+it enters; after a step only the cuts it created and the cut whose premise
+an axiom step rewired are classified again.  The key of a cut depends on
+the strategy:
+
+- ``lo`` (leftmost-outermost): the cut's rank.  The input's cuts are ranked
+  by one ``traversal_order`` of the input net.  A cut a step creates
+  inherits the rank of the cut it replaces (the redex, or, for a copy of a
+  box, the original cut inside it) followed by its position among the
+  step's new cuts, so ranks stay distinct and deterministic.
+- ``in`` (innermost): the deepest cut first, its depth read from the
+  workspace's location map, then rank.
+- ``level``: the lowest level first, then rank.  A cut's level is that of
+  its first premise under a plain indexing of the input net, shifted to
+  start at zero in each indexing component and carried to new edges along
+  each step's lift map, as ``transport_indexing`` does; all levels are zero
+  when the input has no plain indexing.
+
+Confluence makes the normal form independent of the strategy; the strategy
+only shapes the trace.
+
 The exponential step is implemented in full generality.  A why-not premise
 may reach its flat link through a chain of pax ports (the flat then lives
 inside those boxes), and a box auxiliary wire may exit through the pax
@@ -12,9 +41,11 @@ the wires into the original target why-not links.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .correctness import BudgetExceeded, Indexing, PreconditionError, solve_indexing, BalanceWitness
+from .correctness import BalanceWitness, BudgetExceeded, Indexing, PreconditionError
+from .correctness import indexing_components, solve_indexing
 from .formula import Paragraph
 from .net import Box, Label, Link, Net, traversal_order
 
@@ -25,7 +56,6 @@ STEP_UNIT = "unit"
 STEP_MULT = "multiplicative"
 STEP_EXP = "exponential"
 STEP_PARG = "paragraph"
-
 
 @dataclass(frozen=True)
 class Redex:
@@ -58,6 +88,22 @@ class RewriteTrace:
         return x
 
 
+_FAMILIES = {
+    frozenset(("one", "bot")): STEP_UNIT,
+    frozenset(("tensor", "par")): STEP_MULT,
+    frozenset(("ofcourse", "whynot")): STEP_EXP,
+    frozenset(("paragraph",)): STEP_PARG,
+}
+
+
+def _family(kind1: str, kind2: str) -> str | None:
+    """Step family of a cut whose premises are produced by links of these
+    kinds; an axiom producer always makes an axiom step."""
+    if kind1 == "ax" or kind2 == "ax":
+        return STEP_AXIOM
+    return _FAMILIES.get(frozenset((kind1, kind2)))
+
+
 def find_redexes(net: Net) -> list[Redex]:
     """One redex per cut whose premise producers match a step pattern.
     In a well-typed net every cut matches; an axiom producer always makes
@@ -65,23 +111,14 @@ def find_redexes(net: Net) -> list[Redex]:
     out = []
     for lid in sorted(net.links):
         link = net.links[lid]
-        if link.kind != "cut":
-            continue
-        kinds = {net.links[net.producer(p)].kind for p in link.premises}
-        if "ax" in kinds:
-            out.append(Redex(lid, STEP_AXIOM))
-        elif kinds == {"one", "bot"}:
-            out.append(Redex(lid, STEP_UNIT))
-        elif kinds == {"tensor", "par"}:
-            out.append(Redex(lid, STEP_MULT))
-        elif kinds == {"ofcourse", "whynot"}:
-            out.append(Redex(lid, STEP_EXP))
-        elif kinds == {"paragraph"}:
-            out.append(Redex(lid, STEP_PARG))
+        if link.kind == "cut":
+            kind = _family(*(net.links[net.producer(p)].kind for p in link.premises))
+            if kind is not None:
+                out.append(Redex(lid, kind))
     return out
 
 
-# -- mutable working copy -----------------------------------------------------
+# -- the mutable net ------------------------------------------------------------
 
 
 class _MBox:
@@ -94,24 +131,23 @@ class _MBox:
         self.children: list[_MBox] = []
         self.parent = parent
 
-    def ancestors(self) -> list["_MBox"]:
-        out = []
-        cur = self.parent
-        while cur is not None:
-            out.append(cur)
-            cur = cur.parent
-        return out
-
 
 class _Workspace:
-    """Mutable view of a net during one rewrite step."""
+    """A net under reduction, edited in place.  Each link's location is
+    ("top",), ("in", box) or ("border", box).  ``step`` resets ``lift`` (the
+    step's new ids -> their sources) and ``touched`` (the cuts the step put,
+    each with the cut whose rank it inherits, or None when a rewired cut
+    keeps its own); ``queued`` holds the redexes waiting in ``normalize``."""
 
     def __init__(self, net: Net):
-        self.net = net
         self.edges: dict[str, Label] = dict(net.edges)
         self.links: dict[str, Link] = dict(net.links)
+        self.producer = {e: lid for lid, link in self.links.items() for e in link.conclusions}
+        self.consumer = {e: lid for lid, link in self.links.items() for e in link.premises}
         self.conclusions: list[str] = list(net.conclusions)
         self.lift: dict[str, str] = {}
+        self.touched: list[tuple[str, str | None]] = []
+        self.queued: dict[str, tuple[tuple, str]] = {}  # cut -> (key, step family)
         self.roots: list[_MBox] = []
         self.loc: dict[str, tuple] = {lid: ("top",) for lid in net.links}
         self.box_by_principal: dict[str, _MBox] = {}
@@ -148,7 +184,51 @@ class _Workspace:
             name = f"{base}~{tag}.{self._serial}"
         return name
 
+    # queries ------------------------------------------------------------------
+
+    def kind_of_producer(self, edge: str) -> str:
+        return self.links[self.producer[edge]].kind
+
+    def family(self, cut: str) -> str | None:
+        return _family(*(self.kind_of_producer(p) for p in self.links[cut].premises))
+
+    def depth(self, lid: str) -> int:
+        """Number of boxes around a link that is not on a box border."""
+        where = self.loc[lid]
+        d, mb = 0, where[1] if where[0] == "in" else None
+        while mb is not None:
+            d, mb = d + 1, mb.parent
+        return d
+
     # structural edits --------------------------------------------------------
+
+    def put_link(self, lid: str, link: Link, origin: str | None = None) -> None:
+        """Add a link or replace its ports, keeping producer and consumer
+        maps; a cut is recorded in ``touched`` with its rank origin."""
+        old = self.links.get(lid)
+        if old is not None:
+            self._unhook(lid, old)
+        self.links[lid] = link
+        for e in link.premises:
+            self.consumer[e] = lid
+        for e in link.conclusions:
+            self.producer[e] = lid
+        if link.kind == "cut":
+            self.touched.append((lid, origin))
+
+    def _unhook(self, lid: str, link: Link) -> None:
+        for e in link.premises:
+            if self.consumer.get(e) == lid:
+                del self.consumer[e]
+        for e in link.conclusions:
+            if self.producer.get(e) == lid:
+                del self.producer[e]
+
+    def add_cut(self, cid: str, premises: tuple[str, str], where: tuple, origin: str) -> None:
+        self.put_link(cid, Link("cut", premises, ()), origin)
+        self.loc[cid] = where
+        if where[0] == "in":
+            where[1].direct.add(cid)
 
     def remove_link(self, lid: str) -> None:
         kind = self.loc.pop(lid)
@@ -158,21 +238,15 @@ class _Workspace:
             mb = kind[1]
             if mb.principal == lid:
                 mb.principal = ""
+                del self.box_by_principal[lid]
             else:
                 mb.auxiliaries.remove(lid)
-        del self.links[lid]
+                del self.box_by_pax[lid]
+        self._unhook(lid, self.links.pop(lid))
+        self.queued.pop(lid, None)
 
     def remove_edge(self, e: str) -> None:
         del self.edges[e]
-
-    def add_link(self, lid: str, link: Link, where: tuple) -> None:
-        self.links[lid] = link
-        self.loc[lid] = where
-        if where[0] == "in":
-            where[1].direct.add(lid)
-
-    def location_of(self, lid: str) -> tuple:
-        return self.loc[lid]
 
     def remove_box_record(self, mb: _MBox) -> None:
         """Drop the box node itself, leaving its (already removed or moved)
@@ -180,12 +254,41 @@ class _Workspace:
         owner = mb.parent.children if mb.parent is not None else self.roots
         owner.remove(mb)
 
+    # one step --------------------------------------------------------------------
+
+    def step(self, redex: Redex) -> None:
+        """Apply one cut-elimination step in place."""
+        self.lift, self.touched, self._serial = {}, [], 0
+        cut = redex.cut
+        p1, p2 = self.links[cut].premises
+        k1 = self.kind_of_producer(p1)
+        if redex.kind == STEP_AXIOM:
+            # Prefer the lexicographically first axiom for determinism when
+            # both producers are axioms.
+            pa = min(p for p in (p1, p2) if self.kind_of_producer(p) == "ax")
+            _axiom_step(self, cut, pa, p2 if pa == p1 else p1)
+        elif redex.kind == STEP_UNIT:
+            _unit_step(self, cut, p1, p2)
+        elif redex.kind == STEP_MULT:
+            if k1 != "tensor":
+                p1, p2 = p2, p1
+            _mult_step(self, cut, p1, p2)
+        elif redex.kind == STEP_PARG:
+            _paragraph_step(self, cut, p1, p2)
+        elif redex.kind == STEP_EXP:
+            if k1 != "ofcourse":
+                p1, p2 = p2, p1
+            _exponential_step(self, cut, p1, p2)
+        else:
+            raise StepError(f"unknown step kind {redex.kind}")
+
     def freeze(self) -> Net:
         def rebuild(mb: _MBox) -> Box:
             children = tuple(rebuild(c) for c in mb.children)
             total: set[str] = set(mb.direct)
-            for c, cb in zip(mb.children, children):
-                total |= set(cb.contents) | set(cb.border())
+            for cb in children:
+                total |= cb.contents
+                total.update(cb.border())
             return Box(mb.principal, tuple(mb.auxiliaries), frozenset(total), children)
 
         boxes = tuple(rebuild(mb) for mb in self.roots)
@@ -203,96 +306,66 @@ def apply_step(net: Net, redex: Redex) -> tuple[Net, dict[str, str]]:
     """Apply one cut-elimination step; returns the new net and the lift map
     (result link/edge id -> source id, identity entries omitted)."""
     ws = _Workspace(net)
-    cut = net.links[redex.cut]
-    p1, p2 = cut.premises
-    k1 = net.links[net.producer(p1)].kind
-    if redex.kind == STEP_AXIOM:
-        if k1 != "ax":
-            p1, p2 = p2, p1
-        # Prefer the lexicographically first axiom for determinism when both
-        # producers are axioms.
-        prods = sorted(
-            p for p in (p1, p2) if net.links[net.producer(p)].kind == "ax"
-        )
-        pa = prods[0]
-        pb = p2 if pa == p1 else p1
-        _axiom_step(ws, redex.cut, pa, pb)
-    elif redex.kind == STEP_UNIT:
-        _unit_step(ws, redex.cut, p1, p2)
-    elif redex.kind == STEP_MULT:
-        if k1 != "tensor":
-            p1, p2 = p2, p1
-        _mult_step(ws, redex.cut, p1, p2)
-    elif redex.kind == STEP_PARG:
-        _paragraph_step(ws, redex.cut, p1, p2)
-    elif redex.kind == STEP_EXP:
-        if k1 != "ofcourse":
-            p1, p2 = p2, p1
-        _exponential_step(ws, redex.cut, p1, p2)
-    else:
-        raise StepError(f"unknown step kind {redex.kind}")
+    ws.step(redex)
     return ws.freeze(), ws.lift
 
 
 def _axiom_step(ws: _Workspace, cut: str, pa: str, pb: str) -> None:
-    ax_id = ws.net.producer(pa)
-    ax = ws.net.links[ax_id]
+    ax_id = ws.producer[pa]
+    ax = ws.links[ax_id]
     other = ax.conclusions[0] if ax.conclusions[1] == pa else ax.conclusions[1]
     if other == pb:
         raise StepError("axiom cut with itself; the net cannot be switching-acyclic")
+    consumer = ws.consumer.get(other)
     ws.remove_link(cut)
     ws.remove_link(ax_id)
     ws.remove_edge(pa)
-    consumer = ws.net.consumer(other)
     if consumer is None:
         pos = ws.conclusions.index(other)
         ws.conclusions[pos] = pb
     else:
         lk = ws.links[consumer]
-        ws.links[consumer] = Link(
-            lk.kind,
-            tuple(pb if e == other else e for e in lk.premises),
-            lk.conclusions,
+        ws.put_link(
+            consumer,
+            Link(lk.kind, tuple(pb if e == other else e for e in lk.premises), lk.conclusions),
         )
     ws.remove_edge(other)
 
 
 def _unit_step(ws: _Workspace, cut: str, p1: str, p2: str) -> None:
     for p in (p1, p2):
-        ws.remove_link(ws.net.producer(p))
+        ws.remove_link(ws.producer[p])
         ws.remove_edge(p)
     ws.remove_link(cut)
 
 
 def _mult_step(ws: _Workspace, cut: str, pt: str, pp: str) -> None:
-    tid = ws.net.producer(pt)
-    pid = ws.net.producer(pp)
-    tens = ws.net.links[tid]
-    par = ws.net.links[pid]
-    where = ws.location_of(cut)
+    tid = ws.producer[pt]
+    pid = ws.producer[pp]
+    tens = ws.links[tid]
+    par = ws.links[pid]
+    where = ws.loc[cut]
     ws.remove_link(cut)
     ws.remove_link(tid)
     ws.remove_link(pid)
     ws.remove_edge(pt)
     ws.remove_edge(pp)
     for i in range(2):
-        cid = ws.fresh(cut, f"m{i}")
-        ws.add_link(cid, Link("cut", (tens.premises[i], par.premises[i]), ()), where)
+        ws.add_cut(ws.fresh(cut, f"m{i}"), (tens.premises[i], par.premises[i]), where, cut)
 
 
 def _paragraph_step(ws: _Workspace, cut: str, p1: str, p2: str) -> None:
-    l1 = ws.net.producer(p1)
-    l2 = ws.net.producer(p2)
-    where = ws.location_of(cut)
-    prem1 = ws.net.links[l1].premises[0]
-    prem2 = ws.net.links[l2].premises[0]
+    l1 = ws.producer[p1]
+    l2 = ws.producer[p2]
+    where = ws.loc[cut]
+    prem1 = ws.links[l1].premises[0]
+    prem2 = ws.links[l2].premises[0]
     ws.remove_link(cut)
     ws.remove_link(l1)
     ws.remove_link(l2)
     ws.remove_edge(p1)
     ws.remove_edge(p2)
-    cid = ws.fresh(cut, "p")
-    ws.add_link(cid, Link("cut", (prem1, prem2), ()), where)
+    ws.add_cut(ws.fresh(cut, "p"), (prem1, prem2), where, cut)
 
 
 # Exponential step helpers ----------------------------------------------------
@@ -305,15 +378,15 @@ def _trace_up(ws: _Workspace, premise: str) -> tuple[list[_MBox], str]:
     boxes: list[_MBox] = []
     e = premise
     while True:
-        prod = ws.net.producer(e)
-        kind = ws.net.links[prod].kind
+        prod = ws.producer[e]
+        kind = ws.links[prod].kind
         if kind == "flat":
             return boxes, prod
         if kind != "pax":
             raise StepError(f"why-not premise {premise} is produced by a {kind} link")
         mb = ws.box_by_pax[prod]
         boxes.append(mb)
-        e = ws.net.links[prod].premises[0]
+        e = ws.links[prod].premises[0]
 
 
 def _trace_down(ws: _Workspace, pax_conclusion: str) -> tuple[list[tuple[_MBox, str, str]], str]:
@@ -323,19 +396,19 @@ def _trace_down(ws: _Workspace, pax_conclusion: str) -> tuple[list[tuple[_MBox, 
     chain: list[tuple[_MBox, str, str]] = []
     e = pax_conclusion
     while True:
-        consumer = ws.net.consumer(e)
+        consumer = ws.consumer.get(e)
         if consumer is None:
             raise PreconditionError(
                 "a box auxiliary wire reaches a net conclusion; the exponential "
                 "step needs every flat wire consumed"
             )
-        kind = ws.net.links[consumer].kind
+        kind = ws.links[consumer].kind
         if kind == "whynot":
             return chain, consumer
         if kind != "pax":
             raise StepError(f"auxiliary wire {pax_conclusion} feeds a {kind} link")
         mb = ws.box_by_pax[consumer]
-        out_edge = ws.net.links[consumer].conclusions[0]
+        out_edge = ws.links[consumer].conclusions[0]
         chain.append((mb, consumer, out_edge))
         e = out_edge
 
@@ -360,19 +433,23 @@ def _copy_contents(
 
     collect(box)
     for lid in link_map:
-        for e in ws.net.links[lid].conclusions:
+        for e in ws.links[lid].conclusions:
             edge_map[e] = ws.fresh(e, tag)
 
     for lid, new_lid in link_map.items():
-        lk = ws.net.links[lid]
-        ws.links[new_lid] = Link(
-            lk.kind,
-            tuple(edge_map.get(e, e) for e in lk.premises),
-            tuple(edge_map[e] for e in lk.conclusions),
+        lk = ws.links[lid]
+        ws.put_link(
+            new_lid,
+            Link(
+                lk.kind,
+                tuple(edge_map.get(e, e) for e in lk.premises),
+                tuple(edge_map[e] for e in lk.conclusions),
+            ),
+            origin=lid,
         )
         ws.lift[new_lid] = lid
     for e, new_e in edge_map.items():
-        ws.edges[new_e] = ws.net.edges[e]
+        ws.edges[new_e] = ws.edges[e]
         ws.lift[new_e] = e
 
     def clone(mb: _MBox, parent: _MBox | None) -> _MBox:
@@ -396,12 +473,12 @@ def _copy_contents(
 def _remove_contents(ws: _Workspace, box: _MBox) -> None:
     def wipe(mb: _MBox) -> None:
         for lid in list(mb.direct):
-            for e in ws.net.links[lid].conclusions:
+            for e in ws.links[lid].conclusions:
                 ws.remove_edge(e)
             ws.remove_link(lid)
         for child in list(mb.children):
             for a in list(child.auxiliaries) + [child.principal]:
-                for e in ws.net.links[a].conclusions:
+                for e in ws.links[a].conclusions:
                     ws.remove_edge(e)
                 ws.remove_link(a)
             wipe(child)
@@ -411,15 +488,13 @@ def _remove_contents(ws: _Workspace, box: _MBox) -> None:
 
 
 def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
-    net = ws.net
-    oc_id = net.producer(p_oc)
-    wn_id = net.producer(p_wn)
+    links = ws.links
+    oc_id = ws.producer[p_oc]
+    wn_id = ws.producer[p_wn]
     box = ws.box_by_principal.get(oc_id)
     if box is None:
         raise StepError("of-course link without a box")
-    wn = net.links[wn_id]
-    premises = list(wn.premises)
-    n = len(premises)
+    premises = list(links[wn_id].premises)
 
     # Resolve both sides of the wiring before any mutation.
     ups = [_trace_up(ws, p) for p in premises]
@@ -428,22 +503,22 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
             raise StepError("box feeds its own cut partner; not switching-acyclic")
     aux_info = []
     for pax_id in box.auxiliaries:
-        q = net.links[pax_id].conclusions[0]
-        u = net.links[pax_id].premises[0]
+        q = links[pax_id].conclusions[0]
+        u = links[pax_id].premises[0]
         down_chain, target_wn = _trace_down(ws, q)
         if target_wn == wn_id:
             raise StepError("auxiliary wire reaches the cut partner; not switching-acyclic")
         aux_info.append((pax_id, u, q, down_chain, target_wn))
 
-    oc_premise = net.links[oc_id].premises[0]  # the A conclusion of the contents
+    oc_premise = links[oc_id].premises[0]  # the A conclusion of the contents
 
     # New premises to merge into each target why-not, in deterministic order.
     merged: dict[str, list[str]] = {}
 
-    for i, (p, (up_boxes, flat_id)) in enumerate(zip(premises, ups)):
+    for i, (up_boxes, flat_id) in enumerate(ups):
         tag = f"c{i}"
         link_map, edge_map, child_boxes, loose = _copy_contents(ws, box, tag)
-        flat_loc = ws.location_of(flat_id)
+        flat_loc = ws.loc[flat_id]
         # Plant the copy where the flat lives.
         if flat_loc[0] == "in":
             host = flat_loc[1]
@@ -458,9 +533,8 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
                 ws.loc[lid] = ("top",)
             ws.roots.extend(child_boxes)
         # Cut the copied principal premise against the flat's own premise.
-        a_i = net.links[flat_id].premises[0]
-        cid = ws.fresh(cut, f"x{i}")
-        ws.add_link(cid, Link("cut", (edge_map[oc_premise], a_i), ()), flat_loc)
+        a_i = links[flat_id].premises[0]
+        ws.add_cut(ws.fresh(cut, f"x{i}"), (edge_map[oc_premise], a_i), flat_loc, cut)
         # Route every copied auxiliary wire out of the up-chain boxes and
         # down the original pax chain to its why-not.
         for (pax_id, u, q, down_chain, target_wn) in aux_info:
@@ -475,33 +549,30 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
     # Remove the consumed material: flats, up-chain paxes, the why-not, the
     # cut, the box border, the original aux chains, and the original
     # contents (now replaced by the copies).
-    for p, (up_boxes, flat_id) in zip(premises, ups):
-        e = p
+    for e in premises:
         while True:
-            prod = net.producer(e)
+            prod = ws.producer[e]
+            link = links[prod]
             ws.remove_edge(e)
-            if net.links[prod].kind == "flat":
-                ws.remove_link(prod)
-                break
-            nxt = net.links[prod].premises[0]
             ws.remove_link(prod)
-            e = nxt
+            if link.kind == "flat":
+                break
+            e = link.premises[0]
     for (pax_id, u, q, down_chain, target_wn) in aux_info:
         last_edge = q if not down_chain else down_chain[-1][2]
-        tgt = ws.links[target_wn]
+        tgt = links[target_wn]
         new_premises = tuple(e for e in tgt.premises if e != last_edge) + tuple(
-            merged.get(target_wn, [])
+            merged.pop(target_wn, [])
         )
-        ws.links[target_wn] = Link(tgt.kind, new_premises, tgt.conclusions)
-        merged.pop(target_wn, None)
+        ws.put_link(target_wn, Link(tgt.kind, new_premises, tgt.conclusions))
         ws.remove_link(pax_id)
         ws.remove_edge(q)
         for (mb, chain_pax, chain_edge) in down_chain:
             ws.remove_link(chain_pax)
             ws.remove_edge(chain_edge)
     for target_wn, wires in merged.items():
-        tgt = ws.links[target_wn]
-        ws.links[target_wn] = Link(tgt.kind, tgt.premises + tuple(wires), tgt.conclusions)
+        tgt = links[target_wn]
+        ws.put_link(target_wn, Link(tgt.kind, tgt.premises + tuple(wires), tgt.conclusions))
     ws.remove_link(cut)
     ws.remove_link(wn_id)
     ws.remove_edge(p_wn)
@@ -522,7 +593,7 @@ def _add_pax(
     pax_id = ws.fresh(lift_to, "px")
     out_edge = ws.fresh(wire, "px")
     ws.edges[out_edge] = label
-    ws.links[pax_id] = Link("pax", (wire,), (out_edge,))
+    ws.put_link(pax_id, Link("pax", (wire,), (out_edge,)))
     mb.auxiliaries.append(pax_id)
     ws.box_by_pax[pax_id] = mb
     ws.loc[pax_id] = ("border", mb)
@@ -534,38 +605,17 @@ def _add_pax(
 # -- normalization ------------------------------------------------------------
 
 
-def _level_map(net: Net) -> dict[str, int]:
-    """Level of each cut link under a plain indexing, normalized to start at
-    zero per component; falls back to zero when no indexing exists."""
+def _plain_levels(net: Net) -> dict[str, int]:
+    """Level of each edge under a plain indexing, shifted to start at zero
+    in each indexing component; empty when the net has no plain indexing."""
     result = solve_indexing(net, "plain")
     if isinstance(result, BalanceWitness):
-        return {lid: 0 for lid in net.cut_links()}
-    from .correctness import indexing_components
-
+        return {}
     comp = indexing_components(net, "plain")
-    mins: dict[str, int] = {}
+    low: dict[str, int] = {}
     for e, v in result.assignment.items():
-        c = comp[e]
-        mins[c] = min(mins.get(c, v), v)
-    levels = {}
-    for lid in net.cut_links():
-        e = net.links[lid].premises[0]
-        levels[lid] = result.assignment[e] - mins[comp[e]]
-    return levels
-
-
-def _pick(net: Net, redexes: list[Redex], strategy: str) -> Redex:
-    if len(redexes) == 1:
-        return redexes[0]
-    rank = traversal_order(net)
-    if strategy == "lo":
-        return min(redexes, key=lambda r: rank[r.cut])
-    if strategy == "in":
-        return min(redexes, key=lambda r: (-net.depth(r.cut), rank[r.cut]))
-    if strategy == "level":
-        levels = _level_map(net)
-        return min(redexes, key=lambda r: (levels[r.cut], rank[r.cut]))
-    raise ValueError(f"unknown strategy {strategy!r}; use lo, in, or level")
+        low[comp[e]] = min(low.get(comp[e], v), v)
+    return {e: v - low[comp[e]] for e, v in result.assignment.items()}
 
 
 def normalize(
@@ -576,21 +626,56 @@ def normalize(
 ) -> tuple[Net, RewriteTrace]:
     """Reduce to the cut-free form (or, with no_axiom, to the fixed point of
     the non-axiom steps).  Confluence makes the result independent of the
-    strategy; the strategy only shapes the trace."""
+    strategy; the strategy only shapes the trace.  A net with no redex is
+    returned as is."""
+    cuts = sorted(lid for lid, link in net.links.items() if link.kind == "cut")
+    if not cuts:
+        return net, RewriteTrace(())
+    ws = _Workspace(net)
+    order = traversal_order(net)
+    rank: dict[str, tuple[int, ...]] = {c: (order[c],) for c in cuts}
+    levels = _plain_levels(net) if strategy == "level" else {}
+
+    def enqueue(cut: str) -> None:
+        family = ws.family(cut)
+        if family is None or (no_axiom and family == STEP_AXIOM):
+            ws.queued.pop(cut, None)
+            return
+        if strategy == "lo":
+            key = rank[cut]
+        elif strategy == "in":
+            key = (-ws.depth(cut), rank[cut])
+        elif strategy == "level":
+            key = (levels.get(ws.links[cut].premises[0], 0), rank[cut])
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}; use lo, in, or level")
+        ws.queued[cut] = (key, family)
+        heapq.heappush(heap, (key, cut))
+
+    heap: list[tuple] = []
+    for c in cuts:
+        enqueue(c)
     steps: list[Step] = []
-    count = 0
-    while True:
-        redexes = find_redexes(net)
-        if no_axiom:
-            redexes = [r for r in redexes if r.kind != STEP_AXIOM]
-        if not redexes:
-            return net, RewriteTrace(tuple(steps))
-        if count >= budget:
-            raise BudgetExceeded("cut-elimination steps", count + 1, budget)
-        redex = _pick(net, redexes, strategy)
-        net, lift = apply_step(net, redex)
-        steps.append(Step(redex, lift))
-        count += 1
+    while heap:
+        key, cut = heapq.heappop(heap)
+        hit = ws.queued.get(cut)
+        if hit is None or hit[0] != key:
+            continue  # the cut left the net, or waits under a newer entry
+        if len(steps) >= budget:
+            raise BudgetExceeded("cut-elimination steps", len(steps) + 1, budget)
+        del ws.queued[cut]
+        redex = Redex(cut, hit[1])
+        ws.step(redex)
+        steps.append(Step(redex, ws.lift))
+        if levels:
+            for new, src in ws.lift.items():
+                if src in levels and new in ws.edges:
+                    levels[new] = levels[src]
+        for i, (c, origin) in enumerate(ws.touched):
+            if origin is not None:
+                rank[c] = rank[origin] + (i,)
+            enqueue(c)
+    return (ws.freeze() if steps else net), RewriteTrace(tuple(steps))
 
 
 def normalize_no_axiom(

@@ -57,6 +57,47 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+# Each probe used to escape cli.main as an exception (FormulaSyntaxError,
+# AttributeError, RecursionError) or, for the premise string, to be read as
+# a list of one-letter ids and accepted.
+BOUNDARY_PROBES = {
+    "unparsable-label": ("label", "(X *"),
+    "integer-label": ("label", 5),
+    "deep-label": ("label", "!" * 5000 + "X"),
+    "premises-string": ("premises", "ab"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BOUNDARY_PROBES))
+def test_validate_malformed_document_exits_2(tmp_path, capsys, probe):
+    field, value = BOUNDARY_PROBES[probe]
+    # An axiom cut against itself: a valid document once its fields are right.
+    doc = {
+        "edges": [{"id": "a", "label": "X^"}, {"id": "b", "label": "X"}],
+        "links": [
+            {"id": "l", "kind": "ax", "premises": [], "conclusions": ["a", "b"]},
+            {"id": "c", "kind": "cut", "premises": ["a", "b"], "conclusions": []},
+        ],
+        "conclusions": [],
+    }
+    if field == "label":
+        doc["edges"][0]["label"] = value
+    else:
+        doc["links"][1]["premises"] = value
+    p = tmp_path / "probe.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and "Traceback" not in err
+
+
+def test_validate_deeply_nested_json_exits_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text('{"edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("invalid:")
+
+
 def test_validate_dot_export(tmp_path, capsys):
     p = write_net(tmp_path, "ax.json", builder.ax(X))
     dot = tmp_path / "g.dot"
@@ -202,8 +243,10 @@ def test_test_command_single_level(dereliction_file, capsys, monkeypatch):
     from stratnet import interactive
 
     made = []
-    make_test = interactive.make_test
-    monkeypatch.setattr(interactive, "make_test", lambda a, k: made.append(k) or make_test(a, k))
+    make_test = interactive._make_test
+    monkeypatch.setattr(
+        interactive, "_make_test", lambda a, k, *shared: made.append(k) or make_test(a, k, *shared)
+    )
     assert main(["test", "--level", "0", dereliction_file]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [lvl["k"] for lvl in doc["levels"]] == [0]

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from stratnet.formula import Atom, parse_formula, shift_formula
-from stratnet.net import label_str, nets_equal, validate
+from stratnet import interactive
+from stratnet.net import label_str, nets_equal, parr_closure, save, validate
 from stratnet import builder
 from stratnet.builder import GenParams
 from stratnet.correctness import (
@@ -17,6 +23,7 @@ from stratnet.rewrite import (
     STEP_MULT,
     STEP_PARG,
     STEP_UNIT,
+    _plain_levels,
     apply_step,
     find_redexes,
     normalize,
@@ -26,6 +33,8 @@ from stratnet.rewrite import (
 )
 
 from conftest import make_id_bang, make_unstable_membership_net
+from rewrite_oracle import oracle_normalize
+from test_acceptance import cut_free_corpus
 
 X = Atom("X")
 Y = Atom("Y")
@@ -306,3 +315,155 @@ def test_lift_totality():
             for eid in result.edges:
                 assert lift.get(eid, eid) in source_ids
             net = result
+
+
+# -- the worklist engine against the per-step oracle ---------------------------------------
+
+
+def axiom_between_logical_links():
+    """An axiom cut on both sides against a tensor and a par: whichever
+    axiom step comes first rewires the other cut into a multiplicative one."""
+    t = builder.tensor_rule(builder.ax(X), 1, builder.ax(Y), 1)
+    p = builder.par_rule(builder.mix(builder.ax(X), builder.ax(Y)), 0, 2)
+    r = builder.cut_rule(t, 2, builder.ax(parse_formula("(X * Y)")), 0)
+    return builder.cut_rule(r, 2, p, 0)
+
+
+def nested_contraction():
+    """A box cut against a contraction of two flats, inside a box whose
+    auxiliary door carries the inner box's auxiliary wire out: both copies
+    route a pax through the outer door, so the second one's id is made
+    unique with a serial suffix."""
+    inner = builder.promotion(builder.flat_rule(builder.ax(X), 0), 1)
+    two = builder.mix(builder.flat_rule(builder.ax(X), 0), builder.flat_rule(builder.ax(X), 0))
+    c = builder.cut_rule(inner, 1, builder.whynot_rule(two, [0, 2]), 0)
+    outer = builder.promotion(builder.par_rule(c, 1, 2), 1)
+    return builder.whynot_rule(outer, [0])
+
+
+def box_with_cut_against_contraction():
+    """lo duplicates the box before it reduces the cut inside, which leaves
+    the worklist with the box."""
+    inner = builder.cut_rule(builder.ax(X), 1, builder.ax(X), 0)
+    box = builder.whynot_rule(builder.promotion(builder.flat_rule(inner, 0), 1), [0])
+    two = builder.mix(builder.flat_rule(builder.ax(X), 0), builder.flat_rule(builder.ax(X), 0))
+    return builder.cut_rule(builder.whynot_rule(two, [0, 2]), 0, box, 1)
+
+
+@pytest.fixture(scope="module")
+def differential_corpus():
+    """Criterion 5's nets with cuts, larger random nets with boxes, the
+    doubled nets the interactive check cuts against its level tests, and
+    the three hand-made nets above."""
+    nets = [
+        axiom_between_logical_links(),
+        builder.mix(nested_contraction(), nested_contraction()),
+        box_with_cut_against_contraction(),
+    ]
+    seed = 0
+    while len(nets) < 203:
+        n = builder.random_net(50_000 + seed, GenParams(target_size=15, cut_bias=0.5))
+        seed += 1
+        if n.cut_links():
+            nets.append(n)
+    nets += [
+        builder.random_net(s, GenParams(target_size=60, cut_bias=0.4, exponential_bias=0.4))
+        for s in range(1, 41)
+    ]
+    for n in cut_free_corpus(30):
+        closed = parr_closure(n)
+        a = closed.edges[closed.conclusions[0]].formula
+        pib = interactive.bullet_net(interactive.eta_expand(closed))
+        nets += [
+            interactive.cut_compose(pib, [interactive.make_test(a, k).net])
+            for k in interactive.test_levels(a)
+        ]
+    return nets
+
+
+def same_ids(a, b):
+    return (a.edges, a.links, a.boxes, a.conclusions) == (b.edges, b.links, b.boxes, b.conclusions)
+
+
+@pytest.mark.parametrize("no_axiom", [False, True], ids=["all-steps", "no-axiom"])
+@pytest.mark.parametrize("strategy", ["lo", "in", "level"])
+def test_normalize_agrees_with_per_step_oracle(differential_corpus, strategy, no_axiom):
+    byte_diffs = replay_diffs = key_misses = steps = 0
+    families = set()
+    for net in differential_corpus:
+        nf, trace = normalize(net, strategy=strategy, no_axiom=no_axiom)
+        oracle_nf, _ = oracle_normalize(net, strategy, no_axiom)
+        byte_diffs += save(nf) != save(oracle_nf)
+        # Replaying the trace through apply_step gives every lift map and
+        # the normal form with the same ids; each step reduces a redex of
+        # least key: the deepest for in, and for level the least level of
+        # the input indexing, read through the lift maps so far.
+        levels = _plain_levels(net)
+        source: dict[str, str] = {}
+        current = net
+
+        def key(cut):
+            if strategy == "in":
+                return -current.depth(cut)
+            if strategy == "level":
+                e = current.links[cut].premises[0]
+                return levels.get(source.get(e, e), 0)
+            return 0
+
+        for step in trace.steps:
+            redexes = [r for r in find_redexes(current) if not (no_axiom and r.kind == STEP_AXIOM)]
+            key_misses += step.redex not in redexes or key(step.redex.cut) > min(key(r.cut) for r in redexes)
+            current, lift = apply_step(current, step.redex)
+            replay_diffs += lift != step.lift
+            source.update({new: source.get(old, old) for new, old in lift.items()})
+            families.add(step.redex.kind)
+        replay_diffs += not same_ids(current, nf)
+        steps += len(trace.steps)
+    assert (byte_diffs, replay_diffs, key_misses) == (0, 0, 0)
+    expected = {STEP_UNIT, STEP_MULT, STEP_EXP, STEP_PARG} | (set() if no_axiom else {STEP_AXIOM})
+    assert families == expected and steps > 2000
+
+
+def test_lo_cuts_inherit_the_rank_of_the_cut_they_replace():
+    # The multiplicative cut comes first in traversal order; the two cuts
+    # its step creates take its place, in creation order, ahead of the
+    # axiom cut of the second component.
+    t = builder.tensor_rule(builder.ax(X), 1, builder.ax(Y), 1)
+    p = builder.par_rule(builder.mix(builder.ax(X), builder.ax(Y)), 0, 2)
+    n = builder.mix(builder.cut_rule(t, 2, p, 0), builder.cut_rule(builder.ax(X), 1, builder.ax(X), 0))
+    (mult,) = [r.cut for r in find_redexes(n) if r.kind == STEP_MULT]
+    (axiom,) = [r.cut for r in find_redexes(n) if r.kind == STEP_AXIOM]
+    _, trace = normalize(n)
+    assert [s.redex.cut for s in trace.steps] == [mult, f"{mult}~m0", f"{mult}~m1", axiom]
+
+
+NORMALIZE_ALL = """
+import pathlib, sys
+from stratnet.cli import main
+out = pathlib.Path(sys.argv[1])
+for f in sys.argv[2:]:
+    for s in ("lo", "in", "level"):
+        stem = f"{pathlib.Path(f).stem}-{s}"
+        main(["normalize", "--strategy", s, f, "-o", str(out / f"{stem}.json"),
+              "--trace", str(out / f"{stem}.trace.json")])
+"""
+
+
+def test_normalize_output_ignores_hash_seed(tmp_path):
+    files = []
+    for s in range(1, 9):
+        n = builder.random_net(s, GenParams(target_size=40, cut_bias=0.4, exponential_bias=0.5))
+        files.append(str(tmp_path / f"n{s}.json"))
+        Path(files[-1]).write_bytes(save(n))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"out{hash_seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", NORMALIZE_ALL, str(out), *files], env=env, check=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 2 * 3 * len(files)
+    assert b"exponential" in b"".join(outputs[0].values())
+    assert outputs[0] == outputs[1]
