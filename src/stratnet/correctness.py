@@ -17,9 +17,17 @@ An indexing assigns an integer to every edge so that each link equates the
 indexes of its incident edges, except that crossing a paragraph link shifts
 by one (plain flavor) and, in the exponential flavor, crossing an of-course
 or why-not link shifts as well.  The quasi flavor further drops the
-constraint on axiom conclusions.  The solver propagates offsets over each
-connected component instead of enumerating cycles; a failed propagation is
-returned as a concrete unbalanced cycle.
+constraint on axiom conclusions.  Every indexing question here is answered
+by one traversal of the constraint graph (``_propagate``): it walks each
+component depth-first from its least edge id, anchored at zero, and keeps
+the offsets, the spanning tree and the first violated constraint.  Both
+witnesses are read off the spanning tree: a violated constraint plus the
+tree path between its edges is an unbalanced cycle, and the tree path
+between two conclusions of one component whose offsets differ is an
+unbalanced conclusion-to-conclusion path.  ``strong_indexing`` is the one
+strong check (equal conclusion indexes within each component); the
+proof-net criterion asks it with plain weights and the indexing route to
+level membership with exponential ones.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .net import Box, Net, parr_closure
+from .net import Box, Net, parr_closure, underlying_graph
 
 Flavor = Literal["plain", "exponential", "quasi"]
 
@@ -57,20 +65,13 @@ class PreconditionError(ValueError):
 
 
 def _top_structure(net: Net):
-    """Node map collapsing depth-zero boxes, plus the fixed (non-switched)
-    graph edges and the premise groups of switched links."""
-    node_of: dict[str, str] = {}
-    for box in net.boxes:
-        name = f"box:{box.principal}"
-        for lid in box.border():
-            node_of[lid] = name
-        for lid in box.contents:
-            node_of[lid] = name
-    top_links = [lid for lid in net.links if lid not in node_of]
-    for lid in top_links:
-        node_of[lid] = lid
-    nodes = tuple(top_links) + tuple(f"box:{b.principal}" for b in net.boxes)
-
+    """The nodes of the depth-zero underlying graph (boxes collapsed into
+    single nodes), its edges split in one pass into fixed ones and premises
+    of switched links (keyed by edge id), and the premise groups of the
+    switched links."""
+    graph = underlying_graph(net, at_depth_zero=True)
+    # The graph lists the links outside every box first, then one node per box.
+    top_links = graph.nodes[: len(graph.nodes) - len(net.boxes)]
     switched: list[tuple[str, list[str]]] = []
     switched_premises: set[str] = set()
     for lid in top_links:
@@ -78,22 +79,14 @@ def _top_structure(net: Net):
         if link.kind in ("par", "whynot") and link.premises:
             switched.append((lid, list(link.premises)))
             switched_premises.update(link.premises)
-
     fixed: list[tuple[str, str, str]] = []
-    candidates: dict[str, tuple[str, str]] = {}
-    for eid in net.edges:
-        cons = net.consumer(eid)
-        if cons is None:
-            continue
-        a = node_of[net.producer(eid)]
-        b = node_of[cons]
-        if a == b and a.startswith("box:"):
-            continue
-        if eid in switched_premises:
-            candidates[eid] = (a, b)
+    candidates: dict[str, tuple[str, str, str]] = {}
+    for edge in graph.edges:
+        if edge[2] in switched_premises:
+            candidates[edge[2]] = edge
         else:
-            fixed.append((a, b, eid))
-    return nodes, fixed, switched, candidates
+            fixed.append(edge)
+    return graph.nodes, fixed, switched, candidates
 
 
 @dataclass(frozen=True)
@@ -208,7 +201,7 @@ def _has_properly_coloured_cycle(edges: list[tuple[str, str, str]]) -> bool:
 
 
 def _decide(
-    nodes, fixed, choice: dict[str, list[str]], candidates: dict[str, tuple[str, str]]
+    nodes, fixed, choice: dict[str, list[str]], candidates: dict[str, tuple[str, str, str]]
 ) -> tuple[str, ...] | list[str] | None:
     """One switching-acyclicity decision at one depth, the switched links
     restricted to the premises in ``choice``.
@@ -295,11 +288,6 @@ def is_dr_correct(net: Net) -> bool:
     return find_cyclic_switching(net) is None
 
 
-def is_dr_net(net: Net) -> bool:
-    """Switching-acyclic at every depth and no flat-labelled conclusion."""
-    return not net.has_flat_conclusion() and is_dr_correct(net)
-
-
 # -- indexings ---------------------------------------------------------------
 
 
@@ -358,73 +346,72 @@ def _link_constraints(net: Net, flavor: Flavor) -> Iterator[tuple[str, str, int,
         # one / bot have a single incident edge and induce no constraint
 
 
-def _conflict_cycle(
-    parents: dict[str, tuple[str, str, int] | None],
-    e1: str,
-    e2: str,
-    via: str,
-) -> tuple[str, ...]:
-    def path_to_root(x: str) -> list[tuple[str, str]]:
-        out = [(x, "")]
-        while parents[x] is not None:
-            px, lnk, _ = parents[x]  # type: ignore[misc]
-            out[-1] = (out[-1][0], lnk)
-            out.append((px, ""))
-            x = px
-        return out
-
-    p1 = path_to_root(e1)
-    p2 = path_to_root(e2)
-    nodes1 = [n for n, _ in p1]
-    set2 = {n for n, _ in p2}
-    meet = next(n for n in nodes1 if n in set2)
-    seq: list[str] = []
-    for n, lnk in p1:
-        seq.append(n)
-        if n == meet:
-            break
-        seq.append(lnk)
-    seq.reverse()  # meet ... e1
-    seq.append(via)
-    tail: list[str] = []
-    for n, lnk in p2:
-        tail.append(n)
-        if n == meet:
-            break
-        tail.append(lnk)
-    seq.extend(tail[:-1])  # e2 ... (meet dropped: cycle closes there)
-    return tuple(seq)
-
-
-def solve_indexing(net: Net, flavor: Flavor = "plain") -> Indexing | BalanceWitness:
-    """Propagate offsets over each connected component of the underlying
-    graph, anchoring one edge per component at zero.  Returns a satisfying
-    assignment or a cycle on which the accumulated shift does not cancel."""
+def _propagate(net: Net, flavor: Flavor):
+    """The one traversal of the constraint graph.  Every component is walked
+    depth-first from its least edge id, anchored at zero.  Returns the
+    offsets, the spanning-tree parent of each edge ((edge, link) it was
+    reached from, None at an anchor), each edge's component representative
+    (its anchor), and the first constraint the offsets violate as
+    (e1, e2, link, balance), or None."""
     adjacency: dict[str, list[tuple[str, int, str]]] = {e: [] for e in net.edges}
     for e1, e2, w, lid in _link_constraints(net, flavor):
         adjacency[e1].append((e2, -w, lid))  # idx(e2) = idx(e1) - w
         adjacency[e2].append((e1, w, lid))
-    assignment: dict[str, int] = {}
-    parents: dict[str, tuple[str, str, int] | None] = {}
-    for start in net.edges:
-        if start in assignment:
+    offset: dict[str, int] = {}
+    parent: dict[str, tuple[str, str] | None] = {}
+    rep: dict[str, str] = {}
+    conflict: tuple[str, str, str, int] | None = None
+    for start in sorted(net.edges):
+        if start in rep:
             continue
-        assignment[start] = 0
-        parents[start] = None
-        queue = [start]
-        while queue:
-            cur = queue.pop()
+        offset[start], parent[start], rep[start] = 0, None, start
+        stack = [start]
+        while stack:
+            cur = stack.pop()
             for other, delta, lid in adjacency[cur]:
-                want = assignment[cur] + delta
-                if other not in assignment:
-                    assignment[other] = want
-                    parents[other] = (cur, lid, delta)
-                    queue.append(other)
-                elif assignment[other] != want:
-                    elements = _conflict_cycle(parents, cur, other, lid)
-                    bal = abs(assignment[other] - want)
-                    return BalanceWitness(elements, bal, flavor, closed=True)
-    return Indexing(assignment, flavor)
+                want = offset[cur] + delta
+                if other not in rep:
+                    offset[other], parent[other], rep[other] = want, (cur, lid), start
+                    stack.append(other)
+                elif conflict is None and offset[other] != want:
+                    conflict = (cur, other, lid, abs(offset[other] - want))
+    return offset, parent, rep, conflict
+
+
+def _tree_path(parent: dict[str, tuple[str, str] | None], a: str, b: str) -> tuple[list[str], list[str]]:
+    """The spanning-tree path between two edges of one component, as two
+    alternating edge/link sequences: from a up to the edge where the
+    branches of a and b meet, and from that edge down to b."""
+
+    def to_anchor(x: str) -> list[str]:
+        seq = [x]
+        while parent[x] is not None:
+            x, lid = parent[x]  # type: ignore[misc]
+            seq += (lid, x)
+        return seq
+
+    up_a, up_b = to_anchor(a), to_anchor(b)
+    on_b = up_b[0::2]
+    meet = next(i for i in range(0, len(up_a), 2) if up_a[i] in on_b)
+    return up_a[: meet + 1], up_b[: 2 * on_b.index(up_a[meet]) + 1][::-1]
+
+
+def _unbalanced_cycle(
+    parent: dict[str, tuple[str, str] | None], conflict: tuple[str, str, str, int], flavor: Flavor
+) -> BalanceWitness:
+    """A violated constraint closed into a cycle by the tree path between
+    its edges, starting where the two branches meet."""
+    e1, e2, lid, bal = conflict
+    up, down = _tree_path(parent, e2, e1)
+    return BalanceWitness((*down, lid, *up[:-1]), bal, flavor)
+
+
+def solve_indexing(net: Net, flavor: Flavor = "plain") -> Indexing | BalanceWitness:
+    """Propagate offsets over each connected component of the constraint
+    graph, anchoring its least edge id at zero.  Returns a satisfying
+    assignment or a cycle on which the accumulated shift does not cancel."""
+    offset, parent, _, conflict = _propagate(net, flavor)
+    return Indexing(offset, flavor) if conflict is None else _unbalanced_cycle(parent, conflict, flavor)
 
 
 def check_indexing(net: Net, ix: Indexing) -> bool:
@@ -438,23 +425,7 @@ def check_indexing(net: Net, ix: Indexing) -> bool:
 def indexing_components(net: Net, flavor: Flavor = "plain") -> dict[str, str]:
     """Map each edge to its component representative (least edge id) in the
     constraint graph of the given flavor."""
-    adjacency: dict[str, list[str]] = {e: [] for e in net.edges}
-    for e1, e2, _, _ in _link_constraints(net, flavor):
-        adjacency[e1].append(e2)
-        adjacency[e2].append(e1)
-    rep: dict[str, str] = {}
-    for start in sorted(net.edges):
-        if start in rep:
-            continue
-        queue = [start]
-        rep[start] = start
-        while queue:
-            cur = queue.pop()
-            for other in adjacency[cur]:
-                if other not in rep:
-                    rep[other] = start
-                    queue.append(other)
-    return rep
+    return _propagate(net, flavor)[2]
 
 
 def shift_indexing(ix: Indexing, net: Net, shifts: dict[str, int]) -> Indexing:
@@ -469,59 +440,31 @@ def shift_indexing(ix: Indexing, net: Net, shifts: dict[str, int]) -> Indexing:
     return Indexing(moved, ix.flavor)
 
 
-def conclusion_groups_equal(net: Net, ix: Indexing) -> tuple[bool, tuple[str, str] | None]:
-    """Within every component, all net conclusions must receive one index.
-    Cross-component differences are repairable by translation."""
-    comp = indexing_components(net, ix.flavor)
-    seen: dict[str, tuple[str, int]] = {}
+def strong_indexing(net: Net, flavor: Flavor = "plain") -> Indexing | BalanceWitness:
+    """An indexing under which, inside each component, all net conclusions
+    receive one index (differences across components are repairable by
+    translation).  Otherwise a witness: an unbalanced cycle, or a path
+    between two conclusions of one component whose shift does not cancel."""
+    offset, parent, rep, conflict = _propagate(net, flavor)
+    if conflict is not None:
+        return _unbalanced_cycle(parent, conflict, flavor)
+    first: dict[str, str] = {}
     for e in net.conclusions:
-        c = comp[e]
-        v = ix.assignment[e]
-        if c in seen and seen[c][1] != v:
-            return False, (seen[c][0], e)
-        seen.setdefault(c, (e, v))
-    return True, None
-
-
-def conclusion_path_witness(net: Net, e1: str, e2: str, flavor: Flavor) -> BalanceWitness:
-    """A path between two conclusions whose accumulated shift is non-zero."""
-    adjacency: dict[str, list[tuple[str, int, str]]] = {e: [] for e in net.edges}
-    for a, b, w, lid in _link_constraints(net, flavor):
-        adjacency[a].append((b, -w, lid))
-        adjacency[b].append((a, w, lid))
-    prev: dict[str, tuple[str, str] | None] = {e1: None}
-    val: dict[str, int] = {e1: 0}
-    queue = [e1]
-    while queue:
-        cur = queue.pop()
-        for other, delta, lid in adjacency[cur]:
-            if other not in prev:
-                prev[other] = (cur, lid)
-                val[other] = val[cur] + delta
-                queue.append(other)
-    seq = [e2]
-    cur = e2
-    while prev[cur] is not None:
-        p, lid = prev[cur]  # type: ignore[misc]
-        seq.append(lid)
-        seq.append(p)
-        cur = p
-    return BalanceWitness(tuple(reversed(seq)), abs(val[e2]), flavor, closed=False)
+        a = first.setdefault(rep[e], e)
+        if offset[a] != offset[e]:
+            up, down = _tree_path(parent, a, e)
+            return BalanceWitness((*up, *down[1:]), abs(offset[a] - offset[e]), flavor, closed=False)
+    return Indexing(offset, flavor)
 
 
 def is_strongly_indexable(net: Net) -> bool | BalanceWitness:
-    """True iff a plain indexing exists and, inside each component, all net
-    conclusions receive the same index.  Returns the blocking witness
-    instead of False so callers can report it."""
+    """True iff a plain strong indexing exists (see ``strong_indexing``).
+    Returns the blocking witness instead of False so callers can report
+    it."""
     if net.has_flat_conclusion():
         raise PreconditionError("net has a flat-labelled conclusion")
-    result = solve_indexing(net, "plain")
-    if isinstance(result, BalanceWitness):
-        return result
-    ok, pair = conclusion_groups_equal(net, result)
-    if ok:
-        return True
-    return conclusion_path_witness(net, pair[0], pair[1], "plain")
+    result = strong_indexing(net, "plain")
+    return result if isinstance(result, BalanceWitness) else True
 
 
 def is_proof_net(net: Net) -> bool:
@@ -545,13 +488,8 @@ def is_l3_indexing_route(net: Net, check_preconditions: bool = True) -> bool | B
     conclusion indexes (component-wise, translations being free)."""
     if check_preconditions:
         _require_l3_preconditions(net)
-    result = solve_indexing(net, "exponential")
-    if isinstance(result, BalanceWitness):
-        return result
-    ok, pair = conclusion_groups_equal(net, result)
-    if ok:
-        return True
-    return conclusion_path_witness(net, pair[0], pair[1], "exponential")
+    result = strong_indexing(net, "exponential")
+    return result if isinstance(result, BalanceWitness) else True
 
 
 def is_l3_geometric(net: Net, check_preconditions: bool = True) -> bool | BalanceWitness:
@@ -559,11 +497,8 @@ def is_l3_geometric(net: Net, check_preconditions: bool = True) -> bool | Balanc
     its exponential and paragraph crossings."""
     if check_preconditions:
         _require_l3_preconditions(net)
-    closed = parr_closure(net)
-    result = solve_indexing(closed, "exponential")
-    if isinstance(result, BalanceWitness):
-        return result
-    return True
+    result = solve_indexing(parr_closure(net), "exponential")
+    return result if isinstance(result, BalanceWitness) else True
 
 
 def default_exponential_quasi_indexing(net: Net, allow_cuts: bool = False) -> Indexing:
@@ -643,15 +578,13 @@ __all__ = [
     "contained_net",
     "find_cyclic_switching",
     "is_dr_correct",
-    "is_dr_net",
     "Indexing",
     "BalanceWitness",
     "solve_indexing",
     "check_indexing",
     "indexing_components",
-    "conclusion_groups_equal",
-    "conclusion_path_witness",
     "shift_indexing",
+    "strong_indexing",
     "is_strongly_indexable",
     "is_proof_net",
     "is_l3_indexing_route",

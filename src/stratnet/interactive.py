@@ -34,7 +34,7 @@ from .formula import (
     dual,
     print_formula,
 )
-from .net import Box, Label, Link, Net, canonical_form, canonical_order
+from .net import Box, Label, Link, Net, _labelling, canonical_form
 from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, normalize, normalize_no_axiom
 
 
@@ -515,21 +515,23 @@ def swapping_compare(a: Net, b: Net) -> bool:
     return _swap_residue(_unswapped(a), _unswapped(b))
 
 
-def _unswapped(net: Net) -> tuple[list[AtomSite], Net, bytes]:
-    """The net's blocks, the net with every swap block turned back into an
-    identity block, and that net's canonical form."""
+def _unswapped(net: Net) -> tuple[list[AtomSite], dict[str, int], list]:
+    """The net's blocks, and the canonical order and encoding of the net
+    with every swap block turned back into an identity block."""
     sites = atom_sites(net)
     plain = _swap_sites(net, [s for s in sites if s.crossed])
-    return sites, plain, canonical_form(plain)
+    return (sites, *_labelling(plain))
 
 
-def _swap_residue(a: tuple[list[AtomSite], Net, bytes], b: tuple[list[AtomSite], Net, bytes]) -> bool:
+def _swap_residue(
+    a: tuple[list[AtomSite], dict[str, int], list], b: tuple[list[AtomSite], dict[str, int], list]
+) -> bool:
     """swapping_compare on the _unswapped views of both nets."""
-    (sa, na, form_a), (sb, nb, form_b) = a, b
+    (sa, rank_a, form_a), (sb, rank_b, form_b) = a, b
     if len(sa) != len(sb) or form_a != form_b:
         return False
     strict = 0
-    for fa, fb in zip(_flags_in_canonical_order(sa, na), _flags_in_canonical_order(sb, nb)):
+    for fa, fb in zip(_flags_in_canonical_order(sa, rank_a), _flags_in_canonical_order(sb, rank_b)):
         if fa and not fb:
             strict += 1
         elif fb and not fa:
@@ -537,10 +539,9 @@ def _swap_residue(a: tuple[list[AtomSite], Net, bytes], b: tuple[list[AtomSite],
     return strict > 0
 
 
-def _flags_in_canonical_order(sites: list[AtomSite], normalized: Net) -> list[bool]:
+def _flags_in_canonical_order(sites: list[AtomSite], rank: dict[str, int]) -> list[bool]:
     """Crossed-flags of the blocks, listed by the canonical rank of their
     tensor links in the identity-normalized net (ids are shared)."""
-    rank = canonical_order(normalized)
     return [s.crossed for s in sorted(sites, key=lambda s: rank[s.tensor])]
 
 

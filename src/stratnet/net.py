@@ -12,8 +12,8 @@ Nets are immutable after construction.  Rewrites build new nets.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .formula import (
@@ -52,32 +52,20 @@ UNORDERED_PREMISES = frozenset({"cut", "whynot"})
 
 @dataclass(frozen=True, slots=True)
 class Label:
-    """Edge label: a formula, optionally under the flat wrapper."""
+    """Edge label: a formula, optionally under the flat wrapper.  Its
+    printed text is kept once made: printing big formulas dominates several
+    hot paths, and labels are shared between net revisions."""
 
     formula: Formula
     flat: bool = False
+    _text: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __str__(self) -> str:
-        return ("%" if self.flat else "") + print_formula(self.formula)
-
-
-# Printing big formulas dominates several hot paths; labels are shared
-# between net revisions, so cache their strings by object identity (the
-# strong reference keeps the id stable).  Cleared wholesale when full.
-_label_strings: dict[int, tuple[Label, str]] = {}
-_LABEL_CACHE_LIMIT = 250_000
-
-
-def label_str(lab: Label) -> str:
-    key = id(lab)
-    hit = _label_strings.get(key)
-    if hit is not None and hit[0] is lab:
-        return hit[1]
-    s = str(lab)
-    if len(_label_strings) >= _LABEL_CACHE_LIMIT:
-        _label_strings.clear()
-    _label_strings[key] = (lab, s)
-    return s
+        text = self._text
+        if text is None:
+            text = ("%" if self.flat else "") + print_formula(self.formula)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def parse_label(text: str) -> Label:
@@ -503,9 +491,6 @@ class UGraph:
             adj[b].append((a, e))
         return adj
 
-    def has_cycle(self) -> bool:
-        return self.find_cycle() is not None
-
     def find_cycle(self) -> list[str] | None:
         """Return the edge ids of some cycle, or None.  Parallel edges count."""
         adj = self.adjacency()
@@ -574,32 +559,27 @@ def underlying_graph(net: Net, at_depth_zero: bool = False) -> UGraph:
     whole net at every depth as one undirected multigraph."""
     if at_depth_zero:
         node_of: dict[str, str] = {}
-        top_boxes = list(net.boxes)
-        for i, box in enumerate(top_boxes):
+        for box in net.boxes:
             name = f"box:{box.principal}"
             for lid in box.border():
                 node_of[lid] = name
             for lid in box.contents:
                 node_of[lid] = name
-        nodes = []
-        for lid in net.links:
-            if lid not in node_of:
-                node_of[lid] = lid
-                nodes.append(lid)
-        nodes.extend(f"box:{b.principal}" for b in top_boxes)
+        nodes = [lid for lid in net.links if lid not in node_of]
+        node_of.update((lid, lid) for lid in nodes)
+        nodes.extend(f"box:{b.principal}" for b in net.boxes)
     else:
         node_of = {lid: lid for lid in net.links}
         nodes = list(net.links)
     edges = []
     for eid in net.edges:
-        prod = node_of[net.producer(eid)]
-        cons_link = net.consumer(eid)
-        if cons_link is None:
+        cons = net.consumer(eid)
+        if cons is None:
             continue
-        cons = node_of[cons_link]
-        if prod == cons and prod.startswith("box:"):
+        a, b = node_of[net.producer(eid)], node_of[cons]
+        if a == b and a.startswith("box:"):
             continue  # internal to a collapsed box
-        edges.append((prod, cons, eid))
+        edges.append((a, b, eid))
     return UGraph(tuple(nodes), tuple(edges))
 
 
@@ -660,7 +640,7 @@ class _Canonicalizer:
         self.net = net
         self.ids = ids = list(net.links)
         self.index = index = {lid: i for i, lid in enumerate(ids)}
-        self.lab = lab = {e: label_str(l) for e, l in net.edges.items()}
+        self.lab = lab = {e: str(l) for e, l in net.edges.items()}
         position = {e: i for i, e in enumerate(net.conclusions)}
         # role: 0 plain, 1 box principal, 2 box auxiliary; up: the principal
         # of the box an auxiliary borders, else of the innermost box around.
@@ -893,10 +873,17 @@ class _Canonicalizer:
                         queue.append(f)
 
 
+def _labelling(net: Net) -> tuple[dict[str, int], list]:
+    """The canonical order and the encoding behind the canonical form, from
+    one labelling."""
+    by_rank, encoding = _Canonicalizer(net).labelling()
+    return {lid: r for r, lid in enumerate(by_rank)}, encoding
+
+
 def canonical_order(net: Net) -> dict[str, int]:
     """Canonical rank of every link; stable under id renaming and under
     permutation of unordered premise lists and box auxiliary lists."""
-    return {lid: r for r, lid in enumerate(_Canonicalizer(net).labelling()[0])}
+    return _labelling(net)[0]
 
 
 def traversal_order(net: Net) -> dict[str, int]:
@@ -905,7 +892,7 @@ def traversal_order(net: Net) -> dict[str, int]:
     value, but unlike canonical_order not guaranteed invariant under id
     renaming; used where only reproducibility matters."""
     rank: dict[str, int] = {}
-    lab = {e: label_str(l) for e, l in net.edges.items()}
+    lab = {e: str(l) for e, l in net.edges.items()}
 
     def key(eid: str, towards_producer: bool):
         other = net.producer(eid) if towards_producer else net.consumer(eid)
@@ -947,7 +934,7 @@ def canonical_form(net: Net) -> bytes:
     """Byte string identifying the net up to id renaming and reordering of
     unordered structure: two nets have the same form exactly when they are
     isomorphic.  Conclusion order and labels are significant."""
-    return json.dumps(_Canonicalizer(net).labelling()[1], separators=(",", ":")).encode()
+    return json.dumps(_labelling(net)[1], separators=(",", ":")).encode()
 
 
 def nets_equal(a: Net, b: Net) -> bool:
@@ -961,7 +948,7 @@ def renumber(net: Net) -> Net:
     renumbered net gives the same bytes for every isomorphic net."""
     rank = canonical_order(net)
     by_rank = sorted(net.links, key=rank.__getitem__)
-    lab = {e: label_str(l) for e, l in net.edges.items()}
+    lab = {e: str(l) for e, l in net.edges.items()}
     number = {e: i for i, e in enumerate(_edge_order(net, by_rank, rank, lab))}
     edge_name = {e: f"e{i}" for e, i in number.items()}
     link_name = {lid: f"l{r}" for lid, r in rank.items()}
@@ -1068,6 +1055,10 @@ def from_document(doc: dict, allow_flat_conclusions: bool = False) -> Net:
             )
             for l in doc["links"]
         }
+        for table, listed, what in ((edges, doc["edges"], "edge"), (links, doc["links"], "link")):
+            if len(table) < len(listed):
+                repeated = Counter(x["id"] for x in listed).most_common(1)[0][0]
+                raise NetFormatError(f"{what} id {repeated!r} is repeated")
 
         def parse_box(b: dict) -> Box:
             if type(b) is not dict:

@@ -44,8 +44,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .correctness import BalanceWitness, BudgetExceeded, Indexing, PreconditionError
-from .correctness import indexing_components, solve_indexing
+from .correctness import BudgetExceeded, Indexing, PreconditionError, _propagate
 from .formula import Paragraph
 from .net import Box, Label, Link, Net, traversal_order
 
@@ -608,14 +607,13 @@ def _add_pax(
 def _plain_levels(net: Net) -> dict[str, int]:
     """Level of each edge under a plain indexing, shifted to start at zero
     in each indexing component; empty when the net has no plain indexing."""
-    result = solve_indexing(net, "plain")
-    if isinstance(result, BalanceWitness):
+    offset, _, comp, conflict = _propagate(net, "plain")
+    if conflict is not None:
         return {}
-    comp = indexing_components(net, "plain")
     low: dict[str, int] = {}
-    for e, v in result.assignment.items():
+    for e, v in offset.items():
         low[comp[e]] = min(low.get(comp[e], v), v)
-    return {e: v - low[comp[e]] for e, v in result.assignment.items()}
+    return {e: v - low[comp[e]] for e, v in offset.items()}
 
 
 def normalize(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from stratnet.net import UNORDERED_PREMISES, Box, Net, label_str
+from stratnet.net import UNORDERED_PREMISES, Box, Net
 
 
 def _graph(net: Net) -> nx.MultiDiGraph:
@@ -22,14 +22,14 @@ def _graph(net: Net) -> nx.MultiDiGraph:
         g.add_node(("l", lid), kind=lk.kind, depth=net.depth(lid), role=role)
     for i, e in enumerate(net.conclusions):
         g.add_node(("c", i), kind=f"conclusion{i}", depth=-1, role="")
-        g.add_edge(("l", net.producer(e)), ("c", i), label=label_str(net.edges[e]), slot="c")
+        g.add_edge(("l", net.producer(e)), ("c", i), label=str(net.edges[e]), slot="c")
     for e in net.edges:
         cons = net.consumer(e)
         if cons is None:
             continue
         lk = net.links[cons]
         slot = "u" if lk.kind in UNORDERED_PREMISES else str(lk.premises.index(e))
-        g.add_edge(("l", net.producer(e)), ("l", cons), label=label_str(net.edges[e]), slot=slot)
+        g.add_edge(("l", net.producer(e)), ("l", cons), label=str(net.edges[e]), slot=slot)
 
     def add_box(box: Box, parent) -> None:
         node = ("b", box.principal)

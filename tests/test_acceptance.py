@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from stratnet.formula import bullet_formula
-from stratnet.net import label_str, nets_equal, parr_closure, validate
+from stratnet.net import nets_equal, parr_closure, validate
 from stratnet import builder
 from stratnet.builder import GenParams
 from stratnet.correctness import (
@@ -180,7 +180,7 @@ def test_criterion_4_rewrite_preservation():
     for seed in range(80):
         net = builder.random_net(40_000 + seed, GenParams(target_size=16, cut_bias=0.4))
         was_proof = is_proof_net(net)
-        conclusions = [label_str(net.edges[e]) for e in net.conclusions]
+        conclusions = [str(net.edges[e]) for e in net.conclusions]
         while True:
             redexes = find_redexes(net)
             if not redexes:
@@ -196,7 +196,7 @@ def test_criterion_4_rewrite_preservation():
             if was_proof and not is_proof_net(net):
                 violations += 1
                 break
-            if [label_str(net.edges[e]) for e in net.conclusions] != conclusions:
+            if [str(net.edges[e]) for e in net.conclusions] != conclusions:
                 violations += 1
                 break
     ok = violations == 0

@@ -4,7 +4,7 @@ import pytest
 
 from stratnet.cli import main
 from stratnet.formula import Atom
-from stratnet.net import load, nets_equal, save
+from stratnet.net import load, nets_equal, save, to_document
 from stratnet import builder
 
 from conftest import make_unstable_membership_net, tensor_loop_net
@@ -58,13 +58,15 @@ def test_validate_malformed_json(tmp_path, capsys):
 
 
 # Each probe used to escape cli.main as an exception (FormulaSyntaxError,
-# AttributeError, RecursionError) or, for the premise string, to be read as
-# a list of one-letter ids and accepted.
+# AttributeError, RecursionError), or to be accepted: the premise string read
+# as a list of one-letter ids, a repeated edge or link merged into one.
 BOUNDARY_PROBES = {
     "unparsable-label": ("label", "(X *"),
     "integer-label": ("label", 5),
     "deep-label": ("label", "!" * 5000 + "X"),
     "premises-string": ("premises", "ab"),
+    "repeated-edge": ("edges", 0),
+    "repeated-link": ("links", 0),
 }
 
 
@@ -82,13 +84,28 @@ def test_validate_malformed_document_exits_2(tmp_path, capsys, probe):
     }
     if field == "label":
         doc["edges"][0]["label"] = value
-    else:
+    elif field == "premises":
         doc["links"][1]["premises"] = value
+    else:
+        doc[field].append(dict(doc[field][value]))
     p = tmp_path / "probe.json"
     p.write_text(json.dumps(doc))
     assert main(["validate", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid:") and "Traceback" not in err
+
+
+def test_index_ignores_edge_order(tmp_path, capsys):
+    # Two components, one with a paragraph: each is anchored at its least
+    # edge id, wherever the document lists it.
+    doc = to_document(builder.mix(builder.ax(X), builder.paragraph_rule(builder.ax(X), 1)))
+    p = tmp_path / "mix.json"
+    outputs = []
+    for edges in (doc["edges"], doc["edges"][::-1]):
+        p.write_text(json.dumps({**doc, "edges": edges}))
+        assert main(["index", str(p)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_validate_deeply_nested_json_exits_2(tmp_path, capsys):

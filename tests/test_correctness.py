@@ -9,6 +9,7 @@ from stratnet.net import Link, Net, nets_equal, validate
 from stratnet import builder
 from stratnet.builder import GenParams
 from stratnet.correctness import (
+    _link_constraints,
     BalanceWitness,
     BudgetExceeded,
     PreconditionError,
@@ -24,6 +25,7 @@ from stratnet.correctness import (
     is_strongly_indexable,
     shift_indexing,
     solve_indexing,
+    strong_indexing,
 )
 
 from conftest import brute_force_indexable, make_unstable_membership_net, tensor_last_two, tensor_loop_net
@@ -222,16 +224,56 @@ def test_shift_source_net_exponential_indexing(shift_source_net):
     assert check_indexing(shift_source_net, result)
 
 
+def least_edge_of_component(net: Net, flavor: str) -> dict[str, str]:
+    """Union-find over the link constraints; each class is rooted at its
+    least edge id."""
+    parent = {e: e for e in net.edges}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e1, e2, _, _ in _link_constraints(net, flavor):
+        a, b = find(e1), find(e2)
+        parent[max(a, b)] = min(a, b)
+    return {e: find(e) for e in net.edges}
+
+
+SOUNDNESS_MIXES = (
+    GenParams(target_size=14, cut_bias=0.2),
+    GenParams(target_size=12, cut_bias=0.0, paragraph_bias=0.5, exponential_bias=0.2),
+    GenParams(target_size=12, cut_bias=0.4, paragraph_bias=0.1, exponential_bias=0.5, box_bias=0.5),
+    GenParams(target_size=10, cut_bias=0.1, paragraph_bias=0.3, exponential_bias=0.4, box_bias=0.1),
+)
+
+
 def test_solver_soundness_on_corpus():
-    for seed in range(60):
-        n = builder.random_net(seed, GenParams(target_size=14, cut_bias=0.2))
+    seen = defaultdict(int)
+    for seed in range(520):
+        n = builder.random_net(seed, SOUNDNESS_MIXES[seed % len(SOUNDNESS_MIXES)])
         for flavor in ("plain", "exponential"):
-            result = solve_indexing(n, flavor)
-            if isinstance(result, BalanceWitness):
-                weights = flavor == "exponential"
-                assert balance(n, list(result.elements), exponential=weights) == result.balance > 0
-            else:
+            weights = flavor == "exponential"
+            comp = indexing_components(n, flavor)
+            assert comp == least_edge_of_component(n, flavor), (seed, flavor)
+            seen["components > 1"] += len(set(comp.values())) > 1
+            for strong, result in ((False, solve_indexing(n, flavor)), (True, strong_indexing(n, flavor))):
+                if isinstance(result, BalanceWitness):
+                    closed = result.closed
+                    assert closed or strong
+                    assert balance(n, list(result.elements), exponential=weights, closed=closed) == result.balance > 0
+                    if not closed:
+                        a, b = result.elements[0], result.elements[-1]
+                        assert a in n.conclusions and b in n.conclusions and comp[a] == comp[b]
+                    seen[("path", "cycle")[closed]] += strong
+                    continue
                 assert check_indexing(n, result)
+                if strong:
+                    index: dict[str, int] = {}
+                    for e in n.conclusions:
+                        assert index.setdefault(comp[e], result.assignment[e]) == result.assignment[e]
+                    seen["strong"] += 1
+    assert min(seen.values()) >= 20, dict(seen)
 
 
 def test_solver_vs_brute_force_small_nets():

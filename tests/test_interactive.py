@@ -10,7 +10,7 @@ from stratnet.formula import (
     dual,
     parse_formula,
 )
-from stratnet.net import label_str, nets_equal, parr_closure, validate
+from stratnet.net import nets_equal, parr_closure, validate
 from stratnet import builder
 from stratnet.builder import GenParams
 from stratnet.correctness import (
@@ -57,7 +57,7 @@ def test_eta_tensor_axiom():
     n = eta_expand(builder.ax(Tensor(X, Y)))
     kinds = sorted(l.kind for l in n.links.values())
     assert kinds == ["ax", "ax", "par", "tensor"]
-    assert [label_str(n.edges[e]) for e in n.conclusions] == ["(X^ @ Y^)", "(X * Y)"]
+    assert [str(n.edges[e]) for e in n.conclusions] == ["(X^ @ Y^)", "(X * Y)"]
     assert is_proof_net(n)
 
 
@@ -65,7 +65,7 @@ def test_eta_bang_axiom():
     n = eta_expand(builder.ax(OfCourse(X)))
     kinds = sorted(l.kind for l in n.links.values())
     assert kinds == ["ax", "flat", "ofcourse", "pax", "whynot"]
-    assert [label_str(n.edges[e]) for e in n.conclusions] == ["?X^", "!X"]
+    assert [str(n.edges[e]) for e in n.conclusions] == ["?X^", "!X"]
     assert len(n.boxes) == 1 and len(n.boxes[0].auxiliaries) == 1
     assert is_proof_net(n)
 

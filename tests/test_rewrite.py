@@ -7,7 +7,7 @@ import pytest
 
 from stratnet.formula import Atom, parse_formula, shift_formula
 from stratnet import interactive
-from stratnet.net import label_str, nets_equal, parr_closure, save, validate
+from stratnet.net import nets_equal, parr_closure, save, validate
 from stratnet import builder
 from stratnet.builder import GenParams
 from stratnet.correctness import (
@@ -41,7 +41,7 @@ Y = Atom("Y")
 
 
 def conclusions_of(net):
-    return [label_str(net.edges[e]) for e in net.conclusions]
+    return [str(net.edges[e]) for e in net.conclusions]
 
 
 # -- redex discovery ---------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_mult_step_produces_two_cuts():
     cuts = result.cut_links()
     assert len(cuts) == 2
     cut_labels = sorted(
-        tuple(sorted(label_str(result.edges[e]) for e in result.links[c].premises)) for c in cuts
+        tuple(sorted(str(result.edges[e]) for e in result.links[c].premises)) for c in cuts
     )
     assert cut_labels == [("X", "X^"), ("Y", "Y^")]
 
@@ -113,7 +113,7 @@ def test_paragraph_step():
     result, _ = apply_step(g, redex)
     assert validate(result).ok()
     (cut,) = result.cut_links()
-    assert sorted(label_str(result.edges[e]) for e in result.links[cut].premises) == ["X", "X^"]
+    assert sorted(str(result.edges[e]) for e in result.links[cut].premises) == ["X", "X^"]
     nf, _ = normalize(result)
     assert nets_equal(nf, builder.ax(X))
 
