@@ -31,21 +31,12 @@ class RuleError(ValueError):
     """A building rule was applied to unsuitable conclusions."""
 
 
-def _counter_start(net: Net) -> int:
-    best = 0
-    for name in list(net.edges) + list(net.links):
-        head = name.rstrip("0123456789")
-        if head in ("e", "l") and name != head:
-            best = max(best, int(name[len(head):]) + 1)
-    return best
-
-
 class _Fresh:
+    """Names e<n> and l<n> from one counter that starts past every such id
+    of the given nets, so no name it gives is taken."""
+
     def __init__(self, *nets: Net):
-        self.n = max((_counter_start(net) for net in nets), default=0)
-        self.used: set[str] = set()
-        for net in nets:
-            self.used |= set(net.edges) | set(net.links)
+        self.n = max((net.id_mark() for net in nets), default=0)
 
     def edge(self) -> str:
         return self._next("e")
@@ -54,12 +45,8 @@ class _Fresh:
         return self._next("l")
 
     def _next(self, prefix: str) -> str:
-        while True:
-            name = f"{prefix}{self.n}"
-            self.n += 1
-            if name not in self.used:
-                self.used.add(name)
-                return name
+        self.n += 1
+        return f"{prefix}{self.n - 1}"
 
 
 def daimon() -> Net:
@@ -81,6 +68,7 @@ def one_rule() -> Net:
 
 
 def _relabel(net: Net, fresh: _Fresh) -> tuple[Net, dict[str, str]]:
+    """The net under fresh ids, and the map from its old link ids."""
     emap = {e: fresh.edge() for e in net.edges}
     lmap = {l: fresh.link() for l in net.links}
 
@@ -101,7 +89,7 @@ def _relabel(net: Net, fresh: _Fresh) -> tuple[Net, dict[str, str]]:
         tuple(rebox(b) for b in net.boxes),
         tuple(emap[e] for e in net.conclusions),
     )
-    return renamed, emap
+    return renamed, lmap
 
 
 def mix(a: Net, b: Net) -> Net:

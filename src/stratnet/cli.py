@@ -263,6 +263,9 @@ def cmd_test(args) -> int:
     if n.cut_links():
         print("the interactive tests need a cut-free net; run normalize first", file=sys.stderr)
         return EXIT_INVALID
+    if not n.conclusions:
+        print("invalid: the interactive tests need a net with a conclusion", file=sys.stderr)
+        return EXIT_INVALID
     if len(n.conclusions) != 1:
         print(
             f"note: joining {len(n.conclusions)} conclusions before testing",
@@ -347,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args.pretty = args.pretty or getattr(args, "pretty_global", False)
     try:
         return args.fn(args)
-    except PreconditionError as exc:
+    except (PreconditionError, rewrite.StepError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetExceeded as exc:

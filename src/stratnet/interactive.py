@@ -7,13 +7,22 @@ every atomic identity block sitting at level k replaced by the crossed
 variant.  A cut-free net with conclusion A is accepted at level k when
 cutting its doubled form against the test reduces back to the doubled form
 itself.
+
+A level-k test differs from the identity test only in the order of some
+tensor premises, which no reduction step looks at, so the decider reduces
+once, against the identity, and derives every level's normal form from
+that one.  Each normal-form block's par and tensor lift, through the trace,
+to two test blocks; the block is crossed at level k when exactly one of
+them is, and the level's verdict compares the derived net with the doubled
+form, as before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
-from .builder import _Fresh
+from . import builder
 from .correctness import (
     Indexing,
     PreconditionError,
@@ -34,7 +43,7 @@ from .formula import (
     dual,
     print_formula,
 )
-from .net import Box, Label, Link, Net, _labelling, canonical_form
+from .net import Box, Label, Link, Net, _form, _labelling
 from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, normalize, normalize_no_axiom
 
 
@@ -45,7 +54,7 @@ class _EtaBuilder:
     """Accumulates the expansion of one axiom; boxes produced along the way
     are collected so the caller can splice them at the axiom's location."""
 
-    def __init__(self, fresh: _Fresh):
+    def __init__(self, fresh: builder._Fresh):
         self.fresh = fresh
         self.edges: dict[str, Label] = {}
         self.links: dict[str, Link] = {}
@@ -69,31 +78,20 @@ class _EtaBuilder:
             case Atom():
                 self.link("ax", (), (out_neg, out_pos))
                 return ()
-            case One():
-                self.link("bot", (), (out_neg,))
-                self.link("one", (), (out_pos,))
+            case One() | Bottom():
+                neg, pos = ("bot", "one") if isinstance(a, One) else ("one", "bot")
+                self.link(neg, (), (out_neg,))
+                self.link(pos, (), (out_pos,))
                 return ()
-            case Bottom():
-                self.link("one", (), (out_neg,))
-                self.link("bot", (), (out_pos,))
-                return ()
-            case Tensor(l, r):
+            case Tensor(l, r) | Par(l, r):
                 nl = self.edge(Label(dual(l)))
                 pl = self.edge(Label(l))
                 nr = self.edge(Label(dual(r)))
                 pr = self.edge(Label(r))
                 boxes = self.expand(l, nl, pl) + self.expand(r, nr, pr)
-                self.link("par", (nl, nr), (out_neg,))
-                self.link("tensor", (pl, pr), (out_pos,))
-                return boxes
-            case Par(l, r):
-                nl = self.edge(Label(dual(l)))
-                pl = self.edge(Label(l))
-                nr = self.edge(Label(dual(r)))
-                pr = self.edge(Label(r))
-                boxes = self.expand(l, nl, pl) + self.expand(r, nr, pr)
-                self.link("tensor", (nl, nr), (out_neg,))
-                self.link("par", (pl, pr), (out_pos,))
+                neg, pos = ("par", "tensor") if isinstance(a, Tensor) else ("tensor", "par")
+                self.link(neg, (nl, nr), (out_neg,))
+                self.link(pos, (pl, pr), (out_pos,))
                 return boxes
             case Paragraph(b):
                 nb = self.edge(Label(dual(b)))
@@ -146,7 +144,7 @@ def eta_expand(net: Net) -> Net:
     ]
     if not targets:
         return net
-    fresh = _Fresh(net)
+    fresh = builder._Fresh(net)
     edges = dict(net.edges)
     links = dict(net.links)
     new_boxes_at: dict[str, tuple[Box, ...]] = {}
@@ -183,9 +181,7 @@ def eta_expand(net: Net) -> Net:
 
 def identity_net(a: Formula) -> Net:
     """Eta-expansion of the axiom on a; conclusions dual(a), a."""
-    from .builder import ax
-
-    return eta_expand(ax(a))
+    return eta_expand(builder.ax(a))
 
 
 def swap_net() -> Net:
@@ -213,9 +209,6 @@ class AtomSite:
     @property
     def level(self) -> int | None:
         return self.levels[0] if self.levels[0] == self.levels[1] else None
-
-    def link_ids(self) -> tuple[str, str, str, str]:
-        return (self.par, self.tensor) + self.axioms
 
 
 def atom_sites(net: Net, indexing: Indexing | None = None) -> list[AtomSite]:
@@ -279,7 +272,7 @@ def bullet_net(net: Net) -> Net:
                 raise PreconditionError("bullet substitution needs atomic axioms; eta-expand first")
     edges = {e: Label(bullet_formula(lab.formula), lab.flat) for e, lab in net.edges.items()}
     links = dict(net.links)
-    fresh = _Fresh(net)
+    fresh = builder._Fresh(net)
     replaced: dict[str, set[str]] = {}
     X = Atom(RESERVED_ATOM)
     Xd = Atom(RESERVED_ATOM, True)
@@ -337,7 +330,9 @@ class Test:
 def make_test(a: Formula, k: int) -> Test:
     """Identity net of the doubled formula with every block at level k
     crossed.  Levels above the deepest block give back the identity."""
-    return _make_test(a, k, *_test_base(a))
+    base, sites = _test_base(a)
+    picked = [s for s in sites if s.level == k]
+    return Test(_swap_sites(base, picked), a, k, tuple(picked))
 
 
 def test_levels(a: Formula) -> list[int]:
@@ -349,11 +344,6 @@ def _test_base(a: Formula) -> tuple[Net, list[AtomSite]]:
     test of a shares."""
     base = identity_net(bullet_formula(a))
     return base, atom_sites(base)
-
-
-def _make_test(a: Formula, k: int, base: Net, sites: list[AtomSite]) -> Test:
-    picked = [s for s in sites if s.level == k]
-    return Test(_swap_sites(base, picked), a, k, tuple(picked))
 
 
 def _levels(base: Net, sites: list[AtomSite]) -> list[int]:
@@ -375,8 +365,6 @@ def cut_compose(net: Net, partners: list[Net | tuple[Net, int]]) -> Net:
     conclusion against the partner's unique dual conclusion (an explicit
     index resolves ambiguity).  Result: the partners' remaining conclusions,
     in partner order."""
-    from .builder import mix
-
     if len(partners) != len(net.conclusions):
         raise CompositionError(
             f"need one partner per conclusion ({len(net.conclusions)}), got {len(partners)}"
@@ -390,10 +378,10 @@ def cut_compose(net: Net, partners: list[Net | tuple[Net, int]]) -> Net:
         offsets.append(len(acc.conclusions))
         partner_sizes.append(len(partner.conclusions))
         picks.append(index)
-        acc = mix(acc, partner)
+        acc = builder.mix(acc, partner)
     edges = dict(acc.edges)
     links = dict(acc.links)
-    fresh = _Fresh(acc)
+    fresh = builder._Fresh(acc)
     consumed: set[str] = set()
     for i in range(len(partners)):
         mine = acc.conclusions[i]
@@ -421,20 +409,16 @@ def compose(f: Net, g: Net) -> Net:
     """Arrow composition: cut f's second conclusion against g's first.
     For f with conclusions A', B and g with B', C the result concludes
     A', C."""
-    from .builder import cut_rule
-
     if len(f.conclusions) != 2 or len(g.conclusions) != 2:
         raise CompositionError("arrow composition needs two-conclusion nets")
-    return cut_rule(f, 1, g, 0)
+    return builder.cut_rule(f, 1, g, 0)
 
 
 def syntactic_interpretation(net: Net, budget: int = DEFAULT_STEP_BUDGET) -> Net:
     """Normal form, eta-expanded, atom-doubled, with one bottom link set
     beside it."""
-    from .builder import bottom_rule
-
     nf, _ = normalize(net, budget=budget)
-    return bottom_rule(bullet_net(eta_expand(nf)))
+    return builder.bottom_rule(bullet_net(eta_expand(nf)))
 
 
 # -- the interactive decider -----------------------------------------------------
@@ -468,9 +452,10 @@ def interactive_l3_check(
     net: Net, budget: int = DEFAULT_STEP_BUDGET, level: int | None = None
 ) -> InteractiveReport:
     """Cut the doubled form against the test of every level (or of the one
-    level given) and demand it reduce back to itself.  Levels range over
-    the blocks of the identity net of the doubled conclusion; higher tests
-    equal the identity and pass trivially."""
+    level given) and demand it reduce back to itself, all by one reduction
+    against the identity test (see the module docstring).  Levels range
+    over the blocks of the identity net of the doubled conclusion; higher
+    tests equal the identity and pass trivially."""
     if net.cut_links():
         raise PreconditionError("the interactive check needs a cut-free net; normalize first")
     if len(net.conclusions) != 1:
@@ -484,26 +469,44 @@ def interactive_l3_check(
                 f"{level} is not a level of {print_formula(a)}; its levels are {levels}"
             )
         levels = [level]
+    if not levels:
+        return InteractiveReport(True, ())
     pib = bullet_net(eta_expand(net))
-    pib_form = canonical_form(pib)
-    pib_unswapped = None
+    pib_rank, pib_encoding = _labelling(pib)
+    pib_form = _form(pib_encoding)
+    theta, lmap = builder._relabel(base, builder._Fresh(pib, base))  # as cut_compose would name it
+    level_of = {lmap[lid]: s.level for s in sites for lid in (s.par, s.tensor)}
+    nf, trace = normalize(cut_compose(pib, [theta]), budget=budget)
+    nf_sites = atom_sites(nf)
+    # The levels of the test blocks that each block's par and tensor lift to.
+    ends = [tuple(level_of.get(trace.lift_to_source(x)) for x in (s.par, s.tensor)) for s in nf_sites]
+    plain, pib_sites = frozenset(s.tensor for s in nf_sites if s.crossed), None
+
+    @cache
+    def view(flip: frozenset[str]) -> tuple[dict[str, int], list]:
+        """Labelling of the normal form with the blocks of these tensors crossed."""
+        return _labelling(_swap_sites(nf, [s for s in nf_sites if s.tensor in flip]))
+
     reports: list[LevelReport] = []
-    ok = True
     for k in levels:
-        theta = _make_test(a, k, base, sites)
-        composed = cut_compose(pib, [theta.net])
-        nf, _ = normalize(composed, budget=budget)
-        passed = canonical_form(nf) == pib_form
-        swapped = 0
-        residue_swapping = False
+        flip = frozenset(s.tensor for s in _crossed_at(k, nf_sites, ends))
+        passed = _form(view(flip)[1]) == pib_form
+        swapped, residue_swapping = 0, False
         if not passed:
-            ok = False
-            nf_unswapped = _unswapped(nf)
-            swapped = sum(1 for s in nf_unswapped[0] if s.crossed)
-            pib_unswapped = pib_unswapped or _unswapped(pib)
-            residue_swapping = _swap_residue(nf_unswapped, pib_unswapped)
+            sites_k = [replace(s, crossed=s.crossed != (s.tensor in flip)) for s in nf_sites]
+            swapped = sum(s.crossed for s in sites_k)
+            # Unswapped, every level's normal form is the identity's, and pib
+            # has no crossed block: each view is labelled once per check.
+            pib_sites = pib_sites or atom_sites(pib)
+            residue_swapping = _swap_residue((sites_k, *view(plain)), (pib_sites, pib_rank, pib_encoding))
         reports.append(LevelReport(k, passed, swapped, residue_swapping))
-    return InteractiveReport(ok, tuple(reports))
+    return InteractiveReport(all(r.passed for r in reports), tuple(reports))
+
+
+def _crossed_at(k: int, sites: list[AtomSite], ends: list[tuple]) -> list[AtomSite]:
+    """The normal-form blocks whose wires pass through exactly one crossed
+    block of the level-k test."""
+    return [s for s, (p, t) in zip(sites, ends) if (p == k) != (t == k)]
 
 
 # -- comparison up to block swaps -------------------------------------------------
@@ -530,19 +533,16 @@ def _swap_residue(
     (sa, rank_a, form_a), (sb, rank_b, form_b) = a, b
     if len(sa) != len(sb) or form_a != form_b:
         return False
+    # Crossed-flags of the blocks, by the canonical rank of their tensors.
+    flags_a = [s.crossed for s in sorted(sa, key=lambda s: rank_a[s.tensor])]
+    flags_b = [s.crossed for s in sorted(sb, key=lambda s: rank_b[s.tensor])]
     strict = 0
-    for fa, fb in zip(_flags_in_canonical_order(sa, rank_a), _flags_in_canonical_order(sb, rank_b)):
+    for fa, fb in zip(flags_a, flags_b):
         if fa and not fb:
             strict += 1
         elif fb and not fa:
             return False
     return strict > 0
-
-
-def _flags_in_canonical_order(sites: list[AtomSite], rank: dict[str, int]) -> list[bool]:
-    """Crossed-flags of the blocks, listed by the canonical rank of their
-    tensor links in the identity-normalized net (ids are shared)."""
-    return [s.crossed for s in sorted(sites, key=lambda s: rank[s.tensor])]
 
 
 # -- feet --------------------------------------------------------------------------

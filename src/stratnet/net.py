@@ -150,6 +150,7 @@ class Net:
         "_link_depth",
         "_box_of_border",
         "_enclosing",
+        "_mark",
     )
 
     def __init__(
@@ -192,6 +193,15 @@ class Net:
         self._link_depth = depth
         self._box_of_border = box_of_border
         self._enclosing = enclosing
+        self._mark: int | None = None
+
+    def id_mark(self) -> int:
+        """One past the largest n among the ids e<n> and l<n>, found on
+        first use: names numbered from here are new."""
+        if self._mark is None:
+            numbers = (x[1:] for ids in (self.edges, self.links) for x in ids if x[:1] in ("e", "l"))
+            self._mark = max((int(n) + 1 for n in numbers if n.isdigit() and n.isascii()), default=0)
+        return self._mark
 
     # -- basic queries ----------------------------------------------------
 
@@ -934,7 +944,11 @@ def canonical_form(net: Net) -> bytes:
     """Byte string identifying the net up to id renaming and reordering of
     unordered structure: two nets have the same form exactly when they are
     isomorphic.  Conclusion order and labels are significant."""
-    return json.dumps(_labelling(net)[1], separators=(",", ":")).encode()
+    return _form(_labelling(net)[1])
+
+
+def _form(encoding: list) -> bytes:
+    return json.dumps(encoding, separators=(",", ":")).encode()
 
 
 def nets_equal(a: Net, b: Net) -> bool:

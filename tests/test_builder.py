@@ -1,9 +1,9 @@
 import pytest
 
 from stratnet.formula import Atom, parse_formula
-from stratnet.net import nets_equal, save, validate
+from stratnet.net import Label, Link, Net, nets_equal, save, validate
 from stratnet import builder
-from stratnet.builder import GenParams, RuleError
+from stratnet.builder import GenParams, RuleError, _Fresh
 from stratnet.correctness import is_dr_correct
 
 X = Atom("X")
@@ -20,6 +20,33 @@ def test_daimon_axiom_one():
 def test_ax_compound():
     n = builder.ax(parse_formula("(X * Y)"))
     assert [str(n.edges[e]) for e in n.conclusions] == ["(X^ @ Y^)", "(X * Y)"]
+
+
+def test_fresh_names_start_past_every_numbered_id():
+    # e<n> and l<n> share one counter; other ids, and digits that are not
+    # ASCII, do not count; a leading zero counts by value
+    odd = ("e7", "e007", "x99", "e", "e5x", "l\u0669\u0669")
+    net = Net({e: Label(X) for e in odd}, {"l12": Link("one", (), ())})
+    fresh = _Fresh(net)
+    assert (fresh.edge(), fresh.link(), fresh.edge()) == ("e13", "l14", "e15")
+    assert net.id_mark() == 13
+    assert _Fresh(builder.ax(X), net).link() == "l13"
+    assert _Fresh().edge() == "e0"
+
+
+def test_doubled_composite_ids_are_pinned(dereliction_net):
+    # the ids eta-expansion, doubling, composition and reduction hand out,
+    # which the trace and the interactive check's lift maps carry
+    from stratnet.formula import bullet_formula
+    from stratnet.interactive import bullet_net, cut_compose, eta_expand, identity_net
+    from stratnet.rewrite import normalize
+
+    pib = bullet_net(eta_expand(dereliction_net))
+    test = identity_net(bullet_formula(dereliction_net.edges[dereliction_net.conclusions[0]].formula))
+    nf, trace = normalize(cut_compose(pib, [test]))
+    assert sorted(pib.links) == ["l12", "l13", "l14", "l15", "l2", "l4", "l6"]
+    assert [s.redex.cut for s in trace.steps[:3]] == ["l64", "l64~m0", "l64~m0~x0"]
+    assert sorted(nf.links) == ["l12", "l53~c0", "l54~c0", "l57", "l59", "l61", "l63"]
 
 
 def test_mix():

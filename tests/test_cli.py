@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stratnet.cli import main
-from stratnet.formula import Atom
-from stratnet.net import load, nets_equal, save, to_document
+from stratnet.formula import Atom, dual
+from stratnet.net import LINK_ARITIES, load, nets_equal, save, to_document
 from stratnet import builder
 
 from conftest import make_unstable_membership_net, tensor_loop_net
@@ -58,22 +64,28 @@ def test_validate_malformed_json(tmp_path, capsys):
 
 
 # Each probe used to escape cli.main as an exception (FormulaSyntaxError,
-# AttributeError, RecursionError), or to be accepted: the premise string read
-# as a list of one-letter ids, a repeated edge or link merged into one.
+# AttributeError, RecursionError; IndexError from test on a net without
+# conclusions; StepError from normalize on the axiom cut against itself), or
+# to be accepted: the premise string read as a list of one-letter ids, a
+# repeated edge or link merged into one.  Each is (command, field, value).
 BOUNDARY_PROBES = {
-    "unparsable-label": ("label", "(X *"),
-    "integer-label": ("label", 5),
-    "deep-label": ("label", "!" * 5000 + "X"),
-    "premises-string": ("premises", "ab"),
-    "repeated-edge": ("edges", 0),
-    "repeated-link": ("links", 0),
+    "unparsable-label": (["validate"], "label", "(X *"),
+    "integer-label": (["validate"], "label", 5),
+    "deep-label": (["validate"], "label", "!" * 5000 + "X"),
+    "premises-string": (["validate"], "premises", "ab"),
+    "repeated-edge": (["validate"], "edges", 0),
+    "repeated-link": (["validate"], "links", 0),
+    "normalize-axiom-cut-with-itself": (["normalize"], None, None),
+    "test-no-conclusion": (["test"], "empty", None),
+    "test-level-no-conclusion": (["test", "--level", "0"], "empty", None),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(BOUNDARY_PROBES))
 def test_validate_malformed_document_exits_2(tmp_path, capsys, probe):
-    field, value = BOUNDARY_PROBES[probe]
-    # An axiom cut against itself: a valid document once its fields are right.
+    command, field, value = BOUNDARY_PROBES[probe]
+    # An axiom cut against itself: a valid document once its fields are
+    # right, but not a switching-acyclic one.
     doc = {
         "edges": [{"id": "a", "label": "X^"}, {"id": "b", "label": "X"}],
         "links": [
@@ -86,13 +98,15 @@ def test_validate_malformed_document_exits_2(tmp_path, capsys, probe):
         doc["edges"][0]["label"] = value
     elif field == "premises":
         doc["links"][1]["premises"] = value
-    else:
+    elif field == "empty":
+        doc = {"edges": [], "links": [], "boxes": [], "conclusions": []}
+    elif field is not None:
         doc[field].append(dict(doc[field][value]))
     p = tmp_path / "probe.json"
     p.write_text(json.dumps(doc))
-    assert main(["validate", str(p)]) == 2
+    assert main(command + [str(p)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid:") and "Traceback" not in err
+    assert err.startswith("invalid:") and "Traceback" not in err and err.count("\n") == 1
 
 
 def test_index_ignores_edge_order(tmp_path, capsys):
@@ -259,15 +273,15 @@ def test_test_command_dereliction(dereliction_file, capsys):
 def test_test_command_single_level(dereliction_file, capsys, monkeypatch):
     from stratnet import interactive
 
-    made = []
-    make_test = interactive._make_test
+    derived = []
+    crossed_at = interactive._crossed_at
     monkeypatch.setattr(
-        interactive, "_make_test", lambda a, k, *shared: made.append(k) or make_test(a, k, *shared)
+        interactive, "_crossed_at", lambda k, *shared: derived.append(k) or crossed_at(k, *shared)
     )
     assert main(["test", "--level", "0", dereliction_file]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [lvl["k"] for lvl in doc["levels"]] == [0]
-    assert made == [0]
+    assert derived == [0]
 
 
 @pytest.mark.parametrize("level", ["99", "-1"])
@@ -344,3 +358,165 @@ def test_check_decides_net_with_millions_of_switchings(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["holds"] is False
     assert doc["witness"]["kind"] == "path" and doc["witness"]["weights"] == "plain"
+
+
+# stdout of test --level K and of test as the per-level decider printed it;
+# the decider now reduces once per check
+GEN_7_FORMULA = (
+    "(Z @ (#?Z^ @ (X @ (#X^ @ (bot @ (X^ @ (X @ ((1 * (X * X^)) @ "
+    "(X^ @ (Y @ (Z @ (X * (Y^ * Z^)))))))))))))"
+)
+TEST_STDOUT = {
+    ("dereliction", None): '{"formula":"(?X^ @ X)","member":false,"levels":'
+    '[{"k":0,"pass":false,"swapped_sites":1},{"k":1,"pass":false,"swapped_sites":1}]}\n',
+    ("dereliction", "1"): '{"formula":"(?X^ @ X)","member":false,"levels":'
+    '[{"k":1,"pass":false,"swapped_sites":1}]}\n',
+    ("shift-source", None): '{"formula":"(?X^ @ #X)","member":true,"levels":'
+    '[{"k":0,"pass":true,"swapped_sites":0},{"k":1,"pass":true,"swapped_sites":0}]}\n',
+    ("gen-7", None): '{"formula":"' + GEN_7_FORMULA + '","member":false,"levels":[{"k":0,"pass":false,'
+    '"swapped_sites":2},{"k":1,"pass":false,"swapped_sites":1},{"k":2,"pass":false,"swapped_sites":1}]}\n',
+    ("gen-7", "0"): '{"formula":"' + GEN_7_FORMULA + '","member":false,"levels":'
+    '[{"k":0,"pass":false,"swapped_sites":2}]}\n',
+}
+
+
+@pytest.mark.parametrize("name, level", sorted(TEST_STDOUT, key=str))
+def test_test_command_stdout_unchanged(tmp_path, capsys, name, level, dereliction_net, shift_source_net):
+    net = {
+        "dereliction": dereliction_net,
+        "shift-source": shift_source_net,
+        "gen-7": builder.random_net(7, builder.GenParams(target_size=16, cut_bias=0, exponential_bias=0.5)),
+    }[name]
+    p = write_net(tmp_path, f"{name}.json", net)
+    expected = TEST_STDOUT[name, level]
+    assert main(["test", p] + (["--level", level] if level else [])) == (0 if '"member":true' in expected else 1)
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name, code", [("dereliction", 1), ("shift-source", 0)])
+def test_test_command_budget_bounds_the_identity_reduction(
+    tmp_path, capsys, monkeypatch, name, code, dereliction_net, shift_source_net
+):
+    # STRATNET_BUDGET bounds the one reduction against the identity test,
+    # whose trace is as long as every level's: exit 3 comes where it did
+    # when each level was reduced on its own
+    from stratnet.formula import bullet_formula
+    from stratnet.interactive import bullet_net, cut_compose, eta_expand, identity_net
+    from stratnet.net import parr_closure
+    from stratnet.rewrite import normalize
+
+    net = parr_closure({"dereliction": dereliction_net, "shift-source": shift_source_net}[name])
+    pib = bullet_net(eta_expand(net))
+    test = identity_net(bullet_formula(net.edges[net.conclusions[0]].formula))
+    steps = len(normalize(cut_compose(pib, [test]))[1].steps)
+    p = write_net(tmp_path, f"{name}.json", net)
+    for level in ([], ["--level", "0"]):
+        monkeypatch.setenv("STRATNET_BUDGET", str(steps - 1))
+        assert main(["test", p] + level) == 3
+        assert "undecided" in capsys.readouterr().err
+        monkeypatch.setenv("STRATNET_BUDGET", str(steps))
+        assert main(["test", p] + level) == code
+
+
+# -- the input boundary, fuzzed --------------------------------------------------
+
+FUZZ_COMMANDS = (
+    ["validate"],
+    ["check", "--criterion", "proofnet"],
+    ["index", "--strong", "--flavor", "exponential"],
+    ["l3"],
+    ["normalize"],
+    ["test"],
+)
+IDS = st.sampled_from(["a", "b", "c", "e0", "e1", "l0", "l1"])
+LABELS = st.sampled_from(["X", "X^", "1", "bot", "(X * X^)", "(X^ @ X)", "!X", "?X^", "#X", "[X]"])
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+RANDOM_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "edges": st.lists(st.fixed_dictionaries({"id": IDS, "label": LABELS}), max_size=5),
+        "links": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "id": IDS,
+                    "kind": st.sampled_from(sorted(LINK_ARITIES)),
+                    "premises": st.lists(IDS, max_size=3),
+                    "conclusions": st.lists(IDS, max_size=2),
+                }
+            ),
+            max_size=5,
+        ),
+        "boxes": st.lists(
+            st.fixed_dictionaries(
+                {"principal": IDS, "auxiliaries": st.lists(IDS, max_size=2), "contents": st.lists(IDS, max_size=3)}
+            ),
+            max_size=1,
+        ),
+        "conclusions": st.lists(IDS, max_size=3),
+    }
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A generated net's document after one to three edits: two premise
+    slots exchanged, two conclusions joined by a new well-typed cut, tensor
+    or par, an entry dropped, repeated or replaced by junk, or a field of an
+    entry replaced."""
+    params = builder.GenParams(target_size=draw(st.integers(1, 12)), cut_bias=draw(st.sampled_from([0.0, 0.4])))
+    net = builder.random_net(draw(st.integers(0, 9999)), params)
+    doc = to_document(net)
+    ids = [x["id"] for x in doc["edges"] + doc["links"]]
+    for n in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["exchange", "join", "exchange", "join", "drop", "repeat", "junk", "field"]))
+        part = doc[draw(st.sampled_from(["edges", "links", "boxes", "conclusions"]))]
+        if edit == "exchange":
+            slots = [(x, i) for x in doc["links"] if type(x) is dict and type(x.get("premises")) is list
+                     for i in range(len(x["premises"]))]
+            if slots:
+                (x, i), (y, j) = draw(st.sampled_from(slots)), draw(st.sampled_from(slots))
+                x["premises"][i], y["premises"][j] = y["premises"][j], x["premises"][i]
+        elif edit == "join":
+            free = [e for e in net.conclusions if e in doc["conclusions"] and not net.edges[e].flat]
+            kind = draw(st.sampled_from(["cut", "tensor", "par"]))
+            a = draw(st.sampled_from(free)) if free else None
+            partners = [e for e in free if e != a and (kind != "cut" or net.edges[e].formula == dual(net.edges[a].formula))]
+            if partners:
+                b = draw(st.sampled_from(partners))
+                out = [] if kind == "cut" else [f"j{n}"]
+                op = "*" if kind == "tensor" else "@"
+                doc["edges"] += [{"id": e, "label": f"({net.edges[a]} {op} {net.edges[b]})"} for e in out]
+                doc["links"].append({"id": f"k{n}", "kind": kind, "premises": [a, b], "conclusions": out})
+                doc["conclusions"] = [e for e in doc["conclusions"] if e not in (a, b)] + out
+        elif part:
+            i = draw(st.integers(0, len(part) - 1))
+            if edit == "drop":
+                part.pop(i)
+            elif edit == "repeat":
+                part.append(json.loads(json.dumps(part[i])))
+            elif edit == "junk":
+                part[i] = draw(JUNK)
+            elif type(part[i]) is dict and part[i]:
+                part[i][draw(st.sampled_from(sorted(part[i])))] = draw(
+                    st.sampled_from(ids) | st.lists(st.sampled_from(ids), max_size=3) | LABELS | JUNK
+                )
+    return doc
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.one_of(RANDOM_DOCUMENTS, mutated_documents(), mutated_documents()))
+def test_every_command_exits_0_to_3_on_any_document(doc):
+    # the exit-code contract on hostile input: 0-3, never a traceback; each
+    # failure found here is kept as a probe in BOUNDARY_PROBES
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"STRATNET_BUDGET": "200"}):
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(command + [path])
+            assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), (command, code, err.getvalue())
