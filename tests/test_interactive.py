@@ -89,6 +89,51 @@ def test_eta_inside_boxes():
     assert is_dr_correct(expanded)
 
 
+def test_transform_ids_and_boxes_are_pinned():
+    # a compound axiom on !X * Y and a flat link, both two boxes deep: the
+    # ids eta-expansion, doubling and the shift hand out, and the box each
+    # new link lands in (per box: principal, auxiliaries, the links directly
+    # inside, child boxes)
+    from stratnet.rewrite import shift_net
+
+    n = builder.flat_rule(builder.ax(Tensor(OfCourse(X), Y)), 0)
+    n = builder.whynot_rule(builder.promotion(builder.promotion(n, 1), 1), [0])
+
+    def shape(net):
+        def tree(box):
+            inner = {lid for c in box.children for lid in c.contents | set(c.border())}
+            return (box.principal, box.auxiliaries, sorted(box.contents - inner), [tree(c) for c in box.children])
+
+        assert validate(net).ok()
+        return sorted(net.links), sorted(net.edges), [tree(b) for b in net.boxes]
+
+    eta = eta_expand(n)
+    assert shape(eta) == (
+        ["l10", "l12", "l2", "l20", "l22", "l24", "l25", "l26", "l27", "l28", "l29", "l4", "l6", "l8"],
+        ["e0", "e1", "e11", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e21", "e23", "e3", "e5", "e7", "e9"],
+        [("l8", ("l10",), [], [
+            ("l4", ("l6",), ["l2", "l26", "l27", "l28", "l29"], [("l25", ("l24",), ["l20", "l22"], [])]),
+        ])],
+    )
+    assert eta.conclusions == n.conclusions
+    assert shape(bullet_net(eta)) == (
+        ["l10", "l12", "l2", "l22", "l24", "l25", "l26", "l28", "l29", "l34", "l35", "l36", "l37",
+         "l4", "l42", "l43", "l44", "l45", "l6", "l8"],
+        ["e0", "e1", "e11", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e21", "e23", "e3",
+         "e30", "e31", "e32", "e33", "e38", "e39", "e40", "e41", "e5", "e7", "e9"],
+        [("l8", ("l10",), [], [
+            ("l4", ("l6",), ["l2", "l26", "l28", "l29", "l42", "l43", "l44", "l45"], [
+                ("l25", ("l24",), ["l22", "l34", "l35", "l36", "l37"], []),
+            ]),
+        ])],
+    )
+    assert shape(shift_net(n)) == (
+        ["l0", "l10", "l12", "l2", "l2~sh0", "l4", "l4~sh1", "l6", "l8", "l8~sh2"],
+        ["e0", "e0~sh0", "e1", "e11", "e13", "e1~sh1", "e3", "e5", "e5~sh2", "e7", "e9"],
+        [("l8", ("l10",), ["l8~sh2"], [("l4", ("l6",), ["l0", "l2", "l2~sh0", "l4~sh1"], [])])],
+    )
+
+
 def test_identity_nets(dereliction_net):
     assert nets_equal(identity_net(X), builder.ax(X))
     idxx = identity_net(Tensor(X, X))
