@@ -24,29 +24,11 @@ from .formula import (
     WhyNot,
     dual,
 )
-from .net import Box, Label, Link, Net
+from .net import Box, Label, Link, Net, _Fresh
 
 
 class RuleError(ValueError):
     """A building rule was applied to unsuitable conclusions."""
-
-
-class _Fresh:
-    """Names e<n> and l<n> from one counter that starts past every such id
-    of the given nets, so no name it gives is taken."""
-
-    def __init__(self, *nets: Net):
-        self.n = max((net.id_mark() for net in nets), default=0)
-
-    def edge(self) -> str:
-        return self._next("e")
-
-    def link(self) -> str:
-        return self._next("l")
-
-    def _next(self, prefix: str) -> str:
-        self.n += 1
-        return f"{prefix}{self.n - 1}"
 
 
 def daimon() -> Net:

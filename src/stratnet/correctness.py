@@ -506,39 +506,15 @@ def default_exponential_quasi_indexing(net: Net, allow_cuts: bool = False) -> In
     paragraph, of-course and why-not links.  Defined on cut-free nets; with
     allow_cuts, cut premises are also anchored at zero, which joins the
     per-part defaults of a composition."""
-    if net.cut_links() and not allow_cuts:
+    cuts = net.cut_links()
+    if cuts and not allow_cuts:
         raise PreconditionError("net has cuts; the default quasi-indexing is defined on cut-free nets")
-    assignment: dict[str, int] = {}
-
-    def value(e: str) -> int:
-        chain: list[str] = []
-        cur = e
-        while cur not in assignment:
-            chain.append(cur)
-            cons = net.consumer(cur)
-            if cons is None or net.links[cons].kind == "cut":
-                assignment[cur] = 0
-                break
-            link = net.links[cons]
-            bump = 1 if link.kind in ("ofcourse", "whynot", "paragraph") else 0
-            below = link.conclusions[0]
-            if below in assignment:
-                assignment[cur] = assignment[below] + bump
-                break
-            cur = below
-        # resolve the collected chain top-down
-        for eid in reversed(chain):
-            if eid in assignment:
-                continue
-            cons = net.consumer(eid)
-            link = net.links[cons]  # type: ignore[arg-type]
-            bump = 1 if link.kind in ("ofcourse", "whynot", "paragraph") else 0
-            assignment[eid] = assignment[link.conclusions[0]] + bump
-        return assignment[e]
-
-    for e in net.edges:
-        value(e)
-    return Indexing(assignment, "quasi")
+    offset, _, rep, _ = _propagate(net, "quasi")
+    # Without axiom constraints each component hangs from one root: a
+    # conclusion, or the two premises of a cut.
+    roots = list(net.conclusions) + [net.links[c].premises[0] for c in cuts]
+    base = {rep[e]: offset[e] for e in roots}
+    return Indexing({e: v - base[rep[e]] for e, v in offset.items()}, "quasi")
 
 
 def balance(net: Net, elements: list[str], exponential: bool = False, closed: bool = True) -> int:

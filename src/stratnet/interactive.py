@@ -43,92 +43,86 @@ from .formula import (
     dual,
     print_formula,
 )
-from .net import Box, Label, Link, Net, _form, _labelling
-from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, normalize, normalize_no_axiom
+from .net import Label, Link, Net, _Fresh, _form, _labelling
+from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _Workspace, normalize, normalize_no_axiom
 
 
 # -- eta-expansion ------------------------------------------------------------
 
 
 class _EtaBuilder:
-    """Accumulates the expansion of one axiom; boxes produced along the way
-    are collected so the caller can splice them at the axiom's location."""
+    """Expands axioms into a workspace.  Each new link goes to ``where``:
+    the replaced axiom's location, or inside the box being built."""
 
-    def __init__(self, fresh: builder._Fresh):
+    def __init__(self, ws: _Workspace, fresh: _Fresh):
+        self.ws = ws
         self.fresh = fresh
-        self.edges: dict[str, Label] = {}
-        self.links: dict[str, Link] = {}
-        self.all_links: set[str] = set()
+        self.where: tuple = ("top",)
 
     def edge(self, label: Label) -> str:
         e = self.fresh.edge()
-        self.edges[e] = label
+        self.ws.edges[e] = label
         return e
 
-    def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...]) -> str:
-        lid = self.fresh.link()
-        self.links[lid] = Link(kind, premises, conclusions)
-        self.all_links.add(lid)
-        return lid
+    def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...], where=None) -> None:
+        self.ws.add_link(self.fresh.link(), Link(kind, premises, conclusions), where or self.where)
 
-    def expand(self, a: Formula, out_neg: str, out_pos: str) -> tuple[Box, ...]:
-        """Build links concluding out_neg (labelled dual a) and out_pos
-        (labelled a); returns the boxes created at this level."""
+    def expand(self, a: Formula, da: Formula, out_neg: str, out_pos: str) -> None:
+        """Build links concluding out_neg (labelled da, the dual of a) and
+        out_pos (labelled a)."""
         match a:
             case Atom():
                 self.link("ax", (), (out_neg, out_pos))
-                return ()
             case One() | Bottom():
                 neg, pos = ("bot", "one") if isinstance(a, One) else ("one", "bot")
                 self.link(neg, (), (out_neg,))
                 self.link(pos, (), (out_pos,))
-                return ()
             case Tensor(l, r) | Par(l, r):
-                nl = self.edge(Label(dual(l)))
+                nl = self.edge(Label(da.left))
                 pl = self.edge(Label(l))
-                nr = self.edge(Label(dual(r)))
+                nr = self.edge(Label(da.right))
                 pr = self.edge(Label(r))
-                boxes = self.expand(l, nl, pl) + self.expand(r, nr, pr)
+                self.expand(l, da.left, nl, pl)
+                self.expand(r, da.right, nr, pr)
                 neg, pos = ("par", "tensor") if isinstance(a, Tensor) else ("tensor", "par")
                 self.link(neg, (nl, nr), (out_neg,))
                 self.link(pos, (pl, pr), (out_pos,))
-                return boxes
             case Paragraph(b):
-                nb = self.edge(Label(dual(b)))
+                nb = self.edge(Label(da.body))
                 pb = self.edge(Label(b))
-                boxes = self.expand(b, nb, pb)
+                self.expand(b, da.body, nb, pb)
                 self.link("paragraph", (nb,), (out_neg,))
                 self.link("paragraph", (pb,), (out_pos,))
-                return boxes
             case OfCourse(b):
-                return (self._box(b, flat_side_neg=True, out_neg=out_neg, out_pos=out_pos),)
+                self._box(b, da.body, out_neg, out_pos, flat_side_neg=True)
             case WhyNot(b):
-                return (self._box(b, flat_side_neg=False, out_neg=out_neg, out_pos=out_pos),)
-        raise TypeError(f"not a formula: {a!r}")
+                self._box(b, da.body, out_neg, out_pos, flat_side_neg=False)
+            case _:
+                raise TypeError(f"not a formula: {a!r}")
 
-    def _box(self, b: Formula, flat_side_neg: bool, out_neg: str, out_pos: str) -> Box:
+    def _box(self, b: Formula, db: Formula, out_neg: str, out_pos: str, flat_side_neg: bool) -> None:
         """Box for an exponential axiom: the expansion of the body sits in a
         box whose principal door bangs one side; the other side is flattened
         inside, exits through one pax port, and meets a unary why-not."""
-        before = set(self.all_links)
-        nb = self.edge(Label(dual(b)))
+        outer = self.where
+        box = self.ws.open_box(outer)
+        self.where = ("in", box)
+        nb = self.edge(Label(db))
         pb = self.edge(Label(b))
-        children = self.expand(b, nb, pb)
+        self.expand(b, db, nb, pb)
         if flat_side_neg:
-            principal_in, flat_in = pb, nb
+            principal_in, flat_in, flat_label = pb, nb, Label(db, flat=True)
             oc_out, wn_out = out_pos, out_neg
         else:
-            principal_in, flat_in = nb, pb
+            principal_in, flat_in, flat_label = nb, pb, Label(b, flat=True)
             oc_out, wn_out = out_neg, out_pos
-        flat_label = Label(self.edges[flat_in].formula, flat=True)
         flat_out = self.edge(flat_label)
-        flat_id = self.link("flat", (flat_in,), (flat_out,))
-        inside = (self.all_links - before) | {flat_id}
+        self.link("flat", (flat_in,), (flat_out,))
+        self.where = outer
         pax_out = self.edge(flat_label)
-        pax_id = self.link("pax", (flat_out,), (pax_out,))
-        oc_id = self.link("ofcourse", (principal_in,), (oc_out,))
+        self.link("pax", (flat_out,), (pax_out,), ("border", box))
+        self.link("ofcourse", (principal_in,), (oc_out,), ("border", box))
         self.link("whynot", (pax_out,), (wn_out,))
-        return Box(oc_id, (pax_id,), frozenset(inside), children)
 
 
 def eta_expand(net: Net) -> Net:
@@ -144,39 +138,14 @@ def eta_expand(net: Net) -> Net:
     ]
     if not targets:
         return net
-    fresh = builder._Fresh(net)
-    edges = dict(net.edges)
-    links = dict(net.links)
-    new_boxes_at: dict[str, tuple[Box, ...]] = {}
-    new_links_at: dict[str, set[str]] = {}
-    innermost: dict[str, str | None] = {}
+    ws = _Workspace(net)
+    eb = _EtaBuilder(ws, _Fresh(net))
     for lid in targets:
         e_neg, e_pos = net.links[lid].conclusions
-        eb = _EtaBuilder(fresh)
-        boxes = eb.expand(edges[e_pos].formula, e_neg, e_pos)
-        del links[lid]
-        links.update(eb.links)
-        edges.update(eb.edges)
-        new_boxes_at[lid] = boxes
-        new_links_at[lid] = set(eb.all_links)
-        chain = net.enclosing_boxes(lid)
-        innermost[lid] = chain[-1].principal if chain else None
-
-    def rebox(box: Box) -> Box:
-        extra_links: set[str] = set()
-        extra_boxes: list[Box] = []
-        for lid, new_ids in new_links_at.items():
-            if lid in box.contents:
-                extra_links |= new_ids
-                if innermost[lid] == box.principal:
-                    extra_boxes.extend(new_boxes_at[lid])
-        contents = (box.contents - set(new_links_at)) | extra_links
-        children = tuple(rebox(c) for c in box.children) + tuple(extra_boxes)
-        return Box(box.principal, box.auxiliaries, frozenset(contents), children)
-
-    boxes = tuple(rebox(b) for b in net.boxes)
-    top_extra = [b for lid in targets if innermost[lid] is None for b in new_boxes_at[lid]]
-    return Net(edges, links, boxes + tuple(top_extra), net.conclusions)
+        eb.where = ws.loc[lid]
+        ws.remove_link(lid)
+        eb.expand(net.edges[e_pos].formula, net.edges[e_neg].formula, e_neg, e_pos)
+    return ws.freeze()
 
 
 def identity_net(a: Formula) -> Net:
@@ -270,50 +239,28 @@ def bullet_net(net: Net) -> Net:
             f = net.edges[net.links[lid].conclusions[0]].formula
             if not isinstance(f, Atom):
                 raise PreconditionError("bullet substitution needs atomic axioms; eta-expand first")
-    edges = {e: Label(bullet_formula(lab.formula), lab.flat) for e, lab in net.edges.items()}
-    links = dict(net.links)
-    fresh = builder._Fresh(net)
-    replaced: dict[str, set[str]] = {}
+    ws = _Workspace(net)
+    for e, lab in ws.edges.items():
+        ws.edges[e] = Label(bullet_formula(lab.formula), lab.flat)
+    fresh = _Fresh(net)
     X = Atom(RESERVED_ATOM)
     Xd = Atom(RESERVED_ATOM, True)
-    for lid in sorted(net.links):
-        link = net.links[lid]
-        if link.kind != "ax":
-            continue
-        e_neg, e_pos = link.conclusions
-        if isinstance(edges[e_pos].formula, Par):
+    for lid in sorted(lid for lid, link in net.links.items() if link.kind == "ax"):
+        e_neg, e_pos = net.links[lid].conclusions
+        if isinstance(ws.edges[e_pos].formula, Par):
             e_neg, e_pos = e_pos, e_neg
-        new_ids: set[str] = set()
-
-        def mk_edge(lab: Label) -> str:
-            e = fresh.edge()
-            edges[e] = lab
-            return e
-
-        def mk_link(kind: str, prem: tuple[str, ...], conc: tuple[str, ...]) -> str:
-            l = fresh.link()
-            links[l] = Link(kind, prem, conc)
-            new_ids.add(l)
-            return l
-
-        n1, p1 = mk_edge(Label(Xd)), mk_edge(Label(X))
-        n2, p2 = mk_edge(Label(Xd)), mk_edge(Label(X))
-        mk_link("ax", (), (n1, p1))
-        mk_link("ax", (), (n2, p2))
-        mk_link("par", (n1, n2), (e_neg,))
-        mk_link("tensor", (p1, p2), (e_pos,))
-        del links[lid]
-        replaced[lid] = new_ids
-
-    def rebox(box: Box) -> Box:
-        contents = set(box.contents)
-        for lid, new_ids in replaced.items():
-            if lid in contents:
-                contents.discard(lid)
-                contents |= new_ids
-        return Box(box.principal, box.auxiliaries, frozenset(contents), tuple(rebox(c) for c in box.children))
-
-    return Net(edges, links, tuple(rebox(b) for b in net.boxes), net.conclusions)
+        where = ws.loc[lid]
+        ws.remove_link(lid)
+        n1, p1, n2, p2 = (fresh.edge() for _ in range(4))
+        ws.edges.update({n1: Label(Xd), p1: Label(X), n2: Label(Xd), p2: Label(X)})
+        for kind, premises, conclusions in (
+            ("ax", (), (n1, p1)),
+            ("ax", (), (n2, p2)),
+            ("par", (n1, n2), (e_neg,)),
+            ("tensor", (p1, p2), (e_pos,)),
+        ):
+            ws.add_link(fresh.link(), Link(kind, premises, conclusions), where)
+    return ws.freeze()
 
 
 # -- tests ---------------------------------------------------------------------
@@ -381,7 +328,7 @@ def cut_compose(net: Net, partners: list[Net | tuple[Net, int]]) -> Net:
         acc = builder.mix(acc, partner)
     edges = dict(acc.edges)
     links = dict(acc.links)
-    fresh = builder._Fresh(acc)
+    fresh = _Fresh(acc)
     consumed: set[str] = set()
     for i in range(len(partners)):
         mine = acc.conclusions[i]
@@ -474,7 +421,7 @@ def interactive_l3_check(
     pib = bullet_net(eta_expand(net))
     pib_rank, pib_encoding = _labelling(pib)
     pib_form = _form(pib_encoding)
-    theta, lmap = builder._relabel(base, builder._Fresh(pib, base))  # as cut_compose would name it
+    theta, lmap = builder._relabel(base, _Fresh(pib, base))  # as cut_compose would name it
     level_of = {lmap[lid]: s.level for s in sites for lid in (s.par, s.tensor)}
     nf, trace = normalize(cut_compose(pib, [theta]), budget=budget)
     nf_sites = atom_sites(nf)

@@ -6,7 +6,11 @@ the conclusions of the net, in a declared order.  Boxes carry an explicit
 border (one principal of-course link plus pax auxiliaries) and an explicit
 set of contained links; two boxes are disjoint or nested.
 
-Nets are immutable after construction.  Rewrites build new nets.
+Nets are immutable after construction.  Cut elimination and the net
+transforms (eta-expansion, doubling, the shift) edit one mutable copy,
+``rewrite._Workspace``, and build the new net once, at the end; the
+sequent rules in ``builder`` build new nets directly.  New ids e<n> and
+l<n> come from ``_Fresh``, which counts on past every such id of a net.
 """
 
 from __future__ import annotations
@@ -257,6 +261,24 @@ class Net:
         return f"<Net {len(self.links)} links |- {concl}>"
 
 
+class _Fresh:
+    """Names e<n> and l<n> from one counter that starts past every such id
+    of the given nets, so no name it gives is taken."""
+
+    def __init__(self, *nets: Net):
+        self.n = max((net.id_mark() for net in nets), default=0)
+
+    def edge(self) -> str:
+        return self._next("e")
+
+    def link(self) -> str:
+        return self._next("l")
+
+    def _next(self, prefix: str) -> str:
+        self.n += 1
+        return f"{prefix}{self.n - 1}"
+
+
 # -- validation -----------------------------------------------------------
 
 
@@ -474,11 +496,11 @@ def parr_closure(net: Net) -> Net:
         return net
     edges = dict(net.edges)
     links = dict(net.links)
-    fresh = _fresh_namer(net)
+    fresh = _Fresh(net)
     current = net.conclusions[-1]
     for other in reversed(net.conclusions[:-1]):
-        lid = fresh("l")
-        eid = fresh("e")
+        lid = fresh.link()
+        eid = fresh.edge()
         edges[eid] = Label(Par(edges[other].formula, edges[current].formula))
         links[lid] = Link("par", (other, current), (eid,))
         current = eid
@@ -605,21 +627,6 @@ def underlying_graph(net: Net, at_depth_zero: bool = False) -> UGraph:
 # While a cell has more than one member, each member is individualized in
 # turn and the least leaf encoding wins.  Two leaves that encode equally
 # give an automorphism, which prunes the rest of the search.
-
-
-def _fresh_namer(net: Net):
-    used = set(net.edges) | set(net.links)
-    counter = [0]
-
-    def fresh(prefix: str) -> str:
-        while True:
-            name = f"{prefix}{counter[0]}"
-            counter[0] += 1
-            if name not in used:
-                used.add(name)
-                return name
-
-    return fresh
 
 
 def _edge_order(net: Net, by_rank: list[str], rank: Mapping[str, int], lab: Mapping[str, str]) -> list[str]:

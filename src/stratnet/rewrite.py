@@ -8,6 +8,12 @@ them in place around its cut and records its lift map, and the immutable
 ``Net`` is built once, at the end.  ``apply_step`` runs the same step code
 on a fresh workspace and freezes after one step.
 
+The workspace is the one way to edit a net.  ``add_link`` puts a link at
+a location, which also places it in the box tree, and ``open_box`` opens
+an empty box whose border links are added afterwards; ``shift_net`` here
+and ``eta_expand`` and ``bullet_net`` in ``interactive`` are built on
+these two and ``remove_link``.
+
 Cuts wait in a priority worklist.  A cut is classified by its premise
 producers (the shared ``_family``, which ``find_redexes`` also uses) when
 it enters; after a step only the cuts it created and the cut whose premise
@@ -132,11 +138,12 @@ class _MBox:
 
 
 class _Workspace:
-    """A net under reduction, edited in place.  Each link's location is
-    ("top",), ("in", box) or ("border", box).  ``step`` resets ``lift`` (the
-    step's new ids -> their sources) and ``touched`` (the cuts the step put,
-    each with the cut whose rank it inherits, or None when a rewired cut
-    keeps its own); ``queued`` holds the redexes waiting in ``normalize``."""
+    """A net edited in place, by reduction steps or by a transform.  Each
+    link's location is ("top",), ("in", box) or ("border", box).  ``step``
+    resets ``lift`` (the step's new ids -> their sources) and ``touched``
+    (the cuts the step put, each with the cut whose rank it inherits, or
+    None when a rewired cut keeps its own); ``queued`` holds the redexes
+    waiting in ``normalize``."""
 
     def __init__(self, net: Net):
         self.edges: dict[str, Label] = dict(net.edges)
@@ -223,11 +230,28 @@ class _Workspace:
             if self.producer.get(e) == lid:
                 del self.producer[e]
 
-    def add_cut(self, cid: str, premises: tuple[str, str], where: tuple, origin: str) -> None:
-        self.put_link(cid, Link("cut", premises, ()), origin)
-        self.loc[cid] = where
+    def add_link(self, lid: str, link: Link, where: tuple, origin: str | None = None) -> None:
+        """Add a link at a location; on a box border ("border", box) an
+        of-course link becomes the box's principal and a pax link its next
+        auxiliary."""
+        self.put_link(lid, link, origin)
+        self.loc[lid] = where
         if where[0] == "in":
-            where[1].direct.add(cid)
+            where[1].direct.add(lid)
+        elif where[0] == "border" and link.kind == "ofcourse":
+            where[1].principal = lid
+            self.box_by_principal[lid] = where[1]
+        elif where[0] == "border":
+            where[1].auxiliaries.append(lid)
+            self.box_by_pax[lid] = where[1]
+
+    def open_box(self, where: tuple) -> _MBox:
+        """An empty box at ("top",) or ("in", box); its border links are
+        added afterwards, at ("border", new box)."""
+        parent = where[1] if where[0] == "in" else None
+        mb = _MBox("", [], parent)
+        (self.roots if parent is None else parent.children).append(mb)
+        return mb
 
     def remove_link(self, lid: str) -> None:
         kind = self.loc.pop(lid)
@@ -350,7 +374,7 @@ def _mult_step(ws: _Workspace, cut: str, pt: str, pp: str) -> None:
     ws.remove_edge(pt)
     ws.remove_edge(pp)
     for i in range(2):
-        ws.add_cut(ws.fresh(cut, f"m{i}"), (tens.premises[i], par.premises[i]), where, cut)
+        ws.add_link(ws.fresh(cut, f"m{i}"), Link("cut", (tens.premises[i], par.premises[i]), ()), where, cut)
 
 
 def _paragraph_step(ws: _Workspace, cut: str, p1: str, p2: str) -> None:
@@ -364,7 +388,7 @@ def _paragraph_step(ws: _Workspace, cut: str, p1: str, p2: str) -> None:
     ws.remove_link(l2)
     ws.remove_edge(p1)
     ws.remove_edge(p2)
-    ws.add_cut(ws.fresh(cut, "p"), (prem1, prem2), where, cut)
+    ws.add_link(ws.fresh(cut, "p"), Link("cut", (prem1, prem2), ()), where, cut)
 
 
 # Exponential step helpers ----------------------------------------------------
@@ -533,7 +557,7 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
             ws.roots.extend(child_boxes)
         # Cut the copied principal premise against the flat's own premise.
         a_i = links[flat_id].premises[0]
-        ws.add_cut(ws.fresh(cut, f"x{i}"), (edge_map[oc_premise], a_i), flat_loc, cut)
+        ws.add_link(ws.fresh(cut, f"x{i}"), Link("cut", (edge_map[oc_premise], a_i), ()), flat_loc, cut)
         # Route every copied auxiliary wire out of the up-chain boxes and
         # down the original pax chain to its why-not.
         for (pax_id, u, q, down_chain, target_wn) in aux_info:
@@ -592,10 +616,7 @@ def _add_pax(
     pax_id = ws.fresh(lift_to, "px")
     out_edge = ws.fresh(wire, "px")
     ws.edges[out_edge] = label
-    ws.put_link(pax_id, Link("pax", (wire,), (out_edge,)))
-    mb.auxiliaries.append(pax_id)
-    ws.box_by_pax[pax_id] = mb
-    ws.loc[pax_id] = ("border", mb)
+    ws.add_link(pax_id, Link("pax", (wire,), (out_edge,)), ("border", mb))
     ws.lift[pax_id] = lift_to
     ws.lift[out_edge] = edge_lift
     return out_edge
@@ -695,46 +716,24 @@ def _shift_label(lab: Label) -> Label:
 
 def shift_net(net: Net) -> Net:
     """Insert a paragraph link above every of-course and flat link and shift
-    every edge label accordingly; conclusions become their shifted forms."""
-    edges = {e: _shift_label(lab) for e, lab in net.edges.items()}
-    links = dict(net.links)
-    new_in_box: dict[str, list[str]] = {}
-    serial = 0
-    for lid in sorted(net.links):
+    every edge label accordingly; conclusions become their shifted forms.
+    A paragraph sits where its flat link does, or inside its of-course
+    link's box."""
+    ws = _Workspace(net)
+    for e, lab in ws.edges.items():
+        ws.edges[e] = _shift_label(lab)
+    shifted = sorted(lid for lid, link in net.links.items() if link.kind in ("ofcourse", "flat"))
+    for serial, lid in enumerate(shifted):
         link = net.links[lid]
-        if link.kind not in ("ofcourse", "flat"):
-            continue
         prem = link.premises[0]
-        pid = f"{lid}~sh{serial}"
         eid = f"{prem}~sh{serial}"
-        serial += 1
-        edges[eid] = Label(Paragraph(edges[prem].formula))
-        links[pid] = Link("paragraph", (prem,), (eid,))
-        links[lid] = Link(link.kind, (eid,), link.conclusions)
-        new_in_box.setdefault(lid, []).append(pid)
-
-    def rebox(box: Box) -> Box:
-        extra: set[str] = set()
-        for lid in box.contents | set(box.border()):
-            if lid in new_in_box and _paragraph_sits_inside(net, lid, box):
-                extra.update(new_in_box[lid])
-        return Box(
-            box.principal,
-            box.auxiliaries,
-            frozenset(box.contents) | extra,
-            tuple(rebox(c) for c in box.children),
-        )
-
-    boxes = tuple(rebox(b) for b in net.boxes)
-    return Net(edges, links, boxes, net.conclusions)
-
-
-def _paragraph_sits_inside(net: Net, lid: str, box: Box) -> bool:
-    # A paragraph inserted above a border of-course goes inside that box; one
-    # above an interior link shares the link's box.
-    if box.principal == lid:
-        return True
-    return lid in box.contents
+        ws.edges[eid] = Label(Paragraph(ws.edges[prem].formula))
+        where = ws.loc[lid]
+        if where[0] == "border":
+            where = ("in", where[1])
+        ws.put_link(lid, Link(link.kind, (eid,), link.conclusions))
+        ws.add_link(f"{lid}~sh{serial}", Link("paragraph", (prem,), (eid,)), where)
+    return ws.freeze()
 
 
 # -- transporting quasi-indexings ---------------------------------------------

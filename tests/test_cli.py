@@ -232,6 +232,17 @@ def test_normalize_budget_env(tmp_path, monkeypatch, capsys):
     assert "undecided" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["l3", "normalize", "test"])
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", "²"])
+def test_bad_budget_env_exits_2(dereliction_file, monkeypatch, capsys, command, raw):
+    # a budget that is not a non-negative integer is a usage error, not a
+    # silent default or a budget that undecides every reduction
+    monkeypatch.setenv("STRATNET_BUDGET", raw)
+    assert main([command, dereliction_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: STRATNET_BUDGET") and err.count("\n") == 1
+
+
 def test_gen_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
