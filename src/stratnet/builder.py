@@ -70,19 +70,22 @@ def _relabel(net: Net, fresh: _Fresh) -> tuple[Net, dict[str, str]]:
         },
         tuple(rebox(b) for b in net.boxes),
         tuple(emap[e] for e in net.conclusions),
+        mark=fresh.n if lmap else None,
     )
     return renamed, lmap
 
 
 def mix(a: Net, b: Net) -> Net:
     """Juxtaposition; conclusions of a then b."""
+    fresh = _Fresh(a, b)
     if set(a.edges) & set(b.edges) or set(a.links) & set(b.links):
-        b, _ = _relabel(b, _Fresh(a, b))
+        b, _ = _relabel(b, fresh)
     return Net(
         {**a.edges, **b.edges},
         {**a.links, **b.links},
         a.boxes + b.boxes,
         a.conclusions + b.conclusions,
+        mark=fresh.n,
     )
 
 

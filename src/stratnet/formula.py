@@ -8,66 +8,92 @@ The ASCII grammar is::
 where ``*`` is tensor, ``@`` is par, ``#`` is the paragraph modality and
 ``^`` marks a dualized atom.  ``%F`` denotes the flat wrapper and is only
 legal as an edge label, never inside a formula.
+
+Formulas are hash-consed: equal formulas are one node, so equality is
+identity.  A node keeps its text, and weakly its dual and doubling image,
+once made; the node table holds nodes weakly: no more than live nets use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from threading import RLock
+from weakref import WeakValueDictionary, ref
+
+# Every live formula node and edge label, by class and fields.  A node keeps
+# its dual and doubling image weakly, so no node is in a reference cycle.
+_TABLE: WeakValueDictionary = WeakValueDictionary()
+_TABLE_LOCK = RLock()
 
 
-class Formula:
-    """Base class; all concrete formulas are immutable and hashable."""
+class _Interned:
+    """A hash-consed immutable value of the fields in ``__match_args__``."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls,) + fields
+        node = _TABLE.get(key)
+        if node is None:
+            made = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(made, name, value)
+            with _TABLE_LOCK:  # one node per key, under threads too
+                node = _TABLE.setdefault(key, made)
+        return node
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self.__match_args__:
+            raise AttributeError(f"{type(self).__name__}.{name} cannot be changed")
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        return f"<{self}>"
+
+
+class Formula(_Interned):
+    __slots__ = ("_dual", "_bullet", "_text")
 
     def __str__(self) -> str:
         return print_formula(self)
 
-    def __repr__(self) -> str:
-        return f"<{print_formula(self)}>"
 
-
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    name: str
-    dual: bool = False
+    __slots__ = __match_args__ = ("name", "dual")
+
+    def __new__(cls, name: str, dual: bool = False):
+        return super().__new__(cls, name, bool(dual))
 
 
-@dataclass(frozen=True, slots=True)
 class One(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Tensor(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Par(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class OfCourse(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
 class WhyNot(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
 class Paragraph(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
 
 
 ONE = One()
@@ -79,25 +105,31 @@ RESERVED_ATOM = "X"
 
 def dual(a: Formula) -> Formula:
     """De Morgan dual.  Atoms flip their polarity, the paragraph modality
-    is self-dual, everything else swaps with its partner connective."""
-    match a:
-        case Atom(name, d):
-            return Atom(name, not d)
-        case One():
-            return BOTTOM
-        case Bottom():
-            return ONE
-        case Tensor(l, r):
-            return Par(dual(l), dual(r))
-        case Par(l, r):
-            return Tensor(dual(l), dual(r))
-        case OfCourse(b):
-            return WhyNot(dual(b))
-        case WhyNot(b):
-            return OfCourse(dual(b))
-        case Paragraph(b):
-            return Paragraph(dual(b))
-    raise TypeError(f"not a formula: {a!r}")
+    is self-dual, everything else swaps with its partner connective; kept weakly."""
+    kept = getattr(a, "_dual", None)
+    d = kept and kept()
+    if d is None:
+        match a:
+            case Atom(name, pol):
+                d = Atom(name, not pol)
+            case One():
+                d = BOTTOM
+            case Bottom():
+                d = ONE
+            case Tensor(l, r):
+                d = Par(dual(l), dual(r))
+            case Par(l, r):
+                d = Tensor(dual(l), dual(r))
+            case OfCourse(b):
+                d = WhyNot(dual(b))
+            case WhyNot(b):
+                d = OfCourse(dual(b))
+            case Paragraph(b):
+                d = Paragraph(dual(b))
+            case _:
+                raise TypeError(f"not a formula: {a!r}")
+        a._dual, d._dual = ref(d), ref(a)
+    return d
 
 
 def shift_formula(a: Formula) -> Formula:
@@ -120,25 +152,31 @@ def shift_formula(a: Formula) -> Formula:
 
 def bullet_formula(a: Formula) -> Formula:
     """Replace every positive atom with X*X and every dual atom with
-    X^@X^, for the one reserved atom name X."""
-    match a:
-        case Atom(_, False):
-            return Tensor(Atom(RESERVED_ATOM), Atom(RESERVED_ATOM))
-        case Atom(_, True):
-            return Par(Atom(RESERVED_ATOM, True), Atom(RESERVED_ATOM, True))
-        case One() | Bottom():
-            return a
-        case Tensor(l, r):
-            return Tensor(bullet_formula(l), bullet_formula(r))
-        case Par(l, r):
-            return Par(bullet_formula(l), bullet_formula(r))
-        case OfCourse(b):
-            return OfCourse(bullet_formula(b))
-        case WhyNot(b):
-            return WhyNot(bullet_formula(b))
-        case Paragraph(b):
-            return Paragraph(bullet_formula(b))
-    raise TypeError(f"not a formula: {a!r}")
+    X^@X^, for the one reserved atom name X; kept weakly per node."""
+    kept = getattr(a, "_bullet", None)
+    b = kept and kept()
+    if b is None:
+        match a:
+            case Atom(_, False):
+                b = Tensor(Atom(RESERVED_ATOM), Atom(RESERVED_ATOM))
+            case Atom(_, True):
+                b = Par(Atom(RESERVED_ATOM, True), Atom(RESERVED_ATOM, True))
+            case One() | Bottom():
+                b = a
+            case Tensor(l, r):
+                b = Tensor(bullet_formula(l), bullet_formula(r))
+            case Par(l, r):
+                b = Par(bullet_formula(l), bullet_formula(r))
+            case OfCourse(body):
+                b = OfCourse(bullet_formula(body))
+            case WhyNot(body):
+                b = WhyNot(bullet_formula(body))
+            case Paragraph(body):
+                b = Paragraph(bullet_formula(body))
+            case _:
+                raise TypeError(f"not a formula: {a!r}")
+        a._bullet = ref(b)
+    return b
 
 
 def modal_depth(a: Formula) -> int:
@@ -154,24 +192,30 @@ def modal_depth(a: Formula) -> int:
 
 
 def print_formula(a: Formula) -> str:
-    match a:
-        case Atom(name, d):
-            return name + ("^" if d else "")
-        case One():
-            return "1"
-        case Bottom():
-            return "bot"
-        case Tensor(l, r):
-            return f"({print_formula(l)} * {print_formula(r)})"
-        case Par(l, r):
-            return f"({print_formula(l)} @ {print_formula(r)})"
-        case OfCourse(b):
-            return "!" + print_formula(b)
-        case WhyNot(b):
-            return "?" + print_formula(b)
-        case Paragraph(b):
-            return "#" + print_formula(b)
-    raise TypeError(f"not a formula: {a!r}")
+    """The formula's text in the grammar above; kept per node."""
+    text = getattr(a, "_text", None)
+    if text is None:
+        match a:
+            case Atom(name, d):
+                text = name + ("^" if d else "")
+            case One():
+                text = "1"
+            case Bottom():
+                text = "bot"
+            case Tensor(l, r):
+                text = f"({print_formula(l)} * {print_formula(r)})"
+            case Par(l, r):
+                text = f"({print_formula(l)} @ {print_formula(r)})"
+            case OfCourse(b):
+                text = "!" + print_formula(b)
+            case WhyNot(b):
+                text = "?" + print_formula(b)
+            case Paragraph(b):
+                text = "#" + print_formula(b)
+            case _:
+                raise TypeError(f"not a formula: {a!r}")
+        a._text = text
+    return text
 
 
 class FormulaSyntaxError(ValueError):

@@ -145,7 +145,7 @@ def eta_expand(net: Net) -> Net:
         eb.where = ws.loc[lid]
         ws.remove_link(lid)
         eb.expand(net.edges[e_pos].formula, net.edges[e_neg].formula, e_neg, e_pos)
-    return ws.freeze()
+    return ws.freeze(eb.fresh.n)
 
 
 def identity_net(a: Formula) -> Net:
@@ -157,7 +157,7 @@ def swap_net() -> Net:
     """The crossed variant of the atomic identity block: same conclusions,
     axioms connecting the par and tensor crosswise."""
     block = identity_net(Tensor(Atom(RESERVED_ATOM), Atom(RESERVED_ATOM)))
-    return _swap_sites(block, [s for s in atom_sites(block)])
+    return _swap_sites(block, _blocks(block))
 
 
 # -- atomic identity blocks ----------------------------------------------------
@@ -167,13 +167,13 @@ def swap_net() -> Net:
 class AtomSite:
     """One atomic identity (or swap) block: two axioms joined by one par and
     one tensor.  Levels are the default quasi-indexing values of the par and
-    tensor conclusion wires."""
+    tensor conclusion wires; blocks found by ``_blocks`` leave them unread."""
 
     par: str
     tensor: str
     axioms: tuple[str, str]
     crossed: bool
-    levels: tuple[int, int]
+    levels: tuple[int, int] | None = None
 
     @property
     def level(self) -> int | None:
@@ -181,10 +181,16 @@ class AtomSite:
 
 
 def atom_sites(net: Net, indexing: Indexing | None = None) -> list[AtomSite]:
-    """Locate every atomic identity/swap block.  The net must be of doubled
-    shape: every axiom is atomic and feeds exactly one par and one tensor
-    forming a block."""
-    quasi = indexing or default_exponential_quasi_indexing(net)
+    """Locate every atomic identity/swap block, with its levels.  The net
+    must be of doubled shape: every axiom is atomic and feeds exactly one
+    par and one tensor forming a block."""
+    quasi = (indexing or default_exponential_quasi_indexing(net)).assignment
+    level = {lid: quasi[link.conclusions[0]] for lid, link in net.links.items() if link.kind in ("par", "tensor")}
+    return [replace(s, levels=(level[s.par], level[s.tensor])) for s in _blocks(net)]
+
+
+def _blocks(net: Net) -> list[AtomSite]:
+    """The blocks of ``atom_sites``, without their levels."""
     sites: list[AtomSite] = []
     for lid in sorted(net.links):
         link = net.links[lid]
@@ -216,8 +222,7 @@ def atom_sites(net: Net, indexing: Indexing | None = None) -> list[AtomSite]:
         left_par_ax = producers[0]
         left_tensor_ax = net.producer(tlink.premises[0])
         crossed = left_par_ax != left_tensor_ax
-        levels = (quasi.assignment[link.conclusions[0]], quasi.assignment[tlink.conclusions[0]])
-        sites.append(AtomSite(lid, tid, (ax1, ax2), crossed, levels))
+        sites.append(AtomSite(lid, tid, (ax1, ax2), crossed))
     return sites
 
 
@@ -260,7 +265,7 @@ def bullet_net(net: Net) -> Net:
             ("tensor", (p1, p2), (e_pos,)),
         ):
             ws.add_link(fresh.link(), Link(kind, premises, conclusions), where)
-    return ws.freeze()
+    return ws.freeze(fresh.n)
 
 
 # -- tests ---------------------------------------------------------------------
@@ -349,7 +354,7 @@ def cut_compose(net: Net, partners: list[Net | tuple[Net, int]]) -> Net:
         consumed.add(mine)
         consumed.add(other)
     conclusions = tuple(e for e in acc.conclusions if e not in consumed)
-    return Net(edges, links, acc.boxes, conclusions)
+    return Net(edges, links, acc.boxes, conclusions, mark=fresh.n)
 
 
 def compose(f: Net, g: Net) -> Net:
@@ -424,7 +429,7 @@ def interactive_l3_check(
     theta, lmap = builder._relabel(base, _Fresh(pib, base))  # as cut_compose would name it
     level_of = {lmap[lid]: s.level for s in sites for lid in (s.par, s.tensor)}
     nf, trace = normalize(cut_compose(pib, [theta]), budget=budget)
-    nf_sites = atom_sites(nf)
+    nf_sites = _blocks(nf)
     # The levels of the test blocks that each block's par and tensor lift to.
     ends = [tuple(level_of.get(trace.lift_to_source(x)) for x in (s.par, s.tensor)) for s in nf_sites]
     plain, pib_sites = frozenset(s.tensor for s in nf_sites if s.crossed), None
@@ -444,7 +449,7 @@ def interactive_l3_check(
             swapped = sum(s.crossed for s in sites_k)
             # Unswapped, every level's normal form is the identity's, and pib
             # has no crossed block: each view is labelled once per check.
-            pib_sites = pib_sites or atom_sites(pib)
+            pib_sites = pib_sites or _blocks(pib)
             residue_swapping = _swap_residue((sites_k, *view(plain)), (pib_sites, pib_rank, pib_encoding))
         reports.append(LevelReport(k, passed, swapped, residue_swapping))
     return InteractiveReport(all(r.passed for r in reports), tuple(reports))
@@ -468,7 +473,7 @@ def swapping_compare(a: Net, b: Net) -> bool:
 def _unswapped(net: Net) -> tuple[list[AtomSite], dict[str, int], list]:
     """The net's blocks, and the canonical order and encoding of the net
     with every swap block turned back into an identity block."""
-    sites = atom_sites(net)
+    sites = _blocks(net)
     plain = _swap_sites(net, [s for s in sites if s.crossed])
     return (sites, *_labelling(plain))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .formula import (
@@ -30,6 +30,7 @@ from .formula import (
     Paragraph,
     Tensor,
     WhyNot,
+    _Interned,
     dual,
     parse_formula,
     print_formula,
@@ -54,21 +55,21 @@ LINK_ARITIES: dict[str, tuple[int | None, int]] = {
 UNORDERED_PREMISES = frozenset({"cut", "whynot"})
 
 
-@dataclass(frozen=True, slots=True)
-class Label:
-    """Edge label: a formula, optionally under the flat wrapper.  Its
-    printed text is kept once made: printing big formulas dominates several
-    hot paths, and labels are shared between net revisions."""
+class Label(_Interned):
+    """Edge label: a formula, optionally under the flat wrapper.  Hash-consed
+    like formulas, one live label per formula and flag, so equality is
+    identity; its text is made once, from the formula's kept text."""
 
-    formula: Formula
-    flat: bool = False
-    _text: str | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("formula", "flat", "_text")
+    __match_args__ = ("formula", "flat")
+
+    def __new__(cls, formula: Formula, flat: bool = False):
+        return super().__new__(cls, formula, bool(flat))
 
     def __str__(self) -> str:
-        text = self._text
+        text = getattr(self, "_text", None)
         if text is None:
-            text = ("%" if self.flat else "") + print_formula(self.formula)
-            object.__setattr__(self, "_text", text)
+            text = self._text = ("%" if self.flat else "") + print_formula(self.formula)
         return text
 
 
@@ -163,6 +164,7 @@ class Net:
         links: Mapping[str, Link],
         boxes: tuple[Box, ...] = (),
         conclusions: tuple[str, ...] = (),
+        mark: int | None = None,
     ):
         self.edges: dict[str, Label] = dict(edges)
         self.links: dict[str, Link] = dict(links)
@@ -197,11 +199,11 @@ class Net:
         self._link_depth = depth
         self._box_of_border = box_of_border
         self._enclosing = enclosing
-        self._mark: int | None = None
+        self._mark = mark
 
     def id_mark(self) -> int:
-        """One past the largest n among the ids e<n> and l<n>, found on
-        first use: names numbered from here are new."""
+        """One past the largest n among the ids e<n> and l<n>, as given by
+        the net's maker or found on first use: names from here are new."""
         if self._mark is None:
             numbers = (x[1:] for ids in (self.edges, self.links) for x in ids if x[:1] in ("e", "l"))
             self._mark = max((int(n) + 1 for n in numbers if n.isdigit() and n.isascii()), default=0)
@@ -1066,8 +1068,14 @@ def _ids(value, what: str) -> tuple[str, ...]:
 
 
 def from_document(doc: dict, allow_flat_conclusions: bool = False) -> Net:
+    texts: dict[str, Label] = {}  # each distinct label text is parsed once
+
+    def label(text) -> Label:
+        found = texts.get(text) if type(text) is str else None
+        return found or texts.setdefault(text, parse_label(text))
+
     try:
-        edges = {_id(e["id"], "an edge id"): parse_label(e["label"]) for e in doc["edges"]}
+        edges = {_id(e["id"], "an edge id"): label(e["label"]) for e in doc["edges"]}
         links = {
             _id(l["id"], "a link id"): Link(
                 _id(l["kind"], "a link kind"),

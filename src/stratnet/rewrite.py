@@ -305,7 +305,7 @@ class _Workspace:
         else:
             raise StepError(f"unknown step kind {redex.kind}")
 
-    def freeze(self) -> Net:
+    def freeze(self, mark: int | None = None) -> Net:
         def rebuild(mb: _MBox) -> Box:
             children = tuple(rebuild(c) for c in mb.children)
             total: set[str] = set(mb.direct)
@@ -315,7 +315,7 @@ class _Workspace:
             return Box(mb.principal, tuple(mb.auxiliaries), frozenset(total), children)
 
         boxes = tuple(rebuild(mb) for mb in self.roots)
-        return Net(self.edges, self.links, boxes, tuple(self.conclusions))
+        return Net(self.edges, self.links, boxes, tuple(self.conclusions), mark)
 
 
 # -- the five step families ---------------------------------------------------

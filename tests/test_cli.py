@@ -71,6 +71,8 @@ def test_validate_malformed_json(tmp_path, capsys):
 BOUNDARY_PROBES = {
     "unparsable-label": (["validate"], "label", "(X *"),
     "integer-label": (["validate"], "label", 5),
+    "list-label": (["validate"], "label", ["X^"]),
+    "dict-label": (["validate"], "label", {"X^": 1}),
     "deep-label": (["validate"], "label", "!" * 5000 + "X"),
     "premises-string": (["validate"], "premises", "ab"),
     "repeated-edge": (["validate"], "edges", 0),

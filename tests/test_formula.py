@@ -1,4 +1,10 @@
+import copy
+import gc
+import pickle
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +26,8 @@ from stratnet.formula import (
     print_formula,
     shift_formula,
 )
+from stratnet.formula import _TABLE
+from stratnet.net import Label
 
 atoms = st.builds(Atom, st.sampled_from(["X", "Y", "Z", "W"]), st.booleans())
 formulas = st.recursive(
@@ -119,3 +127,71 @@ def test_modal_depth():
     assert modal_depth(parse_formula("(X * Y)")) == 0
     assert modal_depth(parse_formula("!?X")) == 2
     assert modal_depth(parse_formula("(#X @ !!Y)")) == 2
+
+
+# -- hash-consing -------------------------------------------------------------
+
+
+def test_equal_formulas_built_by_different_routes_are_one_object():
+    a = Tensor(OfCourse(Atom("X")), Paragraph(Par(Atom("Y", True), ONE)))
+    assert parse_formula("(!X * #(Y^ @ 1))") is a
+    assert parse_formula(" ( !X*#( Y^@1 ) ) ") is a
+    assert dual(dual(a)) is a
+    assert dual(a) is parse_formula("(?X^ @ #(Y * bot))")
+    assert bullet_formula(a) is parse_formula("(!(X * X) * #((X^ @ X^) @ 1))")
+    assert bullet_formula(Atom("Z", True)) is dual(bullet_formula(Atom("Z")))
+    assert shift_formula(parse_formula("!X")) is OfCourse(Paragraph(Atom("X")))
+    assert Atom("X", 0) is Atom("X") is Atom("X", dual=False)
+    assert Atom("X") is not Atom("X", True) and Atom("X") != Atom("X", True)
+    assert hash(a) == hash(parse_formula(str(a)))
+
+
+@given(formulas)
+def test_parse_print_and_double_dual_give_the_node_back(a):
+    assert parse_formula(print_formula(a)) is a
+    assert dual(dual(a)) is a
+    assert bullet_formula(dual(a)) is dual(bullet_formula(a))
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    a = parse_formula("(!X * #(Y^ @ 1))")
+    dual(a)  # a node with its kept dual copies the same way
+    for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert copied is a
+    assert copy.deepcopy([a, BOTTOM])[1] is BOTTOM
+
+
+def test_formulas_cannot_be_changed():
+    a = Tensor(Atom("X"), ONE)
+    with pytest.raises(AttributeError):
+        a.left = ONE
+    with pytest.raises(AttributeError):
+        Atom("X").name = "Y"
+    assert a is Tensor(Atom("X"), ONE) and a.left is Atom("X")
+
+
+def test_dead_formulas_leave_the_table():
+    def entries(name):
+        return [f for f in list(_TABLE.values()) if name in str(f)]
+
+    a = parse_formula("(!Unused_atom_q * #(Unused_atom_q^ @ 1))")
+    d, b, label = dual(a), bullet_formula(a), Label(a, True)
+    probe = weakref.ref(a)
+    assert dual(d) is a and print_formula(a) in str(label)
+    assert len(entries("Unused_atom_q")) == 11  # 6 nodes of a, 4 more of its dual, the label
+    del a, d, b, label
+    assert probe() is None  # kept duals and images are weak: no cycle holds a node
+    gc.collect()
+    assert entries("Unused_atom_q") == []
+
+
+def test_threads_build_one_node_per_formula():
+    texts = [f"(!A{i} * #(B{i}^ @ (1 * A{i})))" for i in range(300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            built = list(pool.map(lambda _: [parse_formula(t) for t in texts], range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(b[i] is built[0][i] for b in built for i in range(len(texts)))

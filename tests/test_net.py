@@ -1,10 +1,12 @@
+import copy
 import json
+import pickle
 import random
 import time
 
 import pytest
 
-from stratnet.formula import Atom, parse_formula
+from stratnet.formula import Atom, Paragraph, dual, parse_formula
 from stratnet.net import (
     Box,
     InvalidNetError,
@@ -15,6 +17,7 @@ from stratnet.net import (
     canonical_form,
     load,
     nets_equal,
+    parse_label,
     parr_closure,
     save,
     underlying_graph,
@@ -386,3 +389,30 @@ def test_flat_wrapper_never_nests():
     assert lab.flat and str(lab) == "%(X * Y)"
     with pytest.raises(Exception):
         parse_label("%%X")
+
+
+def test_labels_are_interned():
+    lab = Label(Paragraph(Atom("X", True)), flat=True)
+    assert parse_label(" %#X^") is lab is Label(parse_formula("#X^"), True)
+    assert Label(dual(Paragraph(X)), 1) is lab and Label(lab.formula) is not lab
+    assert str(lab) == "%#X^" and repr(lab) == "<%#X^>"
+    assert copy.deepcopy(lab) is lab and pickle.loads(pickle.dumps(lab)) is lab
+    n = load(save(builder.ax(Paragraph(X))))
+    assert [n.edges[e] for e in n.conclusions] == [Label(Paragraph(dual(X))), Label(Paragraph(X))]
+    for other in (copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
+        assert all(other.edges[e] is label for e, label in n.edges.items())
+    with pytest.raises(AttributeError):
+        lab.flat = False
+
+
+@pytest.mark.parametrize("bad", [["X^"], {"X^": 1}, 5, None, "(X *", "!" * 5000 + "X"], ids=repr)
+def test_malformed_label_after_repeated_texts_keeps_its_error(bad):
+    # Label texts are parsed once per document; a malformed one still fails
+    # with parse_label's own message, wherever it comes.
+    doc = json.loads(save(builder.tensor_rule(builder.ax(X), 1, builder.ax(X), 1)))
+    doc["edges"].insert(2, {"id": "x", "label": bad})
+    with pytest.raises(NetFormatError) as direct:
+        parse_label(bad)
+    with pytest.raises(NetFormatError) as loaded:
+        load(json.dumps(doc))
+    assert str(loaded.value) == str(direct.value)

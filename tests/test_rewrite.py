@@ -438,14 +438,26 @@ def test_lo_cuts_inherit_the_rank_of_the_cut_they_replace():
 
 
 NORMALIZE_ALL = """
-import pathlib, sys
+import contextlib, io, os, pathlib, sys
 from stratnet.cli import main
+from stratnet.interactive import bullet_net, eta_expand
+from stratnet.net import canonical_form, load, save
 out = pathlib.Path(sys.argv[1])
 for f in sys.argv[2:]:
     for s in ("lo", "in", "level"):
         stem = f"{pathlib.Path(f).stem}-{s}"
         main(["normalize", "--strategy", s, f, "-o", str(out / f"{stem}.json"),
               "--trace", str(out / f"{stem}.trace.json")])
+os.chdir(out)  # l3 prints the path it is given
+for f in sys.argv[2:]:
+    stem = pathlib.Path(f).stem
+    nf = load(pathlib.Path(f"{stem}-lo.json").read_bytes(), allow_flat_conclusions=True)
+    pathlib.Path(f"{stem}.form").write_bytes(canonical_form(load(pathlib.Path(f).read_bytes())))
+    pathlib.Path(f"{stem}-lo.bullet.json").write_bytes(save(bullet_net(eta_expand(nf))))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stdout):
+        code = main(["l3", "--method", "all", f"{stem}-lo.json"])
+    pathlib.Path(f"{stem}.l3").write_text(f"{code}\\n{stdout.getvalue()}")
 """
 
 
@@ -464,6 +476,7 @@ def test_normalize_output_ignores_hash_seed(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run([sys.executable, "-c", NORMALIZE_ALL, str(out), *files], env=env, check=True)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(outputs[0]) == 2 * 3 * len(files)
+    assert len(outputs[0]) == (2 * 3 + 3) * len(files)
     assert b"exponential" in b"".join(outputs[0].values())
+    assert all(b'"verdicts"' in v for k, v in outputs[0].items() if k.endswith(".l3"))
     assert outputs[0] == outputs[1]
