@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from stratnet.formula import Atom, parse_formula, shift_formula
+from stratnet.formula import Atom, OfCourse, parse_formula, shift_formula
 from stratnet import interactive
 from stratnet.net import nets_equal, parr_closure, save, validate
 from stratnet import builder
@@ -348,6 +348,56 @@ def box_with_cut_against_contraction():
     box = builder.whynot_rule(builder.promotion(builder.flat_rule(inner, 0), 1), [0])
     two = builder.mix(builder.flat_rule(builder.ax(X), 0), builder.flat_rule(builder.ax(X), 0))
     return builder.cut_rule(builder.whynot_rule(two, [0, 2]), 0, box, 1)
+
+
+def test_exponential_ids_and_boxes_are_pinned():
+    # the ids the exponential step hands out and the box each copy lands in
+    # (per box: principal, auxiliaries, the links directly inside, child
+    # boxes), for flats one box deep, two boxes deep and at top level; the
+    # copied box holds a box of its own in the last two, and in the second
+    # that box's copy stays in the normal form, two boxes deep
+    def shape(net):
+        def tree(box):
+            inner = {lid for c in box.children for lid in c.contents | set(c.border())}
+            return (box.principal, box.auxiliaries, sorted(box.contents - inner), [tree(c) for c in box.children])
+
+        assert validate(net).ok()
+        return sorted(net.links), sorted(net.edges), [tree(b) for b in net.boxes]
+
+    bang_bang = builder.whynot_rule(builder.promotion(builder.flat_rule(make_id_bang(X), 0), 1), [0])
+    # ??X^, ?Y^, !(!X * Y) cut against ?(?X^ @ Y^), !!(!X * Y)
+    boxed = builder.tensor_rule(make_id_bang(X), 1, builder.ax(Y), 1)
+    boxed = builder.promotion(builder.flat_rule(builder.flat_rule(boxed, 0), 1), 2)
+    boxed = builder.whynot_rule(builder.whynot_rule(boxed, [0]), [1])
+    deep = builder.par_rule(builder.tensor_rule(builder.ax(OfCourse(X)), 1, builder.ax(Y), 1), 0, 1)
+    deep = builder.promotion(builder.promotion(builder.flat_rule(deep, 0), 1), 1)
+    deep = builder.whynot_rule(deep, [0])
+    two = builder.mix(builder.flat_rule(make_id_bang(X), 0), builder.flat_rule(make_id_bang(X), 0))
+    top = builder.cut_rule(bang_bang, 1, builder.whynot_rule(two, [0, 2]), 0)
+
+    assert shape(normalize(nested_contraction())[0]) == (
+        ["l0~c0", "l0~c1", "l24", "l26", "l28~px", "l28~px.1", "l2~c0", "l2~c1", "l30"],
+        ["e0~c0", "e0~c1", "e1~c0", "e1~c1", "e25", "e27", "e31", "e3~c0", "e3~c0~px", "e3~c1", "e3~c1~px"],
+        [("l26", ("l28~px", "l28~px.1"), ["l0~c0", "l0~c1", "l24", "l2~c0", "l2~c1"], [])],
+    )
+    assert shape(normalize(builder.cut_rule(boxed, 2, deep, 0))[0]) == (
+        ["l0~c0", "l15~c0", "l17~c0", "l21~px", "l21~px.1", "l23~px", "l23~px.2", "l25", "l27", "l2~c0", "l42",
+         "l43", "l46", "l48", "l4~c0", "l6~c0", "l8~c0"],
+        ["e0~c0", "e16~c0", "e16~c0~px", "e16~c0~px~px", "e18~c0", "e18~c0~px", "e18~c0~px~px", "e1~c0", "e26",
+         "e28", "e31", "e32", "e33", "e36", "e38", "e3~c0", "e5~c0", "e7~c0", "e9~c0"],
+        [("l48", ("l21~px.1", "l23~px.2"), [], [
+            ("l46", ("l21~px", "l23~px"), ["l15~c0", "l17~c0", "l42", "l43", "l8~c0"], [
+                ("l4~c0", ("l6~c0",), ["l0~c0", "l2~c0"], []),
+            ]),
+        ])],
+    )
+    assert shape(normalize(top)[0]) == (
+        ["l10~c0", "l10~c1", "l16", "l2~c0~c0", "l2~c1~c0", "l42", "l44", "l48", "l50", "l6~c0~px",
+         "l6~c1~px", "l8~c0", "l8~c1"],
+        ["e11~c0", "e11~c1", "e17", "e27", "e28", "e30", "e34", "e35", "e37", "e3~c0~c0", "e3~c0~c0~px",
+         "e3~c1~c0", "e3~c1~c0~px", "e9~c0", "e9~c1"],
+        [("l44", ("l6~c0~px",), ["l2~c0~c0", "l42"], []), ("l50", ("l6~c1~px",), ["l2~c1~c0", "l48"], [])],
+    )
 
 
 @pytest.fixture(scope="module")
