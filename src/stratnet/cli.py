@@ -75,13 +75,7 @@ def _dot(net: Net) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.file, "rb") as fh:
-            data = fh.read()
-        loaded = net_mod.load(data, allow_flat_conclusions=True)
-    except (NetFormatError, InvalidNetError, OSError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    loaded = _read_net(args.file, allow_flat=True)
     flat = [e for e in loaded.conclusions if loaded.edges[e].flat]
     if flat:
         print(
@@ -140,11 +134,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_index(args) -> int:
-    try:
-        n = _read_net(args.file)
-    except (NetFormatError, InvalidNetError, OSError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    n = _read_net(args.file)
     solve = correctness.strong_indexing if args.strong else correctness.solve_indexing
     result = solve(n, args.flavor)
     if isinstance(result, BalanceWitness):
@@ -202,19 +192,10 @@ def cmd_l3(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    try:
-        n = _read_net(args.file)
-    except (NetFormatError, InvalidNetError, OSError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    budget = _step_budget()
-    try:
-        result, trace = rewrite.normalize(
-            n, strategy=args.strategy, budget=budget, no_axiom=args.no_axiom
-        )
-    except BudgetExceeded as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    n = _read_net(args.file)
+    result, trace = rewrite.normalize(
+        n, strategy=args.strategy, budget=_step_budget(), no_axiom=args.no_axiom
+    )
     data = net_mod.save(result, pretty=args.pretty)
     if args.output:
         with open(args.output, "wb") as fh:
@@ -250,11 +231,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_test(args) -> int:
-    try:
-        n = _read_net(args.file)
-    except (NetFormatError, InvalidNetError, OSError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    n = _read_net(args.file)
     if n.cut_links():
         print("the interactive tests need a cut-free net; run normalize first", file=sys.stderr)
         return EXIT_INVALID
@@ -267,13 +244,8 @@ def cmd_test(args) -> int:
             file=sys.stderr,
         )
         n = net_mod.parr_closure(n)
-    budget = _step_budget()
     formula = n.edges[n.conclusions[0]].formula
-    try:
-        report = interactive.interactive_l3_check(n, budget=budget, level=args.level)
-    except BudgetExceeded as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    report = interactive.interactive_l3_check(n, budget=_step_budget(), level=args.level)
     _emit(report.to_document(formula), args.pretty)
     return EXIT_OK if report.member else EXIT_FAIL
 
@@ -345,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args.pretty = args.pretty or getattr(args, "pretty_global", False)
     try:
         return args.fn(args)
-    except (PreconditionError, rewrite.StepError) as exc:
+    except (PreconditionError, rewrite.StepError, NetFormatError, InvalidNetError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetExceeded as exc:

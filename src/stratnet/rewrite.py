@@ -8,11 +8,13 @@ them in place around its cut and records its lift map, and the immutable
 ``Net`` is built once, at the end.  ``apply_step`` runs the same step code
 on a fresh workspace and freezes after one step.
 
-The workspace is the one way to edit a net.  ``add_link`` puts a link at
-a location, which also places it in the box tree, and ``open_box`` opens
-an empty box whose border links are added afterwards; ``shift_net`` here
-and ``eta_expand`` and ``bullet_net`` in ``interactive`` are built on
-these two and ``remove_link``.
+The workspace is the one way to edit a net, and the rule for where a link
+sits in the box tree is written once, in ``_place``.  ``add_link`` puts a
+link at a location and places it there, ``open_box`` opens an empty box
+whose border links are added afterwards, and ``remove_link`` and
+``remove_box`` undo them.  Loading a net, copying a box's contents in the
+exponential step, ``shift_net`` here and ``eta_expand`` and ``bullet_net``
+in ``interactive`` all go through these.
 
 Cuts wait in a priority worklist.  A cut is classified by its premise
 producers (the shared ``_family``, which ``find_redexes`` also uses) when
@@ -129,10 +131,10 @@ def find_redexes(net: Net) -> list[Redex]:
 class _MBox:
     __slots__ = ("principal", "auxiliaries", "direct", "children", "parent")
 
-    def __init__(self, principal: str, auxiliaries: list[str], parent: "_MBox | None"):
-        self.principal = principal
-        self.auxiliaries = auxiliaries
-        self.direct: set[str] = set()
+    def __init__(self, parent: "_MBox | None"):
+        self.principal = ""
+        self.auxiliaries: list[str] = []
+        self.direct: dict[str, None] = {}  # insertion-ordered set
         self.children: list[_MBox] = []
         self.parent = parent
 
@@ -143,7 +145,10 @@ class _Workspace:
     resets ``lift`` (the step's new ids -> their sources) and ``touched``
     (the cuts the step put, each with the cut whose rank it inherits, or
     None when a rewired cut keeps its own); ``queued`` holds the redexes
-    waiting in ``normalize``."""
+    waiting in ``normalize``.  Loading opens the net's boxes, outermost
+    first, places each box's border, and then places every other link in
+    ``net.links`` order.  A box lists its direct links in insertion order,
+    so no order in the workspace depends on the hash seed."""
 
     def __init__(self, net: Net):
         self.edges: dict[str, Label] = dict(net.edges)
@@ -155,31 +160,22 @@ class _Workspace:
         self.touched: list[tuple[str, str | None]] = []
         self.queued: dict[str, tuple[tuple, str]] = {}  # cut -> (key, step family)
         self.roots: list[_MBox] = []
-        self.loc: dict[str, tuple] = {lid: ("top",) for lid in net.links}
+        self.loc: dict[str, tuple] = {}
         self.box_by_principal: dict[str, _MBox] = {}
         self.box_by_pax: dict[str, _MBox] = {}
         self._serial = 0
 
-        def build(box: Box, parent: _MBox | None) -> _MBox:
-            mb = _MBox(box.principal, list(box.auxiliaries), parent)
-            self.box_by_principal[box.principal] = mb
-            self.loc[box.principal] = ("border", mb)
-            for a in box.auxiliaries:
-                self.box_by_pax[a] = mb
-                self.loc[a] = ("border", mb)
-            inner = box.contents
-            child_ids: set[str] = set()
-            for ch in box.children:
-                cmb = build(ch, mb)
-                mb.children.append(cmb)
-                child_ids |= set(ch.contents) | set(ch.border())
-            mb.direct = {lid for lid in inner if lid not in child_ids}
-            for lid in mb.direct:
-                self.loc[lid] = ("in", mb)
-            return mb
+        def around(lid: str) -> tuple:
+            outer = net.enclosing_boxes(lid)
+            return ("in", self.box_by_principal[outer[-1].principal]) if outer else ("top",)
 
-        for b in net.boxes:
-            self.roots.append(build(b, None))
+        for box in net.all_boxes():
+            mb = self.open_box(around(box.principal))
+            for lid in box.border():
+                self._place(lid, ("border", mb))
+        for lid in net.links:
+            if lid not in self.loc:
+                self._place(lid, around(lid))
 
     # identifiers ------------------------------------------------------------
 
@@ -231,14 +227,18 @@ class _Workspace:
                 del self.producer[e]
 
     def add_link(self, lid: str, link: Link, where: tuple, origin: str | None = None) -> None:
-        """Add a link at a location; on a box border ("border", box) an
-        of-course link becomes the box's principal and a pax link its next
-        auxiliary."""
+        """Add a link at a location, which also places it in the box tree."""
         self.put_link(lid, link, origin)
+        self._place(lid, where)
+
+    def _place(self, lid: str, where: tuple) -> None:
+        """Put a link at ("top",), ("in", box) or ("border", box); on a box
+        border an of-course link becomes the box's principal and a pax link
+        its next auxiliary.  ``remove_link`` undoes it."""
         self.loc[lid] = where
         if where[0] == "in":
-            where[1].direct.add(lid)
-        elif where[0] == "border" and link.kind == "ofcourse":
+            where[1].direct[lid] = None
+        elif where[0] == "border" and self.links[lid].kind == "ofcourse":
             where[1].principal = lid
             self.box_by_principal[lid] = where[1]
         elif where[0] == "border":
@@ -249,16 +249,16 @@ class _Workspace:
         """An empty box at ("top",) or ("in", box); its border links are
         added afterwards, at ("border", new box)."""
         parent = where[1] if where[0] == "in" else None
-        mb = _MBox("", [], parent)
+        mb = _MBox(parent)
         (self.roots if parent is None else parent.children).append(mb)
         return mb
 
     def remove_link(self, lid: str) -> None:
-        kind = self.loc.pop(lid)
-        if kind[0] == "in":
-            kind[1].direct.discard(lid)
-        elif kind[0] == "border":
-            mb = kind[1]
+        where = self.loc.pop(lid)
+        if where[0] == "in":
+            del where[1].direct[lid]
+        elif where[0] == "border":
+            mb = where[1]
             if mb.principal == lid:
                 mb.principal = ""
                 del self.box_by_principal[lid]
@@ -271,11 +271,16 @@ class _Workspace:
     def remove_edge(self, e: str) -> None:
         del self.edges[e]
 
-    def remove_box_record(self, mb: _MBox) -> None:
-        """Drop the box node itself, leaving its (already removed or moved)
-        contents alone."""
-        owner = mb.parent.children if mb.parent is not None else self.roots
-        owner.remove(mb)
+    def remove_box(self, mb: _MBox) -> None:
+        """Remove a box with its border links, everything inside it and the
+        edges those links conclude."""
+        for lid in [mb.principal, *mb.auxiliaries, *mb.direct]:
+            for e in self.links[lid].conclusions:
+                self.remove_edge(e)
+            self.remove_link(lid)
+        for child in list(mb.children):
+            self.remove_box(child)
+        (mb.parent.children if mb.parent is not None else self.roots).remove(mb)
 
     # one step --------------------------------------------------------------------
 
@@ -436,78 +441,30 @@ def _trace_down(ws: _Workspace, pax_conclusion: str) -> tuple[list[tuple[_MBox, 
         e = out_edge
 
 
-def _copy_contents(
-    ws: _Workspace, box: _MBox, tag: str
-) -> tuple[dict[str, str], dict[str, str], list[_MBox], set[str]]:
-    """Deep-copy the subnet contained in a box (everything except its own
-    border).  Returns (link map, edge map, copied child boxes, loose link
-    ids that sat directly in the box)."""
-    link_map: dict[str, str] = {}
-    edge_map: dict[str, str] = {}
+def _copy_contents(ws: _Workspace, box: _MBox, where: tuple, tag: str) -> dict[str, str]:
+    """Copy the subnet inside a box (everything but its own border) to a
+    location, opening a copy of each box inside it; returns the edge map."""
+    placed: list[tuple[str, tuple]] = []
 
-    def collect(mb: _MBox) -> None:
-        for lid in mb.direct:
-            link_map[lid] = ws.fresh(lid, tag)
+    def collect(mb: _MBox, at: tuple) -> None:
+        placed.extend((lid, at) for lid in mb.direct)
         for child in mb.children:
-            link_map[child.principal] = ws.fresh(child.principal, tag)
-            for a in child.auxiliaries:
-                link_map[a] = ws.fresh(a, tag)
-            collect(child)
+            nb = ws.open_box(at)
+            placed.extend((lid, ("border", nb)) for lid in (child.principal, *child.auxiliaries))
+            collect(child, ("in", nb))
 
-    collect(box)
-    for lid in link_map:
-        for e in ws.links[lid].conclusions:
-            edge_map[e] = ws.fresh(e, tag)
-
-    for lid, new_lid in link_map.items():
+    collect(box, where)
+    link_map = {lid: ws.fresh(lid, tag) for lid, _ in placed}
+    edge_map = {e: ws.fresh(e, tag) for lid in link_map for e in ws.links[lid].conclusions}
+    for lid, at in placed:
         lk = ws.links[lid]
-        ws.put_link(
-            new_lid,
-            Link(
-                lk.kind,
-                tuple(edge_map.get(e, e) for e in lk.premises),
-                tuple(edge_map[e] for e in lk.conclusions),
-            ),
-            origin=lid,
-        )
-        ws.lift[new_lid] = lid
+        premises = tuple(edge_map.get(e, e) for e in lk.premises)
+        ws.add_link(link_map[lid], Link(lk.kind, premises, tuple(edge_map[e] for e in lk.conclusions)), at, lid)
+        ws.lift[link_map[lid]] = lid
     for e, new_e in edge_map.items():
         ws.edges[new_e] = ws.edges[e]
         ws.lift[new_e] = e
-
-    def clone(mb: _MBox, parent: _MBox | None) -> _MBox:
-        nb = _MBox(link_map[mb.principal], [link_map[a] for a in mb.auxiliaries], parent)
-        ws.box_by_principal[nb.principal] = nb
-        ws.loc[nb.principal] = ("border", nb)
-        for a in nb.auxiliaries:
-            ws.box_by_pax[a] = nb
-            ws.loc[a] = ("border", nb)
-        nb.direct = {link_map[l] for l in mb.direct}
-        for l in nb.direct:
-            ws.loc[l] = ("in", nb)
-        nb.children = [clone(c, nb) for c in mb.children]
-        return nb
-
-    loose = {link_map[l] for l in box.direct}
-    copied_children = [clone(c, None) for c in box.children]
-    return link_map, edge_map, copied_children, loose
-
-
-def _remove_contents(ws: _Workspace, box: _MBox) -> None:
-    def wipe(mb: _MBox) -> None:
-        for lid in list(mb.direct):
-            for e in ws.links[lid].conclusions:
-                ws.remove_edge(e)
-            ws.remove_link(lid)
-        for child in list(mb.children):
-            for a in list(child.auxiliaries) + [child.principal]:
-                for e in ws.links[a].conclusions:
-                    ws.remove_edge(e)
-                ws.remove_link(a)
-            wipe(child)
-            ws.remove_box_record(child)
-
-    wipe(box)
+    return edge_map
 
 
 def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
@@ -539,22 +496,8 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
     merged: dict[str, list[str]] = {}
 
     for i, (up_boxes, flat_id) in enumerate(ups):
-        tag = f"c{i}"
-        link_map, edge_map, child_boxes, loose = _copy_contents(ws, box, tag)
         flat_loc = ws.loc[flat_id]
-        # Plant the copy where the flat lives.
-        if flat_loc[0] == "in":
-            host = flat_loc[1]
-            host.direct |= loose
-            for lid in loose:
-                ws.loc[lid] = ("in", host)
-            for cb in child_boxes:
-                cb.parent = host
-                host.children.append(cb)
-        else:
-            for lid in loose:
-                ws.loc[lid] = ("top",)
-            ws.roots.extend(child_boxes)
+        edge_map = _copy_contents(ws, box, flat_loc, f"c{i}")
         # Cut the copied principal premise against the flat's own premise.
         a_i = links[flat_id].premises[0]
         ws.add_link(ws.fresh(cut, f"x{i}"), Link("cut", (edge_map[oc_premise], a_i), ()), flat_loc, cut)
@@ -588,8 +531,6 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
             merged.pop(target_wn, [])
         )
         ws.put_link(target_wn, Link(tgt.kind, new_premises, tgt.conclusions))
-        ws.remove_link(pax_id)
-        ws.remove_edge(q)
         for (mb, chain_pax, chain_edge) in down_chain:
             ws.remove_link(chain_pax)
             ws.remove_edge(chain_edge)
@@ -599,10 +540,7 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
     ws.remove_link(cut)
     ws.remove_link(wn_id)
     ws.remove_edge(p_wn)
-    ws.remove_link(oc_id)
-    ws.remove_edge(p_oc)
-    _remove_contents(ws, box)
-    ws.remove_box_record(box)
+    ws.remove_box(box)
 
 
 def _add_pax(

@@ -245,6 +245,19 @@ def test_bad_budget_env_exits_2(dereliction_file, monkeypatch, capsys, command, 
     assert err.startswith("invalid: STRATNET_BUDGET") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, option", [("normalize", "-o"), ("normalize", "--trace"), ("gen", "-o"), ("validate", "--dot")]
+)
+def test_unwritable_output_path_exits_2(dereliction_file, tmp_path, capsys, command, option):
+    # an output path in a missing folder is invalid input: one line, exit 2,
+    # not a traceback and the exit code of a failed property
+    missing = str(tmp_path / "missing" / "out")
+    rest = ["--seed", "1"] if command == "gen" else [dereliction_file]
+    assert main([command, option, missing, *rest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and missing in err and err.count("\n") == 1
+
+
 def test_gen_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -350,6 +350,19 @@ def box_with_cut_against_contraction():
     return builder.cut_rule(builder.whynot_rule(two, [0, 2]), 0, box, 1)
 
 
+def box_copied_two_boxes_deep():
+    """A box holding a box (??X^, ?Y^, !(!X * Y)) cut against a why-not
+    whose flat sits two boxes deep (?(?X^ @ Y^), !!(!X * Y)): after the
+    multiplicative and axiom steps the copy of the inner box stays in the
+    normal form, inside both boxes."""
+    boxed = builder.tensor_rule(make_id_bang(X), 1, builder.ax(Y), 1)
+    boxed = builder.promotion(builder.flat_rule(builder.flat_rule(boxed, 0), 1), 2)
+    boxed = builder.whynot_rule(builder.whynot_rule(boxed, [0]), [1])
+    deep = builder.par_rule(builder.tensor_rule(builder.ax(OfCourse(X)), 1, builder.ax(Y), 1), 0, 1)
+    deep = builder.promotion(builder.promotion(builder.flat_rule(deep, 0), 1), 1)
+    return builder.cut_rule(boxed, 2, builder.whynot_rule(deep, [0]), 0)
+
+
 def test_exponential_ids_and_boxes_are_pinned():
     # the ids the exponential step hands out and the box each copy lands in
     # (per box: principal, auxiliaries, the links directly inside, child
@@ -365,13 +378,6 @@ def test_exponential_ids_and_boxes_are_pinned():
         return sorted(net.links), sorted(net.edges), [tree(b) for b in net.boxes]
 
     bang_bang = builder.whynot_rule(builder.promotion(builder.flat_rule(make_id_bang(X), 0), 1), [0])
-    # ??X^, ?Y^, !(!X * Y) cut against ?(?X^ @ Y^), !!(!X * Y)
-    boxed = builder.tensor_rule(make_id_bang(X), 1, builder.ax(Y), 1)
-    boxed = builder.promotion(builder.flat_rule(builder.flat_rule(boxed, 0), 1), 2)
-    boxed = builder.whynot_rule(builder.whynot_rule(boxed, [0]), [1])
-    deep = builder.par_rule(builder.tensor_rule(builder.ax(OfCourse(X)), 1, builder.ax(Y), 1), 0, 1)
-    deep = builder.promotion(builder.promotion(builder.flat_rule(deep, 0), 1), 1)
-    deep = builder.whynot_rule(deep, [0])
     two = builder.mix(builder.flat_rule(make_id_bang(X), 0), builder.flat_rule(make_id_bang(X), 0))
     top = builder.cut_rule(bang_bang, 1, builder.whynot_rule(two, [0, 2]), 0)
 
@@ -380,7 +386,7 @@ def test_exponential_ids_and_boxes_are_pinned():
         ["e0~c0", "e0~c1", "e1~c0", "e1~c1", "e25", "e27", "e31", "e3~c0", "e3~c0~px", "e3~c1", "e3~c1~px"],
         [("l26", ("l28~px", "l28~px.1"), ["l0~c0", "l0~c1", "l24", "l2~c0", "l2~c1"], [])],
     )
-    assert shape(normalize(builder.cut_rule(boxed, 2, deep, 0))[0]) == (
+    assert shape(normalize(box_copied_two_boxes_deep())[0]) == (
         ["l0~c0", "l15~c0", "l17~c0", "l21~px", "l21~px.1", "l23~px", "l23~px.2", "l25", "l27", "l2~c0", "l42",
          "l43", "l46", "l48", "l4~c0", "l6~c0", "l8~c0"],
         ["e0~c0", "e16~c0", "e16~c0~px", "e16~c0~px~px", "e18~c0", "e18~c0~px", "e18~c0~px~px", "e1~c0", "e26",
@@ -404,14 +410,15 @@ def test_exponential_ids_and_boxes_are_pinned():
 def differential_corpus():
     """Criterion 5's nets with cuts, larger random nets with boxes, the
     doubled nets the interactive check cuts against its level tests, and
-    the three hand-made nets above."""
+    the four hand-made nets above."""
     nets = [
         axiom_between_logical_links(),
         builder.mix(nested_contraction(), nested_contraction()),
         box_with_cut_against_contraction(),
+        box_copied_two_boxes_deep(),
     ]
     seed = 0
-    while len(nets) < 203:
+    while len(nets) < 204:
         n = builder.random_net(50_000 + seed, GenParams(target_size=15, cut_bias=0.5))
         seed += 1
         if n.cut_links():
@@ -438,12 +445,15 @@ def same_ids(a, b):
 @pytest.mark.parametrize("no_axiom", [False, True], ids=["all-steps", "no-axiom"])
 @pytest.mark.parametrize("strategy", ["lo", "in", "level"])
 def test_normalize_agrees_with_per_step_oracle(differential_corpus, strategy, no_axiom):
-    byte_diffs = replay_diffs = key_misses = steps = 0
+    byte_diffs = replay_diffs = key_misses = invalid = steps = 0
     families = set()
     for net in differential_corpus:
         nf, trace = normalize(net, strategy=strategy, no_axiom=no_axiom)
         oracle_nf, _ = oracle_normalize(net, strategy, no_axiom)
         byte_diffs += save(nf) != save(oracle_nf)
+        # Both run the same exponential step; the structural validation
+        # checks its box trees on its own.
+        invalid += not validate(nf).ok()
         # Replaying the trace through apply_step gives every lift map and
         # the normal form with the same ids; each step reduces a redex of
         # least key: the deepest for in, and for level the least level of
@@ -469,7 +479,7 @@ def test_normalize_agrees_with_per_step_oracle(differential_corpus, strategy, no
             families.add(step.redex.kind)
         replay_diffs += not same_ids(current, nf)
         steps += len(trace.steps)
-    assert (byte_diffs, replay_diffs, key_misses) == (0, 0, 0)
+    assert (byte_diffs, replay_diffs, key_misses, invalid) == (0, 0, 0, 0)
     expected = {STEP_UNIT, STEP_MULT, STEP_EXP, STEP_PARG} | (set() if no_axiom else {STEP_AXIOM})
     assert families == expected and steps > 2000
 
@@ -488,16 +498,19 @@ def test_lo_cuts_inherit_the_rank_of_the_cut_they_replace():
 
 
 NORMALIZE_ALL = """
-import contextlib, io, os, pathlib, sys
+import contextlib, io, json, os, pathlib, sys
 from stratnet.cli import main
 from stratnet.interactive import bullet_net, eta_expand
 from stratnet.net import canonical_form, load, save
+from stratnet.rewrite import normalize
 out = pathlib.Path(sys.argv[1])
 for f in sys.argv[2:]:
     for s in ("lo", "in", "level"):
         stem = f"{pathlib.Path(f).stem}-{s}"
         main(["normalize", "--strategy", s, f, "-o", str(out / f"{stem}.json"),
               "--trace", str(out / f"{stem}.trace.json")])
+        nf, _ = normalize(load(pathlib.Path(f).read_bytes()), strategy=s)
+        (out / f"{stem}.order").write_text(json.dumps([list(nf.links), list(nf.edges)]))
 os.chdir(out)  # l3 prints the path it is given
 for f in sys.argv[2:]:
     stem = pathlib.Path(f).stem
@@ -526,7 +539,7 @@ def test_normalize_output_ignores_hash_seed(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run([sys.executable, "-c", NORMALIZE_ALL, str(out), *files], env=env, check=True)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(outputs[0]) == (2 * 3 + 3) * len(files)
+    assert len(outputs[0]) == (3 * 3 + 3) * len(files)
     assert b"exponential" in b"".join(outputs[0].values())
     assert all(b'"verdicts"' in v for k, v in outputs[0].items() if k.endswith(".l3"))
     assert outputs[0] == outputs[1]
