@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / property holds, 1 property fails, 2 invalid input
 or usage, 3 undecided within the rewrite-step budget, 4 internal
-disagreement between deciders (never expected).  The STRATNET_BUDGET
+disagreement between deciders (never expected), 141 the reader of stdout
+closed the pipe.  The STRATNET_BUDGET
 environment variable overrides the rewrite-step budget; the switching
 check is polynomial and always decides.
 """
@@ -10,6 +11,7 @@ check is polynomial and always decides.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -197,16 +199,15 @@ def cmd_normalize(args) -> int:
         n, strategy=args.strategy, budget=_step_budget(), no_axiom=args.no_axiom
     )
     data = net_mod.save(result, pretty=args.pretty)
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode())
-        if not data.endswith(b"\n"):
-            sys.stdout.write("\n")
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(trace.to_document(), fh, indent=2 if args.pretty else None)
+    # Open the trace, then the output, and only then write: a bad path writes nothing.
+    with contextlib.ExitStack() as stack:
+        trace_fh = stack.enter_context(open(args.trace, "w")) if args.trace else None
+        if args.output:
+            stack.enter_context(open(args.output, "wb")).write(data)
+        else:
+            print(data.decode().rstrip("\n"))
+        if trace_fh:
+            json.dump(trace.to_document(), trace_fh, indent=2 if args.pretty else None)
     return EXIT_OK
 
 
@@ -224,9 +225,7 @@ def cmd_gen(args) -> int:
         with open(args.output, "wb") as fh:
             fh.write(data)
     else:
-        sys.stdout.write(data.decode())
-        if not data.endswith(b"\n"):
-            sys.stdout.write("\n")
+        print(data.decode().rstrip("\n"))
     return EXIT_OK
 
 
@@ -316,7 +315,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.pretty = args.pretty or getattr(args, "pretty_global", False)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Exit as a shell reports a writer that
+        # SIGPIPE ended, 128 + 13, and let the final flush go to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (PreconditionError, rewrite.StepError, NetFormatError, InvalidNetError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID

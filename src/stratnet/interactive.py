@@ -14,7 +14,10 @@ once, against the identity, and derives every level's normal form from
 that one.  Each normal-form block's par and tensor lift, through the trace,
 to two test blocks; the block is crossed at level k when exactly one of
 them is, and the level's verdict compares the derived net with the doubled
-form, as before.
+form, as before.  Whether a block is crossed is read off structure alone,
+so isomorphic nets cross equally many blocks: a level whose derived net
+crosses a different number than the doubled form fails unlabelled.  The
+eta-expansion that builds the identity test counts its blocks' levels.
 """
 
 from __future__ import annotations
@@ -52,12 +55,16 @@ from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _Workspace, normalize, n
 
 class _EtaBuilder:
     """Expands axioms into a workspace.  Each new link goes to ``where``:
-    the replaced axiom's location, or inside the box being built."""
+    the replaced axiom's location, or inside the box being built.  ``level``
+    gives each par and tensor built the number of paragraph, of-course and
+    why-not links below it, down to the replaced axiom's wires."""
 
     def __init__(self, ws: _Workspace, fresh: _Fresh):
         self.ws = ws
         self.fresh = fresh
         self.where: tuple = ("top",)
+        self.depth = 0
+        self.level: dict[str, int] = {}
 
     def edge(self, label: Label) -> str:
         e = self.fresh.edge()
@@ -65,7 +72,10 @@ class _EtaBuilder:
         return e
 
     def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...], where=None) -> None:
-        self.ws.add_link(self.fresh.link(), Link(kind, premises, conclusions), where or self.where)
+        lid = self.fresh.link()
+        if kind in ("par", "tensor"):
+            self.level[lid] = self.depth
+        self.ws.add_link(lid, Link(kind, premises, conclusions), where or self.where)
 
     def expand(self, a: Formula, da: Formula, out_neg: str, out_pos: str) -> None:
         """Build links concluding out_neg (labelled da, the dual of a) and
@@ -90,7 +100,9 @@ class _EtaBuilder:
             case Paragraph(b):
                 nb = self.edge(Label(da.body))
                 pb = self.edge(Label(b))
+                self.depth += 1
                 self.expand(b, da.body, nb, pb)
+                self.depth -= 1
                 self.link("paragraph", (nb,), (out_neg,))
                 self.link("paragraph", (pb,), (out_pos,))
             case OfCourse(b):
@@ -109,7 +121,9 @@ class _EtaBuilder:
         self.where = ("in", box)
         nb = self.edge(Label(db))
         pb = self.edge(Label(b))
+        self.depth += 1
         self.expand(b, db, nb, pb)
+        self.depth -= 1
         if flat_side_neg:
             principal_in, flat_in, flat_label = pb, nb, Label(db, flat=True)
             oc_out, wn_out = out_pos, out_neg
@@ -128,6 +142,11 @@ class _EtaBuilder:
 def eta_expand(net: Net) -> Net:
     """Replace every axiom on a compound formula by its recursive expansion
     until all axioms are atomic; conclusions are untouched."""
+    return _eta_expand(net)[0]
+
+
+def _eta_expand(net: Net) -> tuple[Net, dict[str, int]]:
+    """``eta_expand``, and the level of each par and tensor it built."""
     if net.cut_links():
         raise PreconditionError("eta-expansion is defined on cut-free nets")
     targets = [
@@ -137,7 +156,7 @@ def eta_expand(net: Net) -> Net:
         and not isinstance(net.edges[net.links[lid].conclusions[0]].formula, Atom)
     ]
     if not targets:
-        return net
+        return net, {}
     ws = _Workspace(net)
     eb = _EtaBuilder(ws, _Fresh(net))
     for lid in targets:
@@ -145,7 +164,7 @@ def eta_expand(net: Net) -> Net:
         eb.where = ws.loc[lid]
         ws.remove_link(lid)
         eb.expand(net.edges[e_pos].formula, net.edges[e_neg].formula, e_neg, e_pos)
-    return ws.freeze(eb.fresh.n)
+    return ws.freeze(eb.fresh.n), eb.level
 
 
 def identity_net(a: Formula) -> Net:
@@ -293,9 +312,10 @@ def test_levels(a: Formula) -> list[int]:
 
 def _test_base(a: Formula) -> tuple[Net, list[AtomSite]]:
     """The identity net of the doubled formula and its blocks: what every
-    test of a shares."""
-    base = identity_net(bullet_formula(a))
-    return base, atom_sites(base)
+    test of a shares.  The expanded axiom concludes the net, so its block
+    levels are those of the default quasi-indexing, as in ``atom_sites``."""
+    base, level = _eta_expand(builder.ax(bullet_formula(a)))
+    return base, [replace(s, levels=(level[s.par], level[s.tensor])) for s in _blocks(base)]
 
 
 def _levels(base: Net, sites: list[AtomSite]) -> list[int]:
@@ -424,6 +444,8 @@ def interactive_l3_check(
     if not levels:
         return InteractiveReport(True, ())
     pib = bullet_net(eta_expand(net))
+    pib_sites = _blocks(pib)
+    pib_crossed = sum(s.crossed for s in pib_sites)
     pib_rank, pib_encoding = _labelling(pib)
     pib_form = _form(pib_encoding)
     theta, lmap = builder._relabel(base, _Fresh(pib, base))  # as cut_compose would name it
@@ -432,7 +454,7 @@ def interactive_l3_check(
     nf_sites = _blocks(nf)
     # The levels of the test blocks that each block's par and tensor lift to.
     ends = [tuple(level_of.get(trace.lift_to_source(x)) for x in (s.par, s.tensor)) for s in nf_sites]
-    plain, pib_sites = frozenset(s.tensor for s in nf_sites if s.crossed), None
+    plain = frozenset(s.tensor for s in nf_sites if s.crossed)
 
     @cache
     def view(flip: frozenset[str]) -> tuple[dict[str, int], list]:
@@ -442,16 +464,16 @@ def interactive_l3_check(
     reports: list[LevelReport] = []
     for k in levels:
         flip = frozenset(s.tensor for s in _crossed_at(k, nf_sites, ends))
-        passed = _form(view(flip)[1]) == pib_form
-        swapped, residue_swapping = 0, False
+        swapped = sum(s.crossed != (s.tensor in flip) for s in nf_sites)
+        # Isomorphic nets cross equally many blocks, so only a view that
+        # crosses as many as pib is labelled.
+        passed = swapped == pib_crossed and _form(view(flip)[1]) == pib_form
+        residue_swapping = False
         if not passed:
             sites_k = [replace(s, crossed=s.crossed != (s.tensor in flip)) for s in nf_sites]
-            swapped = sum(s.crossed for s in sites_k)
-            # Unswapped, every level's normal form is the identity's, and pib
-            # has no crossed block: each view is labelled once per check.
-            pib_sites = pib_sites or _blocks(pib)
+            # Unswapped, every level's normal form is the identity's.
             residue_swapping = _swap_residue((sites_k, *view(plain)), (pib_sites, pib_rank, pib_encoding))
-        reports.append(LevelReport(k, passed, swapped, residue_swapping))
+        reports.append(LevelReport(k, passed, 0 if passed else swapped, residue_swapping))
     return InteractiveReport(all(r.passed for r in reports), tuple(reports))
 
 

@@ -5,8 +5,9 @@ normalization strategies, and residue tracking.
 finish.  The workspace owns the links and edges, their producer and
 consumer maps, and the box tree with each link's place in it; a step edits
 them in place around its cut and records its lift map, and the immutable
-``Net`` is built once, at the end.  ``apply_step`` runs the same step code
-on a fresh workspace and freezes after one step.
+``Net`` is built once, at the end.  The trace composes the lift maps
+forward, once, when an id is first lifted to the input.  ``apply_step``
+runs the same step code on a fresh workspace and freezes after one step.
 
 The workspace is the one way to edit a net, and the rule for where a link
 sits in the box tree is written once, in ``_place``.  ``add_link`` puts a
@@ -23,7 +24,8 @@ an axiom step rewired are classified again.  The key of a cut depends on
 the strategy:
 
 - ``lo`` (leftmost-outermost): the cut's rank.  The input's cuts are ranked
-  by one ``traversal_order`` of the input net.  A cut a step creates
+  by one ``traversal_order`` of the input net, which a lone input cut
+  skips: every later rank extends its rank.  A cut a step creates
   inherits the rank of the cut it replaces (the redex, or, for a copy of a
   box, the original cut inside it) followed by its position among the
   step's new cuts, so ranks stay distinct and deterministic.
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .correctness import BudgetExceeded, Indexing, PreconditionError, _propagate
 from .formula import Paragraph
@@ -75,9 +78,6 @@ class Step:
     redex: Redex
     lift: dict[str, str]  # result id -> source id; identity entries omitted
 
-    def lift_of(self, x: str) -> str:
-        return self.lift.get(x, x)
-
 
 @dataclass(frozen=True)
 class RewriteTrace:
@@ -89,10 +89,16 @@ class RewriteTrace:
             for s in self.steps
         ]
 
+    @cached_property
+    def _source(self) -> dict[str, str]:
+        """Each id a step made -> the input id it lifts to, composed once."""
+        source: dict[str, str] = {}
+        for step in self.steps:
+            source.update({new: source.get(old, old) for new, old in step.lift.items()})
+        return source
+
     def lift_to_source(self, x: str) -> str:
-        for step in reversed(self.steps):
-            x = step.lift_of(x)
-        return x
+        return self._source.get(x, x)
 
 
 _FAMILIES = {
@@ -589,7 +595,7 @@ def normalize(
     if not cuts:
         return net, RewriteTrace(())
     ws = _Workspace(net)
-    order = traversal_order(net)
+    order = traversal_order(net) if len(cuts) > 1 else {cuts[0]: 0}
     rank: dict[str, tuple[int, ...]] = {c: (order[c],) for c in cuts}
     levels = _plain_levels(net) if strategy == "level" else {}
 
@@ -685,11 +691,7 @@ def transport_indexing(q: Indexing, trace: RewriteTrace, target: Net) -> Indexin
     for step in trace.steps:
         if step.redex.kind == STEP_AXIOM:
             raise ValueError("trace contains an axiom step; quasi-indexings do not survive it")
-    assignment = {}
-    for e in target.edges:
-        src = trace.lift_to_source(e)
-        assignment[e] = q.assignment[src]
-    return Indexing(assignment, "quasi")
+    return Indexing({e: q.assignment[trace.lift_to_source(e)] for e in target.edges}, "quasi")
 
 
 __all__ = [

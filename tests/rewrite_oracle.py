@@ -4,13 +4,20 @@ worklist engine in ``stratnet.rewrite``.
 Each step rescans the net for redexes, ranks them by a fresh
 ``traversal_order`` (and, for ``level``, a fresh plain indexing of the
 current net), and rebuilds the net with ``apply_step``; its cost per step
-grows with the net.
+grows with the net.  ``lift_to_source_by_walk`` is the reference for
+``RewriteTrace.lift_to_source``: it walks one id back through every step.
 """
 
 from __future__ import annotations
 
 from stratnet.net import Net, traversal_order
-from stratnet.rewrite import STEP_AXIOM, Step, _plain_levels, apply_step, find_redexes
+from stratnet.rewrite import STEP_AXIOM, RewriteTrace, Step, _plain_levels, apply_step, find_redexes
+
+
+def lift_to_source_by_walk(trace: RewriteTrace, x: str) -> str:
+    for step in reversed(trace.steps):
+        x = step.lift.get(x, x)
+    return x
 
 
 def oracle_normalize(net: Net, strategy: str = "lo", no_axiom: bool = False) -> tuple[Net, list[Step]]:

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -256,6 +259,35 @@ def test_unwritable_output_path_exits_2(dereliction_file, tmp_path, capsys, comm
     assert main([command, option, missing, *rest]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid: ") and missing in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["output-file", "stdout"])
+def test_normalize_writes_nothing_when_the_trace_path_fails(dereliction_file, tmp_path, capsys, to_file):
+    # both outputs are opened before either is written, so a trace path in
+    # a missing folder leaves no normal form behind
+    out = tmp_path / "nf.json"
+    argv = ["normalize", dereliction_file, "--trace", str(tmp_path / "missing" / "t.json")]
+    assert main(argv + (["-o", str(out)] if to_file else [])) == 2
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # the reading end is closed before the writer writes: no invalid: line,
+    # no traceback, and the code a shell reports for a writer SIGPIPE ended
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratnet.cli", "gen", "--seed", "3", "--size", "12"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_gen_deterministic(tmp_path):

@@ -10,13 +10,15 @@ the same normal form, byte for byte under ``save``, and the same
 from __future__ import annotations
 
 import sys
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-from stratnet import builder, interactive
-from stratnet.interactive import _swap_sites, identity_net, interactive_l3_check
-from stratnet.formula import Atom, OfCourse, Tensor
+from stratnet import builder, correctness, interactive, net as net_mod, rewrite
+from stratnet.interactive import _swap_sites, _test_base, atom_sites, identity_net, interactive_l3_check
+from stratnet.formula import Atom, OfCourse, Tensor, bullet_formula, parse_formula
 from stratnet.net import parr_closure, save
 
 from conftest import make_unstable_membership_net
@@ -93,14 +95,75 @@ def test_oracle_on_criterion_1_nets(monkeypatch):
     assert observed.compositions == observed.reductions <= len(nets) < levels
 
 
+@cache
+def l3_cutfree_corpus(seed: int) -> tuple:
+    """The benchmark's l3-cutfree nets for a seed, closed."""
+    return tuple(parr_closure(n) for _, n in L3CutFree().stratified(seed))
+
+
 def test_one_reduction_per_check_on_the_l3_cutfree_corpus(monkeypatch):
     # the benchmark's seed-201 l3-cutfree corpus: 300 nets and 710 levels,
     # so reducing once per level would take 710 reductions
     observed = Observed(monkeypatch)
-    nets = [parr_closure(n) for _, n in L3CutFree().stratified(201)]
+    nets = l3_cutfree_corpus(201)
     levels = sum(observed.check(net) for net in nets)
     assert (len(nets), levels) == (300, 710)
     assert observed.compositions == observed.reductions == 300
+
+
+def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch):
+    # on the same corpus: one labelling of pib and one of the normal form
+    # per check, where labelling each level's view took 1,010; no traversal
+    # to rank the composite's lone cut; no quasi-indexing of the identity
+    # test, whose levels the eta-expansion counts
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(interactive, "_labelling")
+    count(net_mod, "_labelling")
+    count(rewrite, "traversal_order")
+    count(net_mod, "traversal_order")
+    count(interactive, "default_exponential_quasi_indexing")
+    count(correctness, "default_exponential_quasi_indexing")
+    nets = l3_cutfree_corpus(201)
+    for net in nets:
+        interactive_l3_check(net)
+    assert calls["_labelling"] <= 2 * len(nets) == 600
+    assert calls["traversal_order"] == calls["default_exponential_quasi_indexing"] == 0
+
+
+def assert_test_base_matches_atom_sites(a) -> None:
+    """The identity test of a, with the levels its eta-expansion counted,
+    against the identity net and its quasi-indexing levels."""
+    base, sites = _test_base(a)
+    reference = identity_net(bullet_formula(a))
+    assert sites == atom_sites(reference)
+    assert save(base) == save(reference)
+
+
+@pytest.mark.parametrize("seed", [201, 202, 203])
+def test_test_levels_equal_the_quasi_indexing_on_the_l3_cutfree_corpus(seed):
+    for net in l3_cutfree_corpus(seed):
+        assert_test_base_matches_atom_sites(net.edges[net.conclusions[0]].formula)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X", "X^", "1", "bot", "(1 @ bot)", "!X", "?X^", "#X", "##X", "!?X", "?!#X^",
+        "#(!X * ?Y^)", "!(X @ #?(Y * !Z))", "(#!X @ ?#(X^ * #Y))", "?(!(#X @ X^) * #!#Y)",
+    ],
+)
+def test_test_levels_equal_the_quasi_indexing_under_nested_modalities(text):
+    assert_test_base_matches_atom_sites(parse_formula(text))
 
 
 @pytest.mark.parametrize("level", [None, 0])

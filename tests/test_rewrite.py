@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from stratnet.formula import Atom, OfCourse, parse_formula, shift_formula
+from stratnet.formula import Atom, OfCourse, bullet_formula, parse_formula, shift_formula
 from stratnet import interactive
 from stratnet.net import nets_equal, parr_closure, save, validate
 from stratnet import builder
@@ -33,7 +33,7 @@ from stratnet.rewrite import (
 )
 
 from conftest import make_id_bang, make_unstable_membership_net
-from rewrite_oracle import oracle_normalize
+from rewrite_oracle import lift_to_source_by_walk, oracle_normalize
 from test_acceptance import cut_free_corpus
 
 X = Atom("X")
@@ -409,8 +409,10 @@ def test_exponential_ids_and_boxes_are_pinned():
 @pytest.fixture(scope="module")
 def differential_corpus():
     """Criterion 5's nets with cuts, larger random nets with boxes, the
-    doubled nets the interactive check cuts against its level tests, and
-    the four hand-made nets above."""
+    doubled nets the interactive check cuts against its level tests and
+    against its identity test (one cut each, which ``normalize`` ranks
+    without a traversal and the oracle by one), and the four hand-made
+    nets above."""
     nets = [
         axiom_between_logical_links(),
         builder.mix(nested_contraction(), nested_contraction()),
@@ -435,6 +437,11 @@ def differential_corpus():
             interactive.cut_compose(pib, [interactive.make_test(a, k).net])
             for k in interactive.test_levels(a)
         ]
+    for n in cut_free_corpus(50)[30:]:
+        closed = parr_closure(n)
+        a = closed.edges[closed.conclusions[0]].formula
+        pib = interactive.bullet_net(interactive.eta_expand(closed))
+        nets.append(interactive.cut_compose(pib, [interactive.identity_net(bullet_formula(a))]))
     return nets
 
 
@@ -445,12 +452,21 @@ def same_ids(a, b):
 @pytest.mark.parametrize("no_axiom", [False, True], ids=["all-steps", "no-axiom"])
 @pytest.mark.parametrize("strategy", ["lo", "in", "level"])
 def test_normalize_agrees_with_per_step_oracle(differential_corpus, strategy, no_axiom):
-    byte_diffs = replay_diffs = key_misses = invalid = steps = 0
+    byte_diffs = replay_diffs = key_misses = invalid = source_diffs = steps = 0
     families = set()
     for net in differential_corpus:
         nf, trace = normalize(net, strategy=strategy, no_axiom=no_axiom)
         oracle_nf, _ = oracle_normalize(net, strategy, no_axiom)
         byte_diffs += save(nf) != save(oracle_nf)
+        # The composed source map against one walk back per id, and the
+        # quasi-indexing transported through it.
+        source_diffs += any(
+            trace.lift_to_source(x) != lift_to_source_by_walk(trace, x) for x in (*nf.links, *nf.edges)
+        )
+        if no_axiom:
+            q = default_exponential_quasi_indexing(net, allow_cuts=True)
+            walked = {e: q.assignment[lift_to_source_by_walk(trace, e)] for e in nf.edges}
+            source_diffs += transport_indexing(q, trace, nf).assignment != walked
         # Both run the same exponential step; the structural validation
         # checks its box trees on its own.
         invalid += not validate(nf).ok()
@@ -479,7 +495,7 @@ def test_normalize_agrees_with_per_step_oracle(differential_corpus, strategy, no
             families.add(step.redex.kind)
         replay_diffs += not same_ids(current, nf)
         steps += len(trace.steps)
-    assert (byte_diffs, replay_diffs, key_misses, invalid) == (0, 0, 0, 0)
+    assert (byte_diffs, replay_diffs, key_misses, invalid, source_diffs) == (0, 0, 0, 0, 0)
     expected = {STEP_UNIT, STEP_MULT, STEP_EXP, STEP_PARG} | (set() if no_axiom else {STEP_AXIOM})
     assert families == expected and steps > 2000
 
