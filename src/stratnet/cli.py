@@ -148,13 +148,14 @@ def cmd_index(args) -> int:
 
 def _l3_verdicts(n: Net, methods: list[str], step_budget: int) -> dict[str, bool]:
     out: dict[str, bool] = {}
+    # The geometric and interactive routes both decide on the closed net.
+    closed = n if methods == ["indexing"] else net_mod.parr_closure(n)
     for m in methods:
         if m == "indexing":
             out[m] = correctness.is_l3_indexing_route(n, check_preconditions=False) is True
         elif m == "geometric":
-            out[m] = correctness.is_l3_geometric(n, check_preconditions=False) is True
+            out[m] = correctness.is_l3_geometric(closed, check_preconditions=False) is True
         elif m == "interactive":
-            closed = net_mod.parr_closure(n)
             out[m] = interactive.interactive_l3_check(closed, budget=step_budget).member
     return out
 
@@ -199,16 +200,34 @@ def cmd_normalize(args) -> int:
         n, strategy=args.strategy, budget=_step_budget(), no_axiom=args.no_axiom
     )
     data = net_mod.save(result, pretty=args.pretty)
-    # Open the trace, then the output, and only then write: a bad path writes nothing.
     with contextlib.ExitStack() as stack:
-        trace_fh = stack.enter_context(open(args.trace, "w")) if args.trace else None
-        if args.output:
-            stack.enter_context(open(args.output, "wb")).write(data)
+        trace_fh = stack.enter_context(_open_untruncated(args.trace)) if args.trace else None
+        out_fh = stack.enter_context(_open_untruncated(args.output)) if args.output else None
+        # Every path is open: only now are old bytes replaced.
+        for fh in filter(None, (trace_fh, out_fh)):
+            if fh.seekable():
+                fh.truncate(0)
+        if trace_fh:
+            trace_fh.write(json.dumps(trace.to_document(), indent=2 if args.pretty else None).encode())
+        if out_fh:
+            out_fh.write(data)
         else:
             print(data.decode().rstrip("\n"))
-        if trace_fh:
-            json.dump(trace.to_document(), trace_fh, indent=2 if args.pretty else None)
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _open_untruncated(path: str):
+    """Open a file to write without truncating it, and remove it again if
+    the open created it and the body fails."""
+    existed = os.path.lexists(path)
+    with open(path, "ab") as fh:
+        try:
+            yield fh
+        except BaseException:
+            if not existed:
+                os.remove(path)
+            raise
 
 
 def cmd_gen(args) -> int:

@@ -11,13 +11,15 @@ itself.
 A level-k test differs from the identity test only in the order of some
 tensor premises, which no reduction step looks at, so the decider reduces
 once, against the identity, and derives every level's normal form from
-that one.  Each normal-form block's par and tensor lift, through the trace,
-to two test blocks; the block is crossed at level k when exactly one of
-them is, and the level's verdict compares the derived net with the doubled
-form, as before.  Whether a block is crossed is read off structure alone,
-so isomorphic nets cross equally many blocks: a level whose derived net
-crosses a different number than the doubled form fails unlabelled.  The
-eta-expansion that builds the identity test counts its blocks' levels.
+that one.  The composite is built and reduced in one workspace: the one
+that doubles the net, where the identity test is then expanded, recording
+its blocks and their levels, and cut against the doubled conclusion.
+Each normal-form block's par and tensor lift, through the trace, to two
+test blocks; the block is crossed at level k when exactly one of them is,
+and the level's verdict compares the derived net with the doubled form,
+as before.  Whether a block is crossed is read off structure alone, so
+isomorphic nets cross equally many blocks: a level whose derived net
+crosses a different number than the doubled form fails unlabelled.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .formula import (
     print_formula,
 )
 from .net import Label, Link, Net, _Fresh, _form, _labelling
-from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _Workspace, normalize, normalize_no_axiom
+from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _reduce, _Workspace, normalize, normalize_no_axiom
 
 
 # -- eta-expansion ------------------------------------------------------------
@@ -55,27 +57,27 @@ from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _Workspace, normalize, n
 
 class _EtaBuilder:
     """Expands axioms into a workspace.  Each new link goes to ``where``:
-    the replaced axiom's location, or inside the box being built.  ``level``
-    gives each par and tensor built the number of paragraph, of-course and
-    why-not links below it, down to the replaced axiom's wires."""
+    the replaced axiom's location, or inside the box being built.
+    ``blocks`` records each atomic identity block built, at the level of
+    the paragraph, of-course and why-not links below it, down to the
+    replaced axiom's wires."""
 
     def __init__(self, ws: _Workspace, fresh: _Fresh):
         self.ws = ws
         self.fresh = fresh
         self.where: tuple = ("top",)
         self.depth = 0
-        self.level: dict[str, int] = {}
+        self.blocks: list[AtomSite] = []
 
     def edge(self, label: Label) -> str:
         e = self.fresh.edge()
         self.ws.edges[e] = label
         return e
 
-    def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...], where=None) -> None:
+    def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...], where=None) -> str:
         lid = self.fresh.link()
-        if kind in ("par", "tensor"):
-            self.level[lid] = self.depth
         self.ws.add_link(lid, Link(kind, premises, conclusions), where or self.where)
+        return lid
 
     def expand(self, a: Formula, da: Formula, out_neg: str, out_pos: str) -> None:
         """Build links concluding out_neg (labelled da, the dual of a) and
@@ -95,8 +97,10 @@ class _EtaBuilder:
                 self.expand(l, da.left, nl, pl)
                 self.expand(r, da.right, nr, pr)
                 neg, pos = ("par", "tensor") if isinstance(a, Tensor) else ("tensor", "par")
-                self.link(neg, (nl, nr), (out_neg,))
-                self.link(pos, (pl, pr), (out_pos,))
+                ids = {neg: self.link(neg, (nl, nr), (out_neg,)), pos: self.link(pos, (pl, pr), (out_pos,))}
+                if isinstance(l, Atom) and isinstance(r, Atom):
+                    axioms = (self.ws.producer[nl], self.ws.producer[nr])
+                    self.blocks.append(AtomSite(ids["par"], ids["tensor"], axioms, False, (self.depth,) * 2))
             case Paragraph(b):
                 nb = self.edge(Label(da.body))
                 pb = self.edge(Label(b))
@@ -145,8 +149,8 @@ def eta_expand(net: Net) -> Net:
     return _eta_expand(net)[0]
 
 
-def _eta_expand(net: Net) -> tuple[Net, dict[str, int]]:
-    """``eta_expand``, and the level of each par and tensor it built."""
+def _eta_expand(net: Net) -> tuple[Net, list[AtomSite]]:
+    """``eta_expand``, and the blocks it built, with their levels."""
     if net.cut_links():
         raise PreconditionError("eta-expansion is defined on cut-free nets")
     targets = [
@@ -156,7 +160,7 @@ def _eta_expand(net: Net) -> tuple[Net, dict[str, int]]:
         and not isinstance(net.edges[net.links[lid].conclusions[0]].formula, Atom)
     ]
     if not targets:
-        return net, {}
+        return net, []
     ws = _Workspace(net)
     eb = _EtaBuilder(ws, _Fresh(net))
     for lid in targets:
@@ -164,7 +168,7 @@ def _eta_expand(net: Net) -> tuple[Net, dict[str, int]]:
         eb.where = ws.loc[lid]
         ws.remove_link(lid)
         eb.expand(net.edges[e_pos].formula, net.edges[e_neg].formula, e_neg, e_pos)
-    return ws.freeze(eb.fresh.n), eb.level
+    return ws.freeze(eb.fresh.n), eb.blocks
 
 
 def identity_net(a: Formula) -> Net:
@@ -258,6 +262,12 @@ def _swap_sites(net: Net, sites: list[AtomSite]) -> Net:
 def bullet_net(net: Net) -> Net:
     """Double every edge label atom-wise and replace each atomic axiom with
     the identity block on the doubled atom."""
+    ws, fresh = _bullet(net)
+    return ws.freeze(fresh.n)
+
+
+def _bullet(net: Net) -> tuple[_Workspace, _Fresh]:
+    """``bullet_net``, left in its workspace with its id counter."""
     for lid in net.links:
         if net.links[lid].kind == "ax":
             f = net.edges[net.links[lid].conclusions[0]].formula
@@ -284,7 +294,7 @@ def bullet_net(net: Net) -> Net:
             ("tensor", (p1, p2), (e_pos,)),
         ):
             ws.add_link(fresh.link(), Link(kind, premises, conclusions), where)
-    return ws.freeze(fresh.n)
+    return ws, fresh
 
 
 # -- tests ---------------------------------------------------------------------
@@ -307,22 +317,21 @@ def make_test(a: Formula, k: int) -> Test:
 
 
 def test_levels(a: Formula) -> list[int]:
-    return _levels(*_test_base(a))
+    return _levels(_test_base(a)[1])
 
 
 def _test_base(a: Formula) -> tuple[Net, list[AtomSite]]:
-    """The identity net of the doubled formula and its blocks: what every
-    test of a shares.  The expanded axiom concludes the net, so its block
-    levels are those of the default quasi-indexing, as in ``atom_sites``."""
-    base, level = _eta_expand(builder.ax(bullet_formula(a)))
-    return base, [replace(s, levels=(level[s.par], level[s.tensor])) for s in _blocks(base)]
+    """The identity net of the doubled formula and its blocks, in the order
+    of ``_blocks``: what every test of a shares.  The expanded axiom
+    concludes the net, so its block levels are those of the default
+    quasi-indexing, as in ``atom_sites``."""
+    base, blocks = _eta_expand(builder.ax(bullet_formula(a)))
+    return base, sorted(blocks, key=lambda s: s.par)
 
 
-def _levels(base: Net, sites: list[AtomSite]) -> list[int]:
-    if not base.links:
-        return []
-    levels = sorted({s.level for s in sites if s.level is not None})
-    return list(range(0, (max(levels) + 1) if levels else 0))
+def _levels(sites: list[AtomSite]) -> list[int]:
+    """The levels of a test: zero up to its deepest block."""
+    return list(range(1 + max((s.level for s in sites), default=-1)))
 
 
 # -- composition ----------------------------------------------------------------
@@ -432,25 +441,24 @@ def interactive_l3_check(
         raise PreconditionError("the interactive check needs a cut-free net; normalize first")
     if len(net.conclusions) != 1:
         raise PreconditionError("the interactive check needs a single conclusion; close the net first")
-    a = net.edges[net.conclusions[0]].formula
-    base, sites = _test_base(a)
-    levels = _levels(base, sites)
+    pib, ws, cut, sites = _identity_cut(net)
+    levels = _levels(sites)
     if level is not None:
         if level not in levels:
+            a = net.edges[net.conclusions[0]].formula
             raise PreconditionError(
                 f"{level} is not a level of {print_formula(a)}; its levels are {levels}"
             )
         levels = [level]
     if not levels:
         return InteractiveReport(True, ())
-    pib = bullet_net(eta_expand(net))
     pib_sites = _blocks(pib)
     pib_crossed = sum(s.crossed for s in pib_sites)
     pib_rank, pib_encoding = _labelling(pib)
     pib_form = _form(pib_encoding)
-    theta, lmap = builder._relabel(base, _Fresh(pib, base))  # as cut_compose would name it
-    level_of = {lmap[lid]: s.level for s in sites for lid in (s.par, s.tensor)}
-    nf, trace = normalize(cut_compose(pib, [theta]), budget=budget)
+    level_of = {lid: s.level for s in sites for lid in (s.par, s.tensor)}
+    trace = _reduce(ws, {cut: (0,)}, budget=budget)
+    nf = ws.freeze()
     nf_sites = _blocks(nf)
     # The levels of the test blocks that each block's par and tensor lift to.
     ends = [tuple(level_of.get(trace.lift_to_source(x)) for x in (s.par, s.tensor)) for s in nf_sites]
@@ -475,6 +483,23 @@ def interactive_l3_check(
             residue_swapping = _swap_residue((sites_k, *view(plain)), (pib_sites, pib_rank, pib_encoding))
         reports.append(LevelReport(k, passed, 0 if passed else swapped, residue_swapping))
     return InteractiveReport(all(r.passed for r in reports), tuple(reports))
+
+
+def _identity_cut(net: Net) -> tuple[Net, _Workspace, str, list[AtomSite]]:
+    """``pib``, the doubled eta-expansion of a closed cut-free net; its
+    workspace, which goes on to hold ``pib`` cut against the identity test
+    of its conclusion (``cut_compose`` up to the test's ids); the cut; and
+    the test's blocks, with their levels."""
+    ws, fresh = _bullet(eta_expand(net))
+    pib = ws.freeze(fresh.n)
+    (c,) = ws.conclusions
+    a = ws.edges[c].formula
+    eb = _EtaBuilder(ws, fresh)
+    neg, pos = eb.edge(Label(dual(a))), eb.edge(Label(a))
+    eb.expand(a, dual(a), neg, pos)
+    cut = eb.link("cut", (c, neg), ())
+    ws.conclusions = [pos]
+    return pib, ws, cut, eb.blocks
 
 
 def _crossed_at(k: int, sites: list[AtomSite], ends: list[tuple]) -> list[AtomSite]:

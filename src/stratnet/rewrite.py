@@ -1,13 +1,15 @@
 """Cut-elimination engine: redex discovery, the five step families,
 normalization strategies, and residue tracking.
 
-``normalize`` reduces one mutable net, ``_Workspace``, from start to
-finish.  The workspace owns the links and edges, their producer and
-consumer maps, and the box tree with each link's place in it; a step edits
-them in place around its cut and records its lift map, and the immutable
-``Net`` is built once, at the end.  The trace composes the lift maps
-forward, once, when an id is first lifted to the input.  ``apply_step``
-runs the same step code on a fresh workspace and freezes after one step.
+``normalize`` loads the net into one mutable net, ``_Workspace``, and
+reduces it there with ``_reduce``, which the interactive check also runs
+on a workspace it fills itself.  The workspace owns the links and edges,
+their producer and consumer maps, and the box tree with each link's place
+in it; a step edits them in place around its cut and records its lift
+map, and the immutable ``Net`` is built once, at the end.  The trace
+composes the lift maps forward, once, when an id is first lifted to the
+input.  ``apply_step`` runs the same step code on a fresh workspace and
+freezes after one step.
 
 The workspace is the one way to edit a net, and the rule for where a link
 sits in the box tree is written once, in ``_place``.  ``add_link`` puts a
@@ -596,8 +598,16 @@ def normalize(
         return net, RewriteTrace(())
     ws = _Workspace(net)
     order = traversal_order(net) if len(cuts) > 1 else {cuts[0]: 0}
-    rank: dict[str, tuple[int, ...]] = {c: (order[c],) for c in cuts}
-    levels = _plain_levels(net) if strategy == "level" else {}
+    levels = _plain_levels(net) if strategy == "level" else None
+    trace = _reduce(ws, {c: (order[c],) for c in cuts}, strategy, budget, no_axiom, levels)
+    return (ws.freeze() if trace.steps else net), trace
+
+
+def _reduce(
+    ws: _Workspace, rank: dict[str, tuple], strategy="lo", budget=DEFAULT_STEP_BUDGET, no_axiom=False, levels=None
+) -> RewriteTrace:
+    """``normalize``'s reduction loop, in place on a workspace whose cuts
+    are the keys of ``rank``; ``levels`` are the ``level`` strategy's."""
 
     def enqueue(cut: str) -> None:
         family = ws.family(cut)
@@ -616,7 +626,7 @@ def normalize(
         heapq.heappush(heap, (key, cut))
 
     heap: list[tuple] = []
-    for c in cuts:
+    for c in rank:
         enqueue(c)
     steps: list[Step] = []
     while heap:
@@ -638,7 +648,7 @@ def normalize(
             if origin is not None:
                 rank[c] = rank[origin] + (i,)
             enqueue(c)
-    return (ws.freeze() if steps else net), RewriteTrace(tuple(steps))
+    return RewriteTrace(tuple(steps))
 
 
 def normalize_no_axiom(

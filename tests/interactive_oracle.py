@@ -36,7 +36,7 @@ def oracle_level_normal_forms(
         raise PreconditionError("the interactive check needs a single conclusion; close the net first")
     a = net.edges[net.conclusions[0]].formula
     base, sites = _test_base(a)
-    levels = _levels(base, sites)
+    levels = _levels(sites)
     if level is not None:
         if level not in levels:
             raise PreconditionError(

@@ -271,6 +271,36 @@ def test_normalize_writes_nothing_when_the_trace_path_fails(dereliction_file, tm
     assert not out.exists() and capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("other_exists", [False, True], ids=["other-new", "other-existing"])
+@pytest.mark.parametrize("failing", ["-o", "--trace"])
+def test_failed_normalize_leaves_every_path_as_it_was(dereliction_file, tmp_path, capsys, failing, other_exists):
+    # whichever output path fails, the other output is neither created nor
+    # truncated
+    other = tmp_path / "other.json"
+    if other_exists:
+        other.write_bytes(b"old bytes")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    paths = {"-o": str(other), "--trace": str(other)}
+    paths[failing] = str(tmp_path / "missing" / "out.json")
+    argv = ["normalize", dereliction_file, *(x for option_path in paths.items() for x in option_path)]
+    assert main(argv) == 2
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert capsys.readouterr().out == ""
+
+
+def test_normalize_replaces_longer_existing_outputs(tmp_path):
+    # outputs opened without truncation are still emptied before writing
+    left, _ = make_unstable_membership_net()
+    p = write_net(tmp_path, "left.json", left)
+    fresh = [tmp_path / "nf.json", tmp_path / "t.json"]
+    stale = [tmp_path / "old-nf.json", tmp_path / "old-t.json"]
+    for path in stale:
+        path.write_bytes(b"x" * 100_000)
+    for nf, trace in (fresh, stale):
+        assert main(["normalize", p, "-o", str(nf), "--trace", str(trace)]) == 0
+    assert [path.read_bytes() for path in stale] == [path.read_bytes() for path in fresh]
+
+
 def test_closed_stdout_pipe_exits_141_quietly():
     # the reading end is closed before the writer writes: no invalid: line,
     # no traceback, and the code a shell reports for a writer SIGPIPE ended

@@ -19,6 +19,7 @@ import pytest
 from stratnet import builder, correctness, interactive, net as net_mod, rewrite
 from stratnet.interactive import _swap_sites, _test_base, atom_sites, identity_net, interactive_l3_check
 from stratnet.formula import Atom, OfCourse, Tensor, bullet_formula, parse_formula
+from stratnet.cli import main
 from stratnet.net import parr_closure, save
 
 from conftest import make_unstable_membership_net
@@ -31,30 +32,35 @@ from workloads import L3CutFree  # noqa: E402
 
 class Observed:
     """Counts the decider's compositions and reductions, and keeps the
-    normal form it derives for each level."""
+    normal form it derives for each level.  The decider builds its
+    composite in a workspace, before it knows the levels, and reduces it
+    there: each reduction is of the composite just built."""
 
     def __init__(self, monkeypatch):
         self.compositions = self.reductions = 0
-        self.nf = None
+        self.composed = self.nf = None
         self.derived: list[tuple[int, bytes]] = []
-        compose, reduce, crossed_at = interactive.cut_compose, interactive.normalize, interactive._crossed_at
+        compose, reduce, crossed_at = interactive._identity_cut, interactive._reduce, interactive._crossed_at
 
         def counted_compose(*args, **kwargs):
             self.compositions += 1
-            return compose(*args, **kwargs)
+            self.composed = compose(*args, **kwargs)
+            return self.composed
 
-        def kept_normalize(*args, **kwargs):
+        def kept_reduce(ws, *args, **kwargs):
+            assert ws is self.composed[1]
             self.reductions += 1
-            self.nf, trace = reduce(*args, **kwargs)
-            return self.nf, trace
+            trace = reduce(ws, *args, **kwargs)
+            self.nf = ws.freeze()
+            return trace
 
         def kept_crossed_at(k, *args):
             crossed = crossed_at(k, *args)
             self.derived.append((k, save(_swap_sites(self.nf, crossed))))
             return crossed
 
-        monkeypatch.setattr(interactive, "cut_compose", counted_compose)
-        monkeypatch.setattr(interactive, "normalize", kept_normalize)
+        monkeypatch.setattr(interactive, "_identity_cut", counted_compose)
+        monkeypatch.setattr(interactive, "_reduce", kept_reduce)
         monkeypatch.setattr(interactive, "_crossed_at", kept_crossed_at)
 
     def check(self, net, level: int | None = None) -> int:
@@ -88,17 +94,24 @@ def test_oracle_on_reference_nets(
 
 def test_oracle_on_criterion_1_nets(monkeypatch):
     # every eighth net of criterion 1's corpus (125 nets): the oracle costs
-    # a reduction per level
+    # a reduction per level; one net has no level, so its composite is not
+    # reduced
     observed = Observed(monkeypatch)
     nets = [parr_closure(n) for n in cut_free_corpus(1000)[::8]]
     levels = sum(observed.check(net) for net in nets)
-    assert observed.compositions == observed.reductions <= len(nets) < levels
+    assert observed.reductions <= observed.compositions == len(nets) < levels
+
+
+@cache
+def l3_cutfree_nets(seed: int) -> tuple:
+    """The benchmark's l3-cutfree nets for a seed."""
+    return tuple(n for _, n in L3CutFree().stratified(seed))
 
 
 @cache
 def l3_cutfree_corpus(seed: int) -> tuple:
     """The benchmark's l3-cutfree nets for a seed, closed."""
-    return tuple(parr_closure(n) for _, n in L3CutFree().stratified(seed))
+    return tuple(map(parr_closure, l3_cutfree_nets(seed)))
 
 
 def test_one_reduction_per_check_on_the_l3_cutfree_corpus(monkeypatch):
@@ -138,6 +151,50 @@ def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch
         interactive_l3_check(net)
     assert calls["_labelling"] <= 2 * len(nets) == 600
     assert calls["traversal_order"] == calls["default_exponential_quasi_indexing"] == 0
+
+
+def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys):
+    # l3 --method all on the same 300 nets, unclosed: the check builds its
+    # composite in the workspace that doubles the net, so nothing renames
+    # the identity test (300 calls before), nothing composes nets (300),
+    # nothing loads the composite into a second workspace or the identity
+    # test into a third (900 workspaces), far fewer nets are made (3,563),
+    # and the CLI closes each net once for both routes that need it (600)
+    calls = Counter()
+
+    def count(name, *modules):
+        for module in modules:
+            fn = getattr(module, name)
+
+            def counted(*args, fn=fn, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+    def count_made(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            calls[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    paths = []
+    for i, net in enumerate(l3_cutfree_nets(201)):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_bytes(save(net))
+    count("_relabel", builder)
+    count("cut_compose", interactive)
+    count("parr_closure", net_mod, correctness)
+    count_made(rewrite._Workspace)
+    count_made(net_mod.Net)
+    for path in paths:
+        assert main(["l3", "--method", "all", str(path)]) in (0, 1)
+    assert '"verdicts"' in capsys.readouterr().out
+    assert (calls["_relabel"], calls["cut_compose"], calls["parr_closure"]) == (0, 0, 300)
+    assert calls["_Workspace"] <= 300 and calls["Net"] <= 2000
 
 
 def assert_test_base_matches_atom_sites(a) -> None:

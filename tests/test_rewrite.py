@@ -24,6 +24,7 @@ from stratnet.rewrite import (
     STEP_PARG,
     STEP_UNIT,
     _plain_levels,
+    _reduce,
     apply_step,
     find_redexes,
     normalize,
@@ -411,8 +412,9 @@ def differential_corpus():
     """Criterion 5's nets with cuts, larger random nets with boxes, the
     doubled nets the interactive check cuts against its level tests and
     against its identity test (one cut each, which ``normalize`` ranks
-    without a traversal and the oracle by one), and the four hand-made
-    nets above."""
+    without a traversal and the oracle by one), the latter both as
+    ``cut_compose`` names them and as the check builds them, and the four
+    hand-made nets above."""
     nets = [
         axiom_between_logical_links(),
         builder.mix(nested_contraction(), nested_contraction()),
@@ -442,7 +444,28 @@ def differential_corpus():
         a = closed.edges[closed.conclusions[0]].formula
         pib = interactive.bullet_net(interactive.eta_expand(closed))
         nets.append(interactive.cut_compose(pib, [interactive.identity_net(bullet_formula(a))]))
+        nets.append(check_composite(closed))
     return nets
+
+
+def check_composite(closed):
+    """The composite the interactive check reduces, frozen."""
+    _, ws, _, _ = interactive._identity_cut(closed)
+    return ws.freeze()
+
+
+def test_the_check_reduces_its_composite_as_normalize_does():
+    # The check reduces the workspace it built the composite in; normalize
+    # loads the frozen composite into a new one.  Same steps, lift maps,
+    # ids and dict orders, so the per-step oracle covers the check.
+    for n in cut_free_corpus(50):
+        closed = parr_closure(n)
+        _, ws, cut, _ = interactive._identity_cut(closed)
+        nf, trace = normalize(ws.freeze())
+        assert _reduce(ws, {cut: (0,)}) == trace
+        in_place = ws.freeze()
+        assert same_ids(in_place, nf)
+        assert (list(in_place.links), list(in_place.edges)) == (list(nf.links), list(nf.edges))
 
 
 def same_ids(a, b):
