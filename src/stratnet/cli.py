@@ -15,6 +15,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 import sys
 
 from . import builder, correctness, interactive, net as net_mod, rewrite
@@ -149,14 +150,14 @@ def cmd_index(args) -> int:
 def _l3_verdicts(n: Net, methods: list[str], step_budget: int) -> dict[str, bool]:
     out: dict[str, bool] = {}
     # The geometric and interactive routes both decide on the closed net.
-    closed = n if methods == ["indexing"] else net_mod.parr_closure(n)
+    closed = functools.cache(lambda: net_mod.parr_closure(n))
     for m in methods:
         if m == "indexing":
             out[m] = correctness.is_l3_indexing_route(n, check_preconditions=False) is True
         elif m == "geometric":
-            out[m] = correctness.is_l3_geometric(closed, check_preconditions=False) is True
+            out[m] = correctness.is_l3_geometric(closed(), check_preconditions=False) is True
         elif m == "interactive":
-            out[m] = interactive.interactive_l3_check(closed, budget=step_budget).member
+            out[m] = interactive.interactive_l3_check(closed(), budget=step_budget).member
     return out
 
 
@@ -205,7 +206,7 @@ def cmd_normalize(args) -> int:
         out_fh = stack.enter_context(_open_untruncated(args.output)) if args.output else None
         # Every path is open: only now are old bytes replaced.
         for fh in filter(None, (trace_fh, out_fh)):
-            if fh.seekable():
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate(0)
         if trace_fh:
             trace_fh.write(json.dumps(trace.to_document(), indent=2 if args.pretty else None).encode())

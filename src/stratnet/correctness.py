@@ -497,8 +497,7 @@ def is_l3_geometric(net: Net, check_preconditions: bool = True) -> bool | Balanc
     its exponential and paragraph crossings."""
     if check_preconditions:
         _require_l3_preconditions(net)
-    # A net with one conclusion, as the CLI passes, is its own par-closure.
-    result = solve_indexing(net if len(net.conclusions) == 1 else parr_closure(net), "exponential")
+    result = solve_indexing(parr_closure(net), "exponential")
     return result if isinstance(result, BalanceWitness) else True
 
 

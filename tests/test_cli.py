@@ -301,6 +301,12 @@ def test_normalize_replaces_longer_existing_outputs(tmp_path):
     assert [path.read_bytes() for path in stale] == [path.read_bytes() for path in fresh]
 
 
+def test_normalize_writes_to_character_devices(dereliction_file, capsys):
+    # a device is written, not truncated: ftruncate fails on one
+    assert main(["normalize", dereliction_file, "-o", os.devnull, "--trace", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_closed_stdout_pipe_exits_141_quietly():
     # the reading end is closed before the writer writes: no invalid: line,
     # no traceback, and the code a shell reports for a writer SIGPIPE ended

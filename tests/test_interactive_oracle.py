@@ -94,12 +94,13 @@ def test_oracle_on_reference_nets(
 
 def test_oracle_on_criterion_1_nets(monkeypatch):
     # every eighth net of criterion 1's corpus (125 nets): the oracle costs
-    # a reduction per level; one net has no level, so its composite is not
-    # reduced
+    # a reduction per level; every check composes, and reduces once exactly
+    # when it has a level to test (one of these nets has none)
     observed = Observed(monkeypatch)
     nets = [parr_closure(n) for n in cut_free_corpus(1000)[::8]]
-    levels = sum(observed.check(net) for net in nets)
-    assert observed.reductions <= observed.compositions == len(nets) < levels
+    levels = [observed.check(net) for net in nets]
+    assert observed.compositions == len(nets) < sum(levels)
+    assert observed.reductions == sum(map(bool, levels)) == len(nets) - 1
 
 
 @cache
@@ -159,7 +160,8 @@ def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys
     # the identity test (300 calls before), nothing composes nets (300),
     # nothing loads the composite into a second workspace or the identity
     # test into a third (900 workspaces), far fewer nets are made (3,563),
-    # and the CLI closes each net once for both routes that need it (600)
+    # and the CLI closes each net once for both routes that need it (600
+    # closings of a net with more than one conclusion)
     calls = Counter()
 
     def count(name, *modules):
@@ -187,7 +189,14 @@ def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys
         paths[-1].write_bytes(save(net))
     count("_relabel", builder)
     count("cut_compose", interactive)
-    count("parr_closure", net_mod, correctness)
+    for module in (net_mod, correctness):
+        close = module.parr_closure
+
+        def counted_closure(net, close=close):
+            calls["parr_closure"] += len(net.conclusions) > 1
+            return close(net)
+
+        monkeypatch.setattr(module, "parr_closure", counted_closure)
     count_made(rewrite._Workspace)
     count_made(net_mod.Net)
     for path in paths:
