@@ -174,6 +174,9 @@ def _l3_one(path: str, method: str, step_budget: int, pretty: bool) -> int:
             file=sys.stderr,
         )
         return EXIT_INVALID
+    if "interactive" in methods and not n.conclusions:
+        print(f"{path}: the interactive method needs a net with a conclusion", file=sys.stderr)
+        return EXIT_INVALID
     if not correctness.is_dr_correct(n):
         print(f"{path}: not a DR-net, membership is undefined", file=sys.stderr)
         return EXIT_INVALID

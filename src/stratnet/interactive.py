@@ -15,24 +15,19 @@ that one.  The composite is built and reduced in one workspace: the one
 that doubles the net, where the identity test is then expanded, recording
 its blocks and their levels, and cut against the doubled conclusion.
 Each normal-form block's par and tensor lift, through the trace, to two
-test blocks; the block is crossed at level k when exactly one of them is,
-and the level's verdict compares the derived net with the doubled form,
-as before.  Whether a block is crossed is read off structure alone, so
-isomorphic nets cross equally many blocks: a level whose derived net
-crosses a different number than the doubled form fails unlabelled.
+test blocks; the block is crossed at level k when exactly one of them is.
+The doubled form crosses no block, so a level passes when its derived net
+crosses none and, uncrossed, has the doubled form's canonical form.  The
+test's block levels are those its eta-expansion records; their reference,
+``atom_sites``, is kept in ``tests/interactive_oracle.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cache
+from dataclasses import dataclass
 
 from . import builder
-from .correctness import (
-    Indexing,
-    PreconditionError,
-    default_exponential_quasi_indexing,
-)
+from .correctness import PreconditionError
 from .formula import (
     Atom,
     Bottom,
@@ -48,7 +43,7 @@ from .formula import (
     dual,
     print_formula,
 )
-from .net import Label, Link, Net, _Fresh, _form, _labelling
+from .net import Label, Link, Net, _Fresh, _labelling, canonical_form
 from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _reduce, _Workspace, normalize, normalize_no_axiom
 
 
@@ -189,8 +184,9 @@ def swap_net() -> Net:
 @dataclass(frozen=True)
 class AtomSite:
     """One atomic identity (or swap) block: two axioms joined by one par and
-    one tensor.  Levels are the default quasi-indexing values of the par and
-    tensor conclusion wires; blocks found by ``_blocks`` leave them unread."""
+    one tensor.  Levels are the depths of the par and tensor below
+    paragraph, of-course and why-not links, as ``_EtaBuilder`` records
+    them; blocks found by ``_blocks`` leave them unread."""
 
     par: str
     tensor: str
@@ -203,17 +199,8 @@ class AtomSite:
         return self.levels[0] if self.levels[0] == self.levels[1] else None
 
 
-def atom_sites(net: Net, indexing: Indexing | None = None) -> list[AtomSite]:
-    """Locate every atomic identity/swap block, with its levels.  The net
-    must be of doubled shape: every axiom is atomic and feeds exactly one
-    par and one tensor forming a block."""
-    quasi = (indexing or default_exponential_quasi_indexing(net)).assignment
-    level = {lid: quasi[link.conclusions[0]] for lid, link in net.links.items() if link.kind in ("par", "tensor")}
-    return [replace(s, levels=(level[s.par], level[s.tensor])) for s in _blocks(net)]
-
-
 def _blocks(net: Net) -> list[AtomSite]:
-    """The blocks of ``atom_sites``, without their levels."""
+    """Every atomic identity/swap block of the net, without levels."""
     sites: list[AtomSite] = []
     for lid in sorted(net.links):
         link = net.links[lid]
@@ -324,7 +311,7 @@ def _test_base(a: Formula) -> tuple[Net, list[AtomSite]]:
     """The identity net of the doubled formula and its blocks, in the order
     of ``_blocks``: what every test of a shares.  The expanded axiom
     concludes the net, so its block levels are those of the default
-    quasi-indexing, as in ``atom_sites``."""
+    quasi-indexing."""
     base, blocks = _eta_expand(builder.ax(bullet_formula(a)))
     return base, sorted(blocks, key=lambda s: s.par)
 
@@ -452,36 +439,23 @@ def interactive_l3_check(
         levels = [level]
     if not levels:
         return InteractiveReport(True, ())
-    pib_sites = _blocks(pib)
-    pib_crossed = sum(s.crossed for s in pib_sites)
-    pib_rank, pib_encoding = _labelling(pib)
-    pib_form = _form(pib_encoding)
+    pib_form = canonical_form(pib)
     level_of = {lid: s.level for s in sites for lid in (s.par, s.tensor)}
     trace = _reduce(ws, {cut: (0,)}, budget=budget)
     nf = ws.freeze()
     nf_sites = _blocks(nf)
     # The levels of the test blocks that each block's par and tensor lift to.
     ends = [tuple(level_of.get(trace.lift_to_source(x)) for x in (s.par, s.tensor)) for s in nf_sites]
-    plain = frozenset(s.tensor for s in nf_sites if s.crossed)
-
-    @cache
-    def view(flip: frozenset[str]) -> tuple[dict[str, int], list]:
-        """Labelling of the normal form with the blocks of these tensors crossed."""
-        return _labelling(_swap_sites(nf, [s for s in nf_sites if s.tensor in flip]))
-
+    # Every level's normal form, its blocks uncrossed, is the identity's.
+    same = canonical_form(_swap_sites(nf, [s for s in nf_sites if s.crossed])) == pib_form
     reports: list[LevelReport] = []
     for k in levels:
-        flip = frozenset(s.tensor for s in _crossed_at(k, nf_sites, ends))
+        flip = {s.tensor for s in _crossed_at(k, nf_sites, ends)}
         swapped = sum(s.crossed != (s.tensor in flip) for s in nf_sites)
-        # Isomorphic nets cross equally many blocks, so only a view that
-        # crosses as many as pib is labelled.
-        passed = swapped == pib_crossed and _form(view(flip)[1]) == pib_form
-        residue_swapping = False
-        if not passed:
-            sites_k = [replace(s, crossed=s.crossed != (s.tensor in flip)) for s in nf_sites]
-            # Unswapped, every level's normal form is the identity's.
-            residue_swapping = _swap_residue((sites_k, *view(plain)), (pib_sites, pib_rank, pib_encoding))
-        reports.append(LevelReport(k, passed, 0 if passed else swapped, residue_swapping))
+        # pib crosses no block, so a level's normal form is pib exactly
+        # when it crosses none and is pib once uncrossed.
+        passed = same and swapped == 0
+        reports.append(LevelReport(k, passed, swapped, same and not passed))
     return InteractiveReport(all(r.passed for r in reports), tuple(reports))
 
 
@@ -514,34 +488,17 @@ def _crossed_at(k: int, sites: list[AtomSite], ends: list[tuple]) -> list[AtomSi
 def swapping_compare(a: Net, b: Net) -> bool:
     """True iff a is b with at least one identity block turned into a swap
     block (and no change in the other direction)."""
-    return _swap_residue(_unswapped(a), _unswapped(b))
-
-
-def _unswapped(net: Net) -> tuple[list[AtomSite], dict[str, int], list]:
-    """The net's blocks, and the canonical order and encoding of the net
-    with every swap block turned back into an identity block."""
-    sites = _blocks(net)
-    plain = _swap_sites(net, [s for s in sites if s.crossed])
-    return (sites, *_labelling(plain))
-
-
-def _swap_residue(
-    a: tuple[list[AtomSite], dict[str, int], list], b: tuple[list[AtomSite], dict[str, int], list]
-) -> bool:
-    """swapping_compare on the _unswapped views of both nets."""
-    (sa, rank_a, form_a), (sb, rank_b, form_b) = a, b
-    if len(sa) != len(sb) or form_a != form_b:
-        return False
-    # Crossed-flags of the blocks, by the canonical rank of their tensors.
-    flags_a = [s.crossed for s in sorted(sa, key=lambda s: rank_a[s.tensor])]
-    flags_b = [s.crossed for s in sorted(sb, key=lambda s: rank_b[s.tensor])]
-    strict = 0
-    for fa, fb in zip(flags_a, flags_b):
-        if fa and not fb:
-            strict += 1
-        elif fb and not fa:
-            return False
-    return strict > 0
+    views = []
+    for net in (a, b):
+        # The encoding of the net with every swap block turned back into an
+        # identity block, and the crossed-flags of its blocks by the
+        # canonical rank of their tensors there.
+        sites = _blocks(net)
+        rank, encoding = _labelling(_swap_sites(net, [s for s in sites if s.crossed]))
+        views.append((encoding, [s.crossed for s in sorted(sites, key=lambda s: rank[s.tensor])]))
+    (form_a, flags_a), (form_b, flags_b) = views
+    # Equal forms have as many blocks, ranked alike.
+    return form_a == form_b and flags_a != flags_b and all(fa >= fb for fa, fb in zip(flags_a, flags_b))
 
 
 # -- feet --------------------------------------------------------------------------
@@ -639,7 +596,6 @@ __all__ = [
     "identity_net",
     "swap_net",
     "AtomSite",
-    "atom_sites",
     "bullet_net",
     "Test",
     "make_test",

@@ -1,5 +1,6 @@
 """The per-level interactive check, kept as the reference for
-``stratnet.interactive.interactive_l3_check``.
+``stratnet.interactive.interactive_l3_check``, and ``atom_sites``, the
+reference for the block levels that the check's eta-expansion records.
 
 For every level it builds the level's test, cuts the doubled net against
 it, normalizes the composite and labels the normal form; the decider reads
@@ -8,21 +9,34 @@ every level off one reduction against the identity test instead.
 
 from __future__ import annotations
 
-from stratnet.correctness import PreconditionError
+from dataclasses import replace
+
+from stratnet.correctness import PreconditionError, default_exponential_quasi_indexing
 from stratnet.formula import print_formula
 from stratnet.interactive import (
+    AtomSite,
     LevelReport,
+    _blocks,
     _levels,
-    _swap_residue,
     _swap_sites,
     _test_base,
-    _unswapped,
     bullet_net,
     cut_compose,
     eta_expand,
+    swapping_compare,
 )
 from stratnet.net import Net, canonical_form
 from stratnet.rewrite import DEFAULT_STEP_BUDGET, normalize
+
+
+def atom_sites(net: Net) -> list[AtomSite]:
+    """Locate every atomic identity/swap block, with the default
+    quasi-indexing values of its par and tensor conclusion wires as its
+    levels.  The net must be of doubled shape: every axiom is atomic and
+    feeds exactly one par and one tensor forming a block."""
+    quasi = default_exponential_quasi_indexing(net).assignment
+    level = {lid: quasi[link.conclusions[0]] for lid, link in net.links.items() if link.kind in ("par", "tensor")}
+    return [replace(s, levels=(level[s.par], level[s.tensor])) for s in _blocks(net)]
 
 
 def oracle_level_normal_forms(
@@ -52,8 +66,7 @@ def oracle_level_normal_forms(
         passed = canonical_form(nf) == pib_form
         swapped, residue_swapping = 0, False
         if not passed:
-            nf_unswapped = _unswapped(nf)
-            swapped = sum(1 for s in nf_unswapped[0] if s.crossed)
-            residue_swapping = _swap_residue(nf_unswapped, _unswapped(pib))
+            swapped = sum(s.crossed for s in _blocks(nf))
+            residue_swapping = swapping_compare(nf, pib)
         out.append((k, nf, LevelReport(k, passed, swapped, residue_swapping)))
     return out

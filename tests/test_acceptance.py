@@ -27,7 +27,6 @@ from stratnet.correctness import (
     solve_indexing,
 )
 from stratnet.interactive import (
-    atom_sites,
     bullet_net,
     compose,
     cut_compose,
@@ -53,6 +52,7 @@ from conftest import (
     make_unstable_membership_net,
     tensor_loop_net,
 )
+from interactive_oracle import atom_sites
 
 
 def report(number: int, ok: bool, description: str) -> None:

@@ -191,6 +191,20 @@ def test_l3_interactive_rejects_cuts(tmp_path, capsys):
     assert main(["l3", "--method", "indexing", p]) == 1
 
 
+def test_l3_goes_on_after_a_net_without_conclusion(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"edges":[],"links":[],"boxes":[],"conclusions":[]}')
+    g = str(tmp_path / "g.json")
+    main(["gen", "--seed", "3", "--size", "12", "--cut-bias", "0", "-o", g])
+    assert main(["l3", "--method", "all", str(empty), g]) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["file"] for line in out.splitlines()] == [g]
+    assert err == f"{empty}: the interactive method needs a net with a conclusion\n"
+    for method in ("indexing", "geometric"):
+        assert main(["l3", "--method", method, str(empty)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"] == {method: True}
+
+
 def test_normalize_then_member(tmp_path, capsys):
     left, right = make_unstable_membership_net()
     p = write_net(tmp_path, "left.json", left)
@@ -604,13 +618,20 @@ def mutated_documents(draw):
 @given(st.one_of(RANDOM_DOCUMENTS, mutated_documents(), mutated_documents()))
 def test_every_command_exits_0_to_3_on_any_document(doc):
     # the exit-code contract on hostile input: 0-3, never a traceback; each
-    # failure found here is kept as a probe in BOUNDARY_PROBES
+    # failure found here is kept as a probe in BOUNDARY_PROBES; the commands
+    # that take several files decide a valid net given after the document
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"STRATNET_BUDGET": "200"}):
-        path = os.path.join(tmp, "doc.json")
+        path, valid = os.path.join(tmp, "doc.json"), os.path.join(tmp, "valid.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
+        with open(valid, "wb") as fh:
+            fh.write(save(builder.ax(X)))
         for command in FUZZ_COMMANDS:
+            several = command[0] in ("l3", "check")
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(command + [path])
+                code = main(command + [path] + [valid] * several)
             assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), (command, code, err.getvalue())
+            if several:
+                lines = out.getvalue().splitlines()
+                assert lines and json.loads(lines[-1])["file"] == valid, (command, code, err.getvalue())

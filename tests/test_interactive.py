@@ -23,7 +23,6 @@ from stratnet.correctness import (
 )
 from stratnet.interactive import (
     CompositionError,
-    atom_sites,
     bullet_net,
     compose,
     cut_compose,
@@ -39,6 +38,8 @@ from stratnet.interactive import (
 )
 from stratnet.interactive import test_levels as level_range
 from stratnet.rewrite import normalize, normalize_no_axiom, transport_indexing
+
+from interactive_oracle import atom_sites
 
 X = Atom("X")
 Y = Atom("Y")

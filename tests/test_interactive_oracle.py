@@ -17,13 +17,13 @@ from pathlib import Path
 import pytest
 
 from stratnet import builder, correctness, interactive, net as net_mod, rewrite
-from stratnet.interactive import _swap_sites, _test_base, atom_sites, identity_net, interactive_l3_check
+from stratnet.interactive import _swap_sites, _test_base, identity_net, interactive_l3_check
 from stratnet.formula import Atom, OfCourse, Tensor, bullet_formula, parse_formula
 from stratnet.cli import main
-from stratnet.net import parr_closure, save
+from stratnet.net import Link, parr_closure, save
 
 from conftest import make_unstable_membership_net
-from interactive_oracle import oracle_level_normal_forms
+from interactive_oracle import atom_sites, oracle_level_normal_forms
 from test_acceptance import cut_free_corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -129,7 +129,8 @@ def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch
     # on the same corpus: one labelling of pib and one of the normal form
     # per check, where labelling each level's view took 1,010; no traversal
     # to rank the composite's lone cut; no quasi-indexing of the identity
-    # test, whose levels the eta-expansion counts
+    # test, whose levels the eta-expansion counts; one block scan, of the
+    # normal form, since pib crosses no block (scanning pib too took 600)
     calls = Counter()
 
     def count(module, name):
@@ -145,13 +146,45 @@ def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch
     count(net_mod, "_labelling")
     count(rewrite, "traversal_order")
     count(net_mod, "traversal_order")
-    count(interactive, "default_exponential_quasi_indexing")
     count(correctness, "default_exponential_quasi_indexing")
+    count(interactive, "_blocks")
     nets = l3_cutfree_corpus(201)
     for net in nets:
         interactive_l3_check(net)
     assert calls["_labelling"] <= 2 * len(nets) == 600
+    assert calls["_blocks"] <= len(nets) == 300
     assert calls["traversal_order"] == calls["default_exponential_quasi_indexing"] == 0
+
+
+def test_the_verdict_compares_the_normal_form_with_pib(monkeypatch):
+    # after the reduction, exchange the premises of one tensor that no
+    # block holds and whose premises differ in label: the crossed blocks
+    # stay as they were, but the normal form, uncrossed, is no longer pib,
+    # so every level fails and no residue is a block swapping
+    reduce = interactive._reduce
+    changed = []
+
+    def reduce_and_change(ws, *args, **kwargs):
+        trace = reduce(ws, *args, **kwargs)
+        in_blocks = {s.tensor for s in interactive._blocks(ws.freeze())}
+        for lid, link in ws.links.items():
+            if link.kind == "tensor" and lid not in in_blocks and len({ws.edges[e] for e in link.premises}) == 2:
+                ws.put_link(lid, Link("tensor", link.premises[::-1], link.conclusions))
+                changed.append(lid)
+                break
+        return trace
+
+    monkeypatch.setattr(interactive, "_reduce", reduce_and_change)
+    uncrossed = 0
+    for net in l3_cutfree_corpus(201)[:60]:
+        before = len(changed)
+        report = interactive_l3_check(net)
+        if len(changed) > before:
+            assert not any(r.passed or r.residue_is_swapping for r in report.levels)
+            uncrossed += sum(r.swapped_sites == 0 for r in report.levels)
+    # 39 nets have such a tensor; their 25 levels whose normal form crosses
+    # no block fail by the comparison alone
+    assert (len(changed), uncrossed) == (39, 25)
 
 
 def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys):
