@@ -255,7 +255,10 @@ def cmd_gen(args) -> int:
 def cmd_test(args) -> int:
     n = _read_net(args.file)
     if n.cut_links():
-        print("the interactive tests need a cut-free net; run normalize first", file=sys.stderr)
+        print(
+            "invalid: the interactive tests need a cut-free net; run normalize first",
+            file=sys.stderr,
+        )
         return EXIT_INVALID
     if not n.conclusions:
         print("invalid: the interactive tests need a net with a conclusion", file=sys.stderr)

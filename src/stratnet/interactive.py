@@ -17,7 +17,8 @@ its blocks and their levels, and cut against the doubled conclusion.
 Each normal-form block's par and tensor lift, through the trace, to two
 test blocks; the block is crossed at level k when exactly one of them is.
 The doubled form crosses no block, so a level passes when its derived net
-crosses none and, uncrossed, has the doubled form's canonical form.  The
+crosses none and, uncrossed, equals the doubled form under ``nets_equal``,
+whose walk proves most such pairs isomorphic without labelling either.  The
 test's block levels are those its eta-expansion records; their reference,
 ``atom_sites``, is kept in ``tests/interactive_oracle.py``.
 """
@@ -43,7 +44,7 @@ from .formula import (
     dual,
     print_formula,
 )
-from .net import Label, Link, Net, _Fresh, _labelling, canonical_form
+from .net import Label, Link, Net, _Fresh, _labelling, nets_equal
 from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _reduce, _Workspace, normalize, normalize_no_axiom
 
 
@@ -439,7 +440,6 @@ def interactive_l3_check(
         levels = [level]
     if not levels:
         return InteractiveReport(True, ())
-    pib_form = canonical_form(pib)
     level_of = {lid: s.level for s in sites for lid in (s.par, s.tensor)}
     trace = _reduce(ws, {cut: (0,)}, budget=budget)
     nf = ws.freeze()
@@ -447,7 +447,7 @@ def interactive_l3_check(
     # The levels of the test blocks that each block's par and tensor lift to.
     ends = [tuple(level_of.get(trace.lift_to_source(x)) for x in (s.par, s.tensor)) for s in nf_sites]
     # Every level's normal form, its blocks uncrossed, is the identity's.
-    same = canonical_form(_swap_sites(nf, [s for s in nf_sites if s.crossed])) == pib_form
+    same = nets_equal(_swap_sites(nf, [s for s in nf_sites if s.crossed]), pib)
     reports: list[LevelReport] = []
     for k in levels:
         flip = {s.tensor for s in _crossed_at(k, nf_sites, ends)}

@@ -649,6 +649,17 @@ def _edge_order(net: Net, by_rank: list[str], rank: Mapping[str, int], lab: Mapp
     return out
 
 
+def _box_place(net: Net, lid: str) -> tuple[int, str | None]:
+    """A link's box role (0 plain, 1 box principal, 2 box auxiliary) and
+    the principal of the box it borders as an auxiliary, else of the
+    innermost box around it.  Together over all links they fix the boxes."""
+    box = net.box_of_border_link(lid)
+    if box is not None and box.principal != lid:
+        return 2, box.principal
+    chain = net.enclosing_boxes(lid)
+    return int(box is not None), chain[-1].principal if chain else None
+
+
 class _Canonicalizer:
     """Canonical labelling of one net.  The part reached from the
     conclusions is labelled as one piece; every closed component (one with
@@ -661,20 +672,13 @@ class _Canonicalizer:
         self.index = index = {lid: i for i, lid in enumerate(ids)}
         self.lab = lab = {e: str(l) for e, l in net.edges.items()}
         position = {e: i for i, e in enumerate(net.conclusions)}
-        # role: 0 plain, 1 box principal, 2 box auxiliary; up: the principal
-        # of the box an auxiliary borders, else of the innermost box around.
         self.role: dict[str, int] = {}
         self.up: dict[str, str | None] = {}
         ports: list[list[tuple[int, tuple[int, int, str]]]] = [[] for _ in ids]
         self.keys: list[tuple] = []
         for i, lid in enumerate(ids):
             link = net.links[lid]
-            box = net.box_of_border_link(lid)
-            if box is not None and box.principal != lid:
-                role, up = 2, box.principal
-            else:
-                chain = net.enclosing_boxes(lid)
-                role, up = int(box is not None), chain[-1].principal if chain else None
+            role, up = _box_place(net, lid)
             self.role[lid], self.up[lid] = role, up
             if up is not None:
                 ports[i].append((index[up], (2, role, "")))
@@ -961,8 +965,77 @@ def _form(encoding: list) -> bytes:
 
 
 def nets_equal(a: Net, b: Net) -> bool:
-    """Equality up to id renaming and reordering of unordered structure."""
-    return canonical_form(a) == canonical_form(b)
+    """Equality up to id renaming and reordering of unordered structure.
+    A walk that pairs the nets from their conclusions proves most equal
+    pairs in linear time; when it finds no isomorphism, the canonical
+    forms decide."""
+    return _walk_isomorphic(a, b) or canonical_form(a) == canonical_form(b)
+
+
+def _walk_isomorphic(a: Net, b: Net) -> bool:
+    """Walk both nets from their conclusions in step, pairing links and
+    edges one to one: conclusions in order, premises slot by slot, an
+    axiom's conclusions by label.  A cut is reached through one premise,
+    which fixes the other; a why-not's premises not yet paired are paired
+    in stored order, a guess, so False proves nothing.  True means the
+    pairing covers every link and keeps kinds, labels (by identity, as they
+    are interned), premise slots, box roles and boxes: an isomorphism in
+    ``canonical_form``'s sense."""
+    if len(a.links) != len(b.links) or len(a.conclusions) != len(b.conclusions):
+        return False
+    link_to: dict[str, str] = {}
+    edge_to: dict[str, str] = {}
+    todo: list[tuple[str, str]] = []
+
+    def pair_link(x: str, y: str) -> bool:
+        if x not in link_to:
+            link_to[x] = y
+            todo.append((x, y))
+        return link_to[x] == y
+
+    def pair_edge(e: str, f: str) -> bool:
+        if e in edge_to:
+            return edge_to[e] == f
+        edge_to[e] = f
+        ca, cb = a.consumer(e), b.consumer(f)
+        return (
+            a.edges[e] is b.edges[f]
+            and (ca is None) == (cb is None)
+            and pair_link(a.producer(e), b.producer(f))
+            and (ca is None or pair_link(ca, cb))
+        )
+
+    if not all(pair_edge(e, f) for e, f in zip(a.conclusions, b.conclusions)):
+        return False
+    while todo:
+        x, y = todo.pop()
+        lx, ly = a.links[x], b.links[y]
+        if (lx.kind, len(lx.premises), len(lx.conclusions)) != (
+            ly.kind, len(ly.premises), len(ly.conclusions)
+        ):
+            return False
+        premises = ly.premises
+        if lx.kind in UNORDERED_PREMISES:
+            partners = [edge_to.get(e) for e in lx.premises]
+            rest = iter([f for f in premises if f not in partners])
+            premises = [next(rest, None) if f is None else f for f in partners]
+        conclusions = ly.conclusions
+        if lx.kind == "ax" and a.edges[lx.conclusions[0]] is not b.edges[conclusions[0]]:
+            conclusions = conclusions[::-1]
+        if not all(
+            f is not None and pair_edge(e, f)
+            for e, f in zip(lx.premises + lx.conclusions, (*premises, *conclusions))
+        ):
+            return False
+    # Each paired edge keeps its producer's and consumer's pairing, so a
+    # one-to-one pairing of all links pairs all edges one to one.
+    if len(link_to) != len(a.links) or len(set(link_to.values())) != len(link_to):
+        return False
+    for x, y in link_to.items():
+        role, up = _box_place(a, x)
+        if _box_place(b, y) != (role, None if up is None else link_to[up]):
+            return False
+    return True
 
 
 def renumber(net: Net) -> Net:

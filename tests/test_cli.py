@@ -409,8 +409,13 @@ def test_test_command_autocloses(tmp_path, capsys):
 
 def test_test_command_rejects_cuts(tmp_path, capsys):
     left, _ = make_unstable_membership_net()
-    p = write_net(tmp_path, "left.json", left)
-    assert main(["test", p]) == 2
+    generated = str(tmp_path / "g.json")
+    assert main(["gen", "--seed", "3", "--size", "12", "--cut-bias", "0.5", "-o", generated]) == 0
+    for p in (write_net(tmp_path, "left.json", left), generated):
+        capsys.readouterr()
+        assert main(["test", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and err.count("\n") == 1
 
 
 def test_several_files(tmp_path, capsys):
