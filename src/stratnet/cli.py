@@ -170,12 +170,12 @@ def _l3_one(path: str, method: str, step_budget: int, pretty: bool) -> int:
     methods = ["indexing", "geometric", "interactive"] if method == "all" else [method]
     if "interactive" in methods and n.cut_links():
         print(
-            f"{path}: the interactive method needs a cut-free net; run normalize first",
+            f"{path}: invalid: the interactive method needs a cut-free net; run normalize first",
             file=sys.stderr,
         )
         return EXIT_INVALID
     if "interactive" in methods and not n.conclusions:
-        print(f"{path}: the interactive method needs a net with a conclusion", file=sys.stderr)
+        print(f"{path}: invalid: the interactive method needs a net with a conclusion", file=sys.stderr)
         return EXIT_INVALID
     if not correctness.is_dr_correct(n):
         print(f"{path}: not a DR-net, membership is undefined", file=sys.stderr)

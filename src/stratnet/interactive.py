@@ -9,23 +9,26 @@ cutting its doubled form against the test reduces back to the doubled form
 itself.
 
 A level-k test differs from the identity test only in the order of some
-tensor premises, which no reduction step looks at, so the decider reduces
-once, against the identity, and derives every level's normal form from
-that one.  The composite is built and reduced in one workspace: the one
-that doubles the net, where the identity test is then expanded, recording
-its blocks and their levels, and cut against the doubled conclusion.
-Each normal-form block's par and tensor lift, through the trace, to two
-test blocks; the block is crossed at level k when exactly one of them is.
-The doubled form crosses no block, so a level passes when its derived net
-crosses none and, uncrossed, equals the doubled form under ``nets_equal``,
-whose walk proves most such pairs isomorphic without labelling either.  The
-test's block levels are those its eta-expansion records; their reference,
-``atom_sites``, is kept in ``tests/interactive_oracle.py``.
+tensor premises, which no reduction step looks at, and doubling commutes
+with cut-elimination: a doubled atomic identity block reduces as the atomic
+axiom it replaces.  So the decider reduces once, undoubled: the
+eta-expanded net is cut against the identity test of its conclusion, in
+one workspace, where the test is expanded recording the level of each atom
+position it builds.  Each atomic axiom of the normal form is a block of
+the doubled one, whose par and tensor are the two test links that consume
+the axiom's ends, lifted through the trace; the block is crossed at level
+k when exactly one of their two positions is at level k.  The doubled form
+crosses no block, so a level passes when none is crossed and the normal
+form equals the eta-expanded net under ``nets_equal``.  The doubled
+reduction and the per-level one are kept as oracles in
+``tests/interactive_oracle.py``, with ``atom_sites``, the reference for
+the test's block levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 from . import builder
 from .correctness import PreconditionError
@@ -54,16 +57,18 @@ from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _reduce, _Workspace, nor
 class _EtaBuilder:
     """Expands axioms into a workspace.  Each new link goes to ``where``:
     the replaced axiom's location, or inside the box being built.
-    ``blocks`` records each atomic identity block built, at the level of
-    the paragraph, of-course and why-not links below it, down to the
-    replaced axiom's wires."""
+    ``levels`` records the level of each atom position built, the number
+    of paragraph, of-course and why-not links below it down to the
+    replaced axiom's wires, keyed by the new link and premise slot that
+    consume the position; ``atoms`` holds the positions not yet consumed."""
 
     def __init__(self, ws: _Workspace, fresh: _Fresh):
         self.ws = ws
         self.fresh = fresh
         self.where: tuple = ("top",)
         self.depth = 0
-        self.blocks: list[AtomSite] = []
+        self.atoms: dict[str, int] = {}
+        self.levels: dict[tuple[str, int], int] = {}
 
     def edge(self, label: Label) -> str:
         e = self.fresh.edge()
@@ -73,6 +78,9 @@ class _EtaBuilder:
     def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...], where=None) -> str:
         lid = self.fresh.link()
         self.ws.add_link(lid, Link(kind, premises, conclusions), where or self.where)
+        for slot, e in enumerate(premises):
+            if e in self.atoms:
+                self.levels[lid, slot] = self.atoms.pop(e)
         return lid
 
     def expand(self, a: Formula, da: Formula, out_neg: str, out_pos: str) -> None:
@@ -81,6 +89,7 @@ class _EtaBuilder:
         match a:
             case Atom():
                 self.link("ax", (), (out_neg, out_pos))
+                self.atoms[out_neg] = self.atoms[out_pos] = self.depth
             case One() | Bottom():
                 neg, pos = ("bot", "one") if isinstance(a, One) else ("one", "bot")
                 self.link(neg, (), (out_neg,))
@@ -93,10 +102,8 @@ class _EtaBuilder:
                 self.expand(l, da.left, nl, pl)
                 self.expand(r, da.right, nr, pr)
                 neg, pos = ("par", "tensor") if isinstance(a, Tensor) else ("tensor", "par")
-                ids = {neg: self.link(neg, (nl, nr), (out_neg,)), pos: self.link(pos, (pl, pr), (out_pos,))}
-                if isinstance(l, Atom) and isinstance(r, Atom):
-                    axioms = (self.ws.producer[nl], self.ws.producer[nr])
-                    self.blocks.append(AtomSite(ids["par"], ids["tensor"], axioms, False, (self.depth,) * 2))
+                self.link(neg, (nl, nr), (out_neg,))
+                self.link(pos, (pl, pr), (out_pos,))
             case Paragraph(b):
                 nb = self.edge(Label(da.body))
                 pb = self.edge(Label(b))
@@ -145,8 +152,8 @@ def eta_expand(net: Net) -> Net:
     return _eta_expand(net)[0]
 
 
-def _eta_expand(net: Net) -> tuple[Net, list[AtomSite]]:
-    """``eta_expand``, and the blocks it built, with their levels."""
+def _eta_expand(net: Net) -> tuple[Net, dict[tuple[str, int], int]]:
+    """``eta_expand``, and the levels of the atom positions it built."""
     if net.cut_links():
         raise PreconditionError("eta-expansion is defined on cut-free nets")
     targets = [
@@ -156,7 +163,7 @@ def _eta_expand(net: Net) -> tuple[Net, list[AtomSite]]:
         and not isinstance(net.edges[net.links[lid].conclusions[0]].formula, Atom)
     ]
     if not targets:
-        return net, []
+        return net, {}
     ws = _Workspace(net)
     eb = _EtaBuilder(ws, _Fresh(net))
     for lid in targets:
@@ -164,7 +171,7 @@ def _eta_expand(net: Net) -> tuple[Net, list[AtomSite]]:
         eb.where = ws.loc[lid]
         ws.remove_link(lid)
         eb.expand(net.edges[e_pos].formula, net.edges[e_neg].formula, e_neg, e_pos)
-    return ws.freeze(eb.fresh.n), eb.blocks
+    return ws.freeze(eb.fresh.n), eb.levels
 
 
 def identity_net(a: Formula) -> Net:
@@ -185,9 +192,9 @@ def swap_net() -> Net:
 @dataclass(frozen=True)
 class AtomSite:
     """One atomic identity (or swap) block: two axioms joined by one par and
-    one tensor.  Levels are the depths of the par and tensor below
-    paragraph, of-course and why-not links, as ``_EtaBuilder`` records
-    them; blocks found by ``_blocks`` leave them unread."""
+    one tensor.  Levels are those of the positions the par and the tensor
+    consume, as ``_EtaBuilder`` records them; blocks found by ``_blocks``
+    leave them unread."""
 
     par: str
     tensor: str
@@ -250,12 +257,6 @@ def _swap_sites(net: Net, sites: list[AtomSite]) -> Net:
 def bullet_net(net: Net) -> Net:
     """Double every edge label atom-wise and replace each atomic axiom with
     the identity block on the doubled atom."""
-    ws, fresh = _bullet(net)
-    return ws.freeze(fresh.n)
-
-
-def _bullet(net: Net) -> tuple[_Workspace, _Fresh]:
-    """``bullet_net``, left in its workspace with its id counter."""
     for lid in net.links:
         if net.links[lid].kind == "ax":
             f = net.edges[net.links[lid].conclusions[0]].formula
@@ -282,7 +283,7 @@ def _bullet(net: Net) -> tuple[_Workspace, _Fresh]:
             ("tensor", (p1, p2), (e_pos,)),
         ):
             ws.add_link(fresh.link(), Link(kind, premises, conclusions), where)
-    return ws, fresh
+    return ws.freeze(fresh.n)
 
 
 # -- tests ---------------------------------------------------------------------
@@ -305,7 +306,7 @@ def make_test(a: Formula, k: int) -> Test:
 
 
 def test_levels(a: Formula) -> list[int]:
-    return _levels(_test_base(a)[1])
+    return _levels(s.level for s in _test_base(a)[1])
 
 
 def _test_base(a: Formula) -> tuple[Net, list[AtomSite]]:
@@ -313,13 +314,13 @@ def _test_base(a: Formula) -> tuple[Net, list[AtomSite]]:
     of ``_blocks``: what every test of a shares.  The expanded axiom
     concludes the net, so its block levels are those of the default
     quasi-indexing."""
-    base, blocks = _eta_expand(builder.ax(bullet_formula(a)))
-    return base, sorted(blocks, key=lambda s: s.par)
+    base, level = _eta_expand(builder.ax(bullet_formula(a)))
+    return base, [replace(s, levels=(level[s.par, 0], level[s.tensor, 0])) for s in _blocks(base)]
 
 
-def _levels(sites: list[AtomSite]) -> list[int]:
-    """The levels of a test: zero up to its deepest block."""
-    return list(range(1 + max((s.level for s in sites), default=-1)))
+def _levels(levels: Iterable[int]) -> list[int]:
+    """The levels of a test: zero up to its deepest block or atom."""
+    return list(range(1 + max(levels, default=-1)))
 
 
 # -- composition ----------------------------------------------------------------
@@ -422,15 +423,15 @@ def interactive_l3_check(
 ) -> InteractiveReport:
     """Cut the doubled form against the test of every level (or of the one
     level given) and demand it reduce back to itself, all by one reduction
-    against the identity test (see the module docstring).  Levels range
-    over the blocks of the identity net of the doubled conclusion; higher
+    of the undoubled net against the identity test (see the module
+    docstring).  Levels range over the atoms of the conclusion; higher
     tests equal the identity and pass trivially."""
     if net.cut_links():
         raise PreconditionError("the interactive check needs a cut-free net; normalize first")
     if len(net.conclusions) != 1:
         raise PreconditionError("the interactive check needs a single conclusion; close the net first")
-    pib, ws, cut, sites = _identity_cut(net)
-    levels = _levels(sites)
+    eta, ws, cut, level_of = _identity_cut(net)
+    levels = _levels(level_of.values())
     if level is not None:
         if level not in levels:
             a = net.edges[net.conclusions[0]].formula
@@ -440,46 +441,39 @@ def interactive_l3_check(
         levels = [level]
     if not levels:
         return InteractiveReport(True, ())
-    level_of = {lid: s.level for s in sites for lid in (s.par, s.tensor)}
     trace = _reduce(ws, {cut: (0,)}, budget=budget)
-    nf = ws.freeze()
-    nf_sites = _blocks(nf)
-    # The levels of the test blocks that each block's par and tensor lift to.
-    ends = [tuple(level_of.get(trace.lift_to_source(x)) for x in (s.par, s.tensor)) for s in nf_sites]
-    # Every level's normal form, its blocks uncrossed, is the identity's.
-    same = nets_equal(_swap_sites(nf, [s for s in nf_sites if s.crossed]), pib)
+    # The levels of the test positions that each axiom's ends lift to.
+    ends: dict[str, list] = {}
+    for lid, link in ws.links.items():
+        for slot, e in enumerate(link.premises):
+            if ws.kind_of_producer(e) == "ax":
+                ends.setdefault(ws.producer[e], []).append(level_of.get((trace.lift_to_source(lid), slot)))
+    same = nets_equal(ws.freeze(), eta)
     reports: list[LevelReport] = []
     for k in levels:
-        flip = {s.tensor for s in _crossed_at(k, nf_sites, ends)}
-        swapped = sum(s.crossed != (s.tensor in flip) for s in nf_sites)
-        # pib crosses no block, so a level's normal form is pib exactly
-        # when it crosses none and is pib once uncrossed.
-        passed = same and swapped == 0
-        reports.append(LevelReport(k, passed, swapped, same and not passed))
+        crossed = sum(pair.count(k) == 1 for pair in ends.values())
+        # pib crosses no block, so a level's doubled normal form is pib
+        # exactly when it crosses none and the normal form is the net.
+        passed = same and crossed == 0
+        reports.append(LevelReport(k, passed, crossed, same and not passed))
     return InteractiveReport(all(r.passed for r in reports), tuple(reports))
 
 
-def _identity_cut(net: Net) -> tuple[Net, _Workspace, str, list[AtomSite]]:
-    """``pib``, the doubled eta-expansion of a closed cut-free net; its
-    workspace, which goes on to hold ``pib`` cut against the identity test
-    of its conclusion (``cut_compose`` up to the test's ids); the cut; and
-    the test's blocks, with their levels."""
-    ws, fresh = _bullet(eta_expand(net))
-    pib = ws.freeze(fresh.n)
+def _identity_cut(net: Net) -> tuple[Net, _Workspace, str, dict[tuple[str, int], int]]:
+    """The eta-expansion of a closed cut-free net; a workspace that holds
+    it cut against the identity test of its conclusion (``cut_compose`` up
+    to the test's ids); the cut; and the level of each atom position of
+    the test, keyed by the test link and premise slot that consume it."""
+    eta = eta_expand(net)
+    ws = _Workspace(eta)
     (c,) = ws.conclusions
     a = ws.edges[c].formula
-    eb = _EtaBuilder(ws, fresh)
+    eb = _EtaBuilder(ws, _Fresh(eta))
     neg, pos = eb.edge(Label(dual(a))), eb.edge(Label(a))
     eb.expand(a, dual(a), neg, pos)
     cut = eb.link("cut", (c, neg), ())
     ws.conclusions = [pos]
-    return pib, ws, cut, eb.blocks
-
-
-def _crossed_at(k: int, sites: list[AtomSite], ends: list[tuple]) -> list[AtomSite]:
-    """The normal-form blocks whose wires pass through exactly one crossed
-    block of the level-k test."""
-    return [s for s, (p, t) in zip(sites, ends) if (p == k) != (t == k)]
+    return eta, ws, cut, eb.levels
 
 
 # -- comparison up to block swaps -------------------------------------------------

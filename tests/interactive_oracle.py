@@ -1,10 +1,15 @@
-"""The per-level interactive check, kept as the reference for
-``stratnet.interactive.interactive_l3_check``, and ``atom_sites``, the
-reference for the block levels that the check's eta-expansion records.
+"""Two references for ``stratnet.interactive.interactive_l3_check``, and
+``atom_sites``, the reference for the block levels that the eta-expansion
+of a test records.
 
-For every level it builds the level's test, cuts the doubled net against
-it, normalizes the composite and labels the normal form; the decider reads
-every level off one reduction against the identity test instead.
+``oracle_level_normal_forms`` builds each level's test, cuts the doubled
+net against it, normalizes the composite and labels the normal form.
+``doubled_l3_check`` reduces the doubled net once, against the identity
+test of its doubled conclusion, and derives every level's normal form from
+that reduction: a normal-form block is crossed at level k when its par and
+tensor lift to test blocks of which exactly one is at level k.  The
+decider reduces the undoubled net instead, where each such block is one
+atomic axiom.
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 from stratnet.correctness import PreconditionError, default_exponential_quasi_indexing
-from stratnet.formula import print_formula
+from stratnet.formula import dual, print_formula
 from stratnet.interactive import (
     AtomSite,
+    InteractiveReport,
     LevelReport,
     _blocks,
+    _EtaBuilder,
     _levels,
     _swap_sites,
     _test_base,
@@ -25,8 +32,8 @@ from stratnet.interactive import (
     eta_expand,
     swapping_compare,
 )
-from stratnet.net import Net, canonical_form
-from stratnet.rewrite import DEFAULT_STEP_BUDGET, normalize
+from stratnet.net import Label, Net, _Fresh, canonical_form, nets_equal
+from stratnet.rewrite import DEFAULT_STEP_BUDGET, _reduce, _Workspace, normalize
 
 
 def atom_sites(net: Net) -> list[AtomSite]:
@@ -50,7 +57,7 @@ def oracle_level_normal_forms(
         raise PreconditionError("the interactive check needs a single conclusion; close the net first")
     a = net.edges[net.conclusions[0]].formula
     base, sites = _test_base(a)
-    levels = _levels(sites)
+    levels = _levels(s.level for s in sites)
     if level is not None:
         if level not in levels:
             raise PreconditionError(
@@ -70,3 +77,79 @@ def oracle_level_normal_forms(
             residue_swapping = swapping_compare(nf, pib)
         out.append((k, nf, LevelReport(k, passed, swapped, residue_swapping)))
     return out
+
+
+def doubled_l3_check(
+    net: Net, budget: int = DEFAULT_STEP_BUDGET, level: int | None = None
+) -> InteractiveReport:
+    """The interactive check by one reduction of the doubled net against
+    the doubled identity test, every level's normal form derived from it."""
+    if net.cut_links():
+        raise PreconditionError("the interactive check needs a cut-free net; normalize first")
+    if len(net.conclusions) != 1:
+        raise PreconditionError("the interactive check needs a single conclusion; close the net first")
+    pib, ws, cut, sites = _identity_cut(net)
+    levels = _levels(s.level for s in sites)
+    if level is not None:
+        if level not in levels:
+            a = net.edges[net.conclusions[0]].formula
+            raise PreconditionError(
+                f"{level} is not a level of {print_formula(a)}; its levels are {levels}"
+            )
+        levels = [level]
+    if not levels:
+        return InteractiveReport(True, ())
+    level_of = {lid: s.level for s in sites for lid in (s.par, s.tensor)}
+    trace = _reduce(ws, {cut: (0,)}, budget=budget)
+    nf = ws.freeze()
+    nf_sites = _blocks(nf)
+    # The levels of the test blocks that each block's par and tensor lift to.
+    ends = [tuple(level_of.get(trace.lift_to_source(x)) for x in (s.par, s.tensor)) for s in nf_sites]
+    # Every level's normal form, its blocks uncrossed, is the identity's.
+    same = nets_equal(_swap_sites(nf, [s for s in nf_sites if s.crossed]), pib)
+    reports: list[LevelReport] = []
+    for k in levels:
+        flip = {s.tensor for s in _crossed_at(k, nf_sites, ends)}
+        swapped = sum(s.crossed != (s.tensor in flip) for s in nf_sites)
+        # pib crosses no block, so a level's normal form is pib exactly
+        # when it crosses none and is pib once uncrossed.
+        passed = same and swapped == 0
+        reports.append(LevelReport(k, passed, swapped, same and not passed))
+    return InteractiveReport(all(r.passed for r in reports), tuple(reports))
+
+
+def _identity_cut(net: Net) -> tuple[Net, _Workspace, str, list[AtomSite]]:
+    """``pib``, the doubled eta-expansion of a closed cut-free net; its
+    workspace, which goes on to hold ``pib`` cut against the identity test
+    of its conclusion (``cut_compose`` up to the test's ids); the cut; and
+    the test's blocks, with their levels."""
+    pib = bullet_net(eta_expand(net))
+    ws, fresh = _Workspace(pib), _Fresh(pib)
+    (c,) = ws.conclusions
+    a = ws.edges[c].formula
+    eb = _EtaBuilder(ws, fresh)
+    neg, pos = eb.edge(Label(dual(a))), eb.edge(Label(a))
+    eb.expand(a, dual(a), neg, pos)
+    cut = eb.link("cut", (c, neg), ())
+    ws.conclusions = [pos]
+    return pib, ws, cut, _recorded_blocks(ws, eb.levels)
+
+
+def _recorded_blocks(ws: _Workspace, level: dict[tuple[str, int], int]) -> list[AtomSite]:
+    """The blocks of the test just expanded into the workspace, with the
+    levels its eta-expansion recorded: each par both of whose premises are
+    recorded atom positions, with the tensor its axioms also feed."""
+    sites = []
+    for (lid, slot), k in level.items():
+        link = ws.links[lid]
+        if slot == 0 and link.kind == "par" and (lid, 1) in level:
+            axioms = tuple(ws.producer[e] for e in link.premises)
+            other = next(e for e in ws.links[axioms[0]].conclusions if e != link.premises[0])
+            sites.append(AtomSite(lid, ws.consumer[other], axioms, False, (k, k)))
+    return sites
+
+
+def _crossed_at(k: int, sites: list[AtomSite], ends: list[tuple]) -> list[AtomSite]:
+    """The normal-form blocks whose wires pass through exactly one crossed
+    block of the level-k test."""
+    return [s for s, (p, t) in zip(sites, ends) if (p == k) != (t == k)]

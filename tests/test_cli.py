@@ -191,6 +191,20 @@ def test_l3_interactive_rejects_cuts(tmp_path, capsys):
     assert main(["l3", "--method", "indexing", p]) == 1
 
 
+def test_l3_marks_a_net_with_cuts_invalid(tmp_path, capsys):
+    # the exit-2 line for a net with cuts carries the invalid: marker of
+    # l3's other exit-2 lines, and l3 goes on to the next file
+    cut = str(tmp_path / "cut.json")
+    g = str(tmp_path / "g.json")
+    main(["gen", "--seed", "3", "--size", "12", "--cut-bias", "0.5", "-o", cut])
+    main(["gen", "--seed", "3", "--size", "12", "--cut-bias", "0", "-o", g])
+    capsys.readouterr()
+    assert main(["l3", "--method", "all", cut, g]) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["file"] for line in out.splitlines()] == [g]
+    assert err == f"{cut}: invalid: the interactive method needs a cut-free net; run normalize first\n"
+
+
 def test_l3_goes_on_after_a_net_without_conclusion(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"edges":[],"links":[],"boxes":[],"conclusions":[]}')
@@ -199,7 +213,7 @@ def test_l3_goes_on_after_a_net_without_conclusion(tmp_path, capsys):
     assert main(["l3", "--method", "all", str(empty), g]) == 2
     out, err = capsys.readouterr()
     assert [json.loads(line)["file"] for line in out.splitlines()] == [g]
-    assert err == f"{empty}: the interactive method needs a net with a conclusion\n"
+    assert err == f"{empty}: invalid: the interactive method needs a net with a conclusion\n"
     for method in ("indexing", "geometric"):
         assert main(["l3", "--method", method, str(empty)]) == 0
         assert json.loads(capsys.readouterr().out)["verdicts"] == {method: True}
@@ -382,9 +396,9 @@ def test_test_command_single_level(dereliction_file, capsys, monkeypatch):
     from stratnet import interactive
 
     derived = []
-    crossed_at = interactive._crossed_at
+    report = interactive.LevelReport
     monkeypatch.setattr(
-        interactive, "_crossed_at", lambda k, *shared: derived.append(k) or crossed_at(k, *shared)
+        interactive, "LevelReport", lambda k, *shared: derived.append(k) or report(k, *shared)
     )
     assert main(["test", "--level", "0", dereliction_file]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -506,22 +520,27 @@ def test_test_command_stdout_unchanged(tmp_path, capsys, name, level, derelictio
     assert capsys.readouterr().out == expected
 
 
+def identity_reduction_steps(net) -> int:
+    """Steps of the closed net, eta-expanded, cut against the identity net
+    of its conclusion: the one reduction of the interactive check."""
+    from stratnet.interactive import cut_compose, eta_expand, identity_net
+    from stratnet.rewrite import normalize
+
+    test = identity_net(net.edges[net.conclusions[0]].formula)
+    return len(normalize(cut_compose(eta_expand(net), [test]))[1].steps)
+
+
 @pytest.mark.parametrize("name, code", [("dereliction", 1), ("shift-source", 0)])
 def test_test_command_budget_bounds_the_identity_reduction(
     tmp_path, capsys, monkeypatch, name, code, dereliction_net, shift_source_net
 ):
-    # STRATNET_BUDGET bounds the one reduction against the identity test,
-    # whose trace is as long as every level's: exit 3 comes where it did
-    # when each level was reduced on its own
-    from stratnet.formula import bullet_formula
-    from stratnet.interactive import bullet_net, cut_compose, eta_expand, identity_net
+    # STRATNET_BUDGET bounds the one reduction, of the undoubled net
+    # against the identity test, whatever the levels tested: exit 3 one
+    # step short of it, decided at it
     from stratnet.net import parr_closure
-    from stratnet.rewrite import normalize
 
     net = parr_closure({"dereliction": dereliction_net, "shift-source": shift_source_net}[name])
-    pib = bullet_net(eta_expand(net))
-    test = identity_net(bullet_formula(net.edges[net.conclusions[0]].formula))
-    steps = len(normalize(cut_compose(pib, [test]))[1].steps)
+    steps = identity_reduction_steps(net)
     p = write_net(tmp_path, f"{name}.json", net)
     for level in ([], ["--level", "0"]):
         monkeypatch.setenv("STRATNET_BUDGET", str(steps - 1))
@@ -529,6 +548,25 @@ def test_test_command_budget_bounds_the_identity_reduction(
         assert "undecided" in capsys.readouterr().err
         monkeypatch.setenv("STRATNET_BUDGET", str(steps))
         assert main(["test", p] + level) == code
+
+
+@pytest.mark.parametrize("name, code", [("dereliction", 1), ("shift-source", 0)])
+def test_l3_budget_bounds_the_identity_reduction(
+    tmp_path, capsys, monkeypatch, name, code, dereliction_net, shift_source_net
+):
+    # the same boundary for l3 --method interactive, which closes the net
+    # itself
+    from stratnet.net import parr_closure
+
+    net = {"dereliction": dereliction_net, "shift-source": shift_source_net}[name]
+    steps = identity_reduction_steps(parr_closure(net))
+    p = write_net(tmp_path, f"{name}.json", net)
+    monkeypatch.setenv("STRATNET_BUDGET", str(steps - 1))
+    assert main(["l3", "--method", "interactive", p]) == 3
+    assert capsys.readouterr().err.startswith(f"{p}: undecided: ")
+    monkeypatch.setenv("STRATNET_BUDGET", str(steps))
+    assert main(["l3", "--method", "interactive", p]) == code
+    assert json.loads(capsys.readouterr().out)["verdicts"] == {"interactive": code == 0}
 
 
 # -- the input boundary, fuzzed --------------------------------------------------

@@ -1,14 +1,16 @@
-"""The interactive decider against the per-level oracle.
+"""The interactive decider against its oracles.
 
-The decider reduces each doubled net once, against the identity test, and
-derives every level's normal form from that reduction; the oracle
-(``interactive_oracle``) reduces once per level.  Per level, both must give
-the same normal form, byte for byte under ``save``, and the same
-``LevelReport``.
+The decider reduces each eta-expanded net once, undoubled, against the
+identity test of its conclusion.  ``interactive_oracle`` keeps the doubled
+form of that reduction, which derives every level's normal form from one
+reduction of the doubled net, and the per-level reduction.  Per level, the
+derived and the per-level normal forms must be the same, byte for byte
+under ``save``, and all three must give the same ``LevelReport``.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter
 from functools import cache
@@ -17,13 +19,15 @@ from pathlib import Path
 import pytest
 
 from stratnet import builder, correctness, interactive, net as net_mod, rewrite
+from stratnet.builder import GenParams
 from stratnet.interactive import _swap_sites, _test_base, identity_net, interactive_l3_check
 from stratnet.formula import Atom, OfCourse, Tensor, bullet_formula, parse_formula
 from stratnet.cli import main
 from stratnet.net import Link, parr_closure, save
 
+import interactive_oracle
 from conftest import make_unstable_membership_net
-from interactive_oracle import atom_sites, oracle_level_normal_forms
+from interactive_oracle import atom_sites, doubled_l3_check, oracle_level_normal_forms
 from test_acceptance import cut_free_corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -32,24 +36,27 @@ from workloads import L3CutFree  # noqa: E402
 
 class Observed:
     """Counts the decider's compositions and reductions, and keeps the
-    normal form it derives for each level.  The decider builds its
-    composite in a workspace, before it knows the levels, and reduces it
-    there: each reduction is of the composite just built."""
+    normal form that the doubled oracle derives for each level.  Both build
+    their composite in a workspace, before they know the levels, and
+    reduce it there: each reduction is of the composite just built."""
 
     def __init__(self, monkeypatch):
         self.compositions = self.reductions = 0
         self.composed = self.nf = None
         self.derived: list[tuple[int, bytes]] = []
-        compose, reduce, crossed_at = interactive._identity_cut, interactive._reduce, interactive._crossed_at
+        compose, reduce = interactive._identity_cut, interactive._reduce
 
         def counted_compose(*args, **kwargs):
             self.compositions += 1
             self.composed = compose(*args, **kwargs)
             return self.composed
 
-        def kept_reduce(ws, *args, **kwargs):
+        def counted_reduce(ws, *args, **kwargs):
             assert ws is self.composed[1]
             self.reductions += 1
+            return reduce(ws, *args, **kwargs)
+
+        def kept_reduce(ws, *args, **kwargs):
             trace = reduce(ws, *args, **kwargs)
             self.nf = ws.freeze()
             return trace
@@ -59,14 +66,17 @@ class Observed:
             self.derived.append((k, save(_swap_sites(self.nf, crossed))))
             return crossed
 
+        crossed_at = interactive_oracle._crossed_at
         monkeypatch.setattr(interactive, "_identity_cut", counted_compose)
-        monkeypatch.setattr(interactive, "_reduce", kept_reduce)
-        monkeypatch.setattr(interactive, "_crossed_at", kept_crossed_at)
+        monkeypatch.setattr(interactive, "_reduce", counted_reduce)
+        monkeypatch.setattr(interactive_oracle, "_reduce", kept_reduce)
+        monkeypatch.setattr(interactive_oracle, "_crossed_at", kept_crossed_at)
 
     def check(self, net, level: int | None = None) -> int:
-        """Compare one check with the oracle; returns the levels tested."""
+        """Compare one check with both oracles; returns the levels tested."""
         self.derived.clear()
         report = interactive_l3_check(net, level=level)
+        assert doubled_l3_check(net, level=level) == report
         expected = oracle_level_normal_forms(net, level=level)
         assert report.levels == tuple(r for _, _, r in expected)
         assert report.member == all(r.passed for r in report.levels)
@@ -74,17 +84,19 @@ class Observed:
         return len(expected)
 
 
-def test_oracle_on_reference_nets(
-    monkeypatch, shift_source_net, dereliction_net, par_shift_net, shift_par_net
-):
-    # criterion 2's nets, closed, and a few identity nets; every level
-    # alone as well as all together
-    _, unstable_normal_form = make_unstable_membership_net()
-    nets = [shift_source_net, dereliction_net, par_shift_net, shift_par_net, unstable_normal_form]
+def reference_nets(request) -> list:
+    """Criterion 2's nets and a few identity nets, closed."""
+    names = ("shift_source_net", "dereliction_net", "par_shift_net", "shift_par_net")
+    nets = [request.getfixturevalue(name) for name in names] + [make_unstable_membership_net()[1]]
     nets += [identity_net(f) for f in (Atom("X"), Tensor(Atom("X"), Atom("Y")), OfCourse(Atom("X")))]
+    return [parr_closure(n) for n in nets]
+
+
+def test_oracle_on_reference_nets(monkeypatch, request):
+    # every level alone as well as all together
     observed = Observed(monkeypatch)
     failing = 0
-    for net in map(parr_closure, nets):
+    for net in reference_nets(request):
         levels = observed.check(net)
         failing += not interactive_l3_check(net).member
         for k in range(levels):
@@ -115,6 +127,51 @@ def l3_cutfree_corpus(seed: int) -> tuple:
     return tuple(map(parr_closure, l3_cutfree_nets(seed)))
 
 
+def random_boxed_nets() -> list:
+    """Seeded closed cut-free nets heavy in boxes, contraction and
+    paragraphs, and closed compound axioms, which the check eta-expands."""
+    params = GenParams(target_size=24, cut_bias=0, exponential_bias=0.7, box_bias=0.7, paragraph_bias=0.3)
+    nets = [builder.random_net(seed, params) for seed in range(300)]
+    rng = random.Random(5)
+    nets += [builder.ax(builder.random_formula(rng, 4, params)) for _ in range(60)]
+    return [parr_closure(n) for n in nets if n.conclusions and not n.has_flat_conclusion()]
+
+
+def outcome(check, net, level):
+    """A check's report, or the text of the error it raises."""
+    try:
+        return check(net, level=level)
+    except interactive.PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("corpus", ["reference", "criterion-1", "l3-cutfree-201", "random-boxed"])
+def test_reports_equal_the_doubled_check(request, corpus):
+    # the undoubled check against the doubled one: the same report for all
+    # levels, for each level alone, and the same error for a level out of
+    # range, on every net of each corpus; the counts are nets, members and
+    # nets with a contraction
+    nets = {
+        "reference": lambda: reference_nets(request),
+        "criterion-1": lambda: [parr_closure(n) for n in cut_free_corpus(1000)],
+        "l3-cutfree-201": lambda: l3_cutfree_corpus(201),
+        "random-boxed": random_boxed_nets,
+    }[corpus]()
+    members = contracted = 0
+    for net in nets:
+        report = doubled_l3_check(net)
+        for level in [None, -1, *range(len(report.levels) + 1)]:
+            assert outcome(interactive_l3_check, net, level) == outcome(doubled_l3_check, net, level)
+        members += report.member
+        contracted += any(link.kind == "whynot" and len(link.premises) > 1 for link in net.links.values())
+    assert (len(nets), members, contracted) == {
+        "reference": (8, 5, 0),
+        "criterion-1": (1000, 320, 263),
+        "l3-cutfree-201": (300, 94, 81),
+        "random-boxed": (360, 60, 235),
+    }[corpus]
+
+
 def test_one_reduction_per_check_on_the_l3_cutfree_corpus(monkeypatch):
     # the benchmark's seed-201 l3-cutfree corpus: 300 nets and 710 levels,
     # so reducing once per level would take 710 reductions
@@ -128,12 +185,13 @@ def test_one_reduction_per_check_on_the_l3_cutfree_corpus(monkeypatch):
 def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch):
     # on the same corpus: two labellings in all, where one of pib and one
     # of the normal form per check took 600 and labelling each level's view
-    # 1,010, since nets_equal's walk proves the uncrossed normal form
-    # isomorphic to pib on 299 of the 300 checks and only the last falls
+    # 1,010, since nets_equal's walk proves the normal form isomorphic to
+    # the eta-expanded net on 299 of the 300 checks and only the last falls
     # back to both canonical forms; no traversal to rank the composite's
     # lone cut; no quasi-indexing of the identity test, whose levels the
-    # eta-expansion counts; one block scan, of the normal form, since pib
-    # crosses no block (scanning pib too took 600)
+    # eta-expansion counts; no block scan, since the undoubled normal form
+    # has one atomic axiom where the doubled one has a block (scanning the
+    # doubled normal form took 300, and scanning pib too 600)
     calls = Counter()
 
     def count(module, name):
@@ -155,23 +213,28 @@ def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch
     for net in nets:
         interactive_l3_check(net)
     assert (len(nets), calls["_labelling"]) == (300, 2)
-    assert calls["_blocks"] <= len(nets) == 300
+    assert calls["_blocks"] == 0
     assert calls["traversal_order"] == calls["default_exponential_quasi_indexing"] == 0
 
 
 def test_the_verdict_compares_the_normal_form_with_pib(monkeypatch):
     # after the reduction, exchange the premises of one tensor that no
-    # block holds and whose premises differ in label: the crossed blocks
-    # stay as they were, but the normal form, uncrossed, is no longer pib,
-    # so every level fails and no residue is a block swapping
+    # axiom feeds and whose premises differ in label: every axiom's ends
+    # lift to the test positions they lifted to, so the crossed blocks stay
+    # as they were, but the normal form is no longer the eta-expanded net,
+    # nor its doubling pib once doubled and uncrossed, so every level fails
+    # and no residue is a block swapping
     reduce = interactive._reduce
     changed = []
 
     def reduce_and_change(ws, *args, **kwargs):
         trace = reduce(ws, *args, **kwargs)
-        in_blocks = {s.tensor for s in interactive._blocks(ws.freeze())}
         for lid, link in ws.links.items():
-            if link.kind == "tensor" and lid not in in_blocks and len({ws.edges[e] for e in link.premises}) == 2:
+            if (
+                link.kind == "tensor"
+                and all(ws.kind_of_producer(e) != "ax" for e in link.premises)
+                and len({ws.edges[e] for e in link.premises}) == 2
+            ):
                 ws.put_link(lid, Link("tensor", link.premises[::-1], link.conclusions))
                 changed.append(lid)
                 break
@@ -185,19 +248,21 @@ def test_the_verdict_compares_the_normal_form_with_pib(monkeypatch):
         if len(changed) > before:
             assert not any(r.passed or r.residue_is_swapping for r in report.levels)
             uncrossed += sum(r.swapped_sites == 0 for r in report.levels)
-    # 39 nets have such a tensor; their 25 levels whose normal form crosses
+    # 19 nets have such a tensor; their 12 levels whose normal form crosses
     # no block fail by the comparison alone
-    assert (len(changed), uncrossed) == (39, 25)
+    assert (len(changed), uncrossed) == (19, 12)
 
 
 def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys):
     # l3 --method all on the same 300 nets, unclosed: the check builds its
-    # composite in the workspace that doubles the net, so nothing renames
-    # the identity test (300 calls before), nothing composes nets (300),
-    # nothing loads the composite into a second workspace or the identity
-    # test into a third (900 workspaces), far fewer nets are made (3,563),
-    # and the CLI closes each net once for both routes that need it (600
-    # closings of a net with more than one conclusion)
+    # composite in the workspace it loads the eta-expanded net into, so
+    # nothing renames the identity test (300 calls before), nothing
+    # composes nets (300), nothing loads the composite into a second
+    # workspace or the identity test into a third (900 workspaces), far
+    # fewer nets are made (3,563, then 1,763 while the check froze pib and
+    # uncrossed its doubled normal form; 1,163 now), and the CLI closes
+    # each net once for both routes that need it (600 closings of a net
+    # with more than one conclusion)
     calls = Counter()
 
     def count(name, *modules):
@@ -239,7 +304,7 @@ def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys
         assert main(["l3", "--method", "all", str(path)]) in (0, 1)
     assert '"verdicts"' in capsys.readouterr().out
     assert (calls["_relabel"], calls["cut_compose"], calls["parr_closure"]) == (0, 0, 300)
-    assert calls["_Workspace"] <= 300 and calls["Net"] <= 2000
+    assert calls["_Workspace"] <= 300 and calls["Net"] <= 1200
 
 
 def assert_test_base_matches_atom_sites(a) -> None:
