@@ -178,7 +178,7 @@ def _l3_one(path: str, method: str, step_budget: int, pretty: bool) -> int:
         print(f"{path}: invalid: the interactive method needs a net with a conclusion", file=sys.stderr)
         return EXIT_INVALID
     if not correctness.is_dr_correct(n):
-        print(f"{path}: not a DR-net, membership is undefined", file=sys.stderr)
+        print(f"{path}: invalid: not a DR-net, membership is undefined", file=sys.stderr)
         return EXIT_INVALID
     try:
         verdicts = _l3_verdicts(n, methods, step_budget)
@@ -262,6 +262,9 @@ def cmd_test(args) -> int:
         return EXIT_INVALID
     if not n.conclusions:
         print("invalid: the interactive tests need a net with a conclusion", file=sys.stderr)
+        return EXIT_INVALID
+    if not correctness.is_dr_correct(n):
+        print("invalid: the interactive tests need a switching-acyclic net", file=sys.stderr)
         return EXIT_INVALID
     if len(n.conclusions) != 1:
         print(

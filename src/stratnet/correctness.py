@@ -2,14 +2,15 @@
 deciders that rest on them.
 
 Switching acyclicity is decided per depth in polynomial time, without
-enumerating switchings.  Union-find contraction merges the ends of every
-fixed edge and merges a par or why-not link into its premises' component
-once they all lie in one; an edge inside one component closes a cycle.
-Contraction alone decides connected nets only, and nets built with mix may
-stop short while correct, so the switched links left over are read as edge
-colours on the graph of components and a vertex that every other component
-meets in one colour is deleted until the graph empties (correct) or no
-such vertex is left (some switching has a cycle).  A negative verdict
+enumerating switchings.  One pass over the net builds every depth's graph,
+and the depths are decided in turn.  Union-find contraction merges the ends
+of every fixed edge and merges a par or why-not link into its premises'
+component once they all lie in one; an edge inside one component closes a
+cycle.  Contraction alone decides connected nets only, and nets built with
+mix may stop short while correct, so the switched links left over are read
+as edge colours on the graph of components and a vertex that every other
+component meets in one colour is deleted until the graph empties (correct)
+or no such vertex is left (some switching has a cycle).  A negative verdict
 always carries a concrete switching and one of its cycles.  The check has
 no budget.
 
@@ -32,10 +33,10 @@ level membership with exponential ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Literal
 
-from .net import Box, Net, parr_closure, underlying_graph
+from .net import Net, parr_closure
 
 Flavor = Literal["plain", "exponential", "quasi"]
 
@@ -64,29 +65,56 @@ class PreconditionError(ValueError):
 # the link's own component, so such a cycle uses at most one of them).
 
 
-def _top_structure(net: Net):
-    """The nodes of the depth-zero underlying graph (boxes collapsed into
-    single nodes), its edges split in one pass into fixed ones and premises
-    of switched links (keyed by edge id), and the premise groups of the
-    switched links."""
-    graph = underlying_graph(net, at_depth_zero=True)
-    # The graph lists the links outside every box first, then one node per box.
-    top_links = graph.nodes[: len(graph.nodes) - len(net.boxes)]
-    switched: list[tuple[str, list[str]]] = []
-    switched_premises: set[str] = set()
-    for lid in top_links:
-        link = net.links[lid]
+@dataclass
+class _SwitchingGraph:
+    """The switching graph at one depth: its nodes, its edges split into
+    fixed ones and premises of switched links (keyed by edge id), and the
+    premise groups of the switched links.  ``context`` names the
+    principals of the boxes entered to reach the depth."""
+
+    context: tuple[str, ...]
+    nodes: list[str] = field(default_factory=list)
+    fixed: list[tuple[str, str, str]] = field(default_factory=list)
+    switched: list[tuple[str, list[str]]] = field(default_factory=list)
+    candidates: dict[str, tuple[str, str, str]] = field(default_factory=dict)
+
+
+def _switching_graphs(net: Net) -> list[_SwitchingGraph]:
+    """Every depth's switching graph, depth zero first and then the boxes
+    in preorder, from one pass over the links and one over the edges.  A
+    link sits at the depth of its innermost box: preorder places a box's
+    contents after those of the box around it.  The border links of a box
+    stand for the box as one node, named by its principal, at the depth
+    around it.  An edge is kept when both its ends sit at one depth, so an
+    edge from inside a box into its border belongs to no graph."""
+    top = _SwitchingGraph(())
+    graphs = [top]
+    graph_of = dict.fromkeys(net.links, top)
+    node_of = {lid: lid for lid in net.links}
+    for box in net.all_boxes():
+        inner = _SwitchingGraph(graph_of[box.principal].context + (box.principal,))
+        graphs.append(inner)
+        graph_of.update(dict.fromkeys(box.contents, inner))
+        node_of.update(dict.fromkeys(box.auxiliaries, box.principal))
+    for lid, link in net.links.items():
+        if node_of[lid] == lid:
+            graph_of[lid].nodes.append(lid)
         if link.kind in ("par", "whynot") and link.premises:
-            switched.append((lid, list(link.premises)))
-            switched_premises.update(link.premises)
-    fixed: list[tuple[str, str, str]] = []
-    candidates: dict[str, tuple[str, str, str]] = {}
-    for edge in graph.edges:
-        if edge[2] in switched_premises:
-            candidates[edge[2]] = edge
+            graph_of[lid].switched.append((lid, list(link.premises)))
+    for eid in net.edges:
+        consumer = net.consumer(eid)
+        if consumer is None:
+            continue
+        producer = net.producer(eid)
+        graph = graph_of[producer]
+        if graph is not graph_of[consumer]:
+            continue
+        edge = (node_of[producer], node_of[consumer], eid)
+        if net.links[consumer].kind in ("par", "whynot"):
+            graph.candidates[eid] = edge
         else:
-            fixed.append(edge)
-    return graph.nodes, fixed, switched, candidates
+            graph.fixed.append(edge)
+    return graphs
 
 
 @dataclass(frozen=True)
@@ -100,18 +128,6 @@ class CyclicSwitching:
     def __str__(self) -> str:
         where = " inside box " + "/".join(self.depth_context) if self.depth_context else ""
         return f"cyclic switching{where}: cycle through edges {', '.join(self.cycle_edges)}"
-
-
-def contained_net(net: Net, box: Box) -> Net:
-    """The net contained in a box: its conclusions are the premises of the
-    border links (auxiliaries first, principal last)."""
-    links = {lid: net.links[lid] for lid in box.contents}
-    edges = {e: net.edges[e] for lid in links for e in net.links[lid].conclusions}
-    conclusions = []
-    for lid in box.auxiliaries:
-        conclusions.extend(net.links[lid].premises)
-    conclusions.extend(net.links[box.principal].premises)
-    return Net(edges, links, box.children, tuple(conclusions))
 
 
 class _Forest:
@@ -244,43 +260,32 @@ def _decide(
     return pending if coloured and _has_properly_coloured_cycle(coloured) else None
 
 
-def _cyclic_switching_at_depth(net: Net) -> tuple[dict[str, str], tuple[str, ...]] | None:
-    """A switching at depth zero and one of its cycles, or None.  When only
-    the coloured graph finds a cycle, the leftover switched links are fixed
-    to one premise at a time, each time keeping a premise under which some
-    cycle remains, until contraction itself closes one."""
-    nodes, fixed, switched, candidates = _top_structure(net)
-    choice = dict(switched)
-    outcome = _decide(nodes, fixed, choice, candidates)
-    while isinstance(outcome, list):
-        lid = outcome[0]
-        for p in choice[lid]:
-            trial = {**choice, lid: [p]}
-            again = _decide(nodes, fixed, trial, candidates)
-            if again is not None:
-                choice, outcome = trial, again
-                break
-        else:
-            raise AssertionError(f"no premise of {lid} keeps the switching cycle")
-    if outcome is None:
-        return None
-    on_cycle = set(outcome)
-    chosen = {lid: next((p for p in prems if p in on_cycle), choice[lid][0]) for lid, prems in switched}
-    return chosen, outcome
-
-
-def find_cyclic_switching(net: Net, _context: tuple[str, ...] = ()) -> CyclicSwitching | None:
+def find_cyclic_switching(net: Net) -> CyclicSwitching | None:
     """A switching with a cycle, at depth zero or inside some box, or None
     when the net is switching-acyclic at every depth.  Polynomial: see
-    ``_decide``.  The witness names a premise for every switched link at
-    its depth and the edges of one cycle of that switching."""
-    found = _cyclic_switching_at_depth(net)
-    if found is not None:
-        return CyclicSwitching(found[0], found[1], _context)
-    for box in net.boxes:
-        inner = find_cyclic_switching(contained_net(net, box), _context + (box.principal,))
-        if inner is not None:
-            return inner
+    ``_decide``.  The depths are tried in the order of ``_switching_graphs``.
+    When only the coloured graph finds a cycle, the leftover switched links
+    are fixed to one premise at a time, each time keeping a premise under
+    which some cycle remains, until contraction itself closes one.  The
+    witness names a premise for every switched link at its depth and the
+    edges of one cycle of that switching."""
+    for graph in _switching_graphs(net):
+        choice = dict(graph.switched)
+        outcome = _decide(graph.nodes, graph.fixed, choice, graph.candidates)
+        while isinstance(outcome, list):
+            lid = outcome[0]
+            for p in choice[lid]:
+                trial = {**choice, lid: [p]}
+                again = _decide(graph.nodes, graph.fixed, trial, graph.candidates)
+                if again is not None:
+                    choice, outcome = trial, again
+                    break
+            else:
+                raise AssertionError(f"no premise of {lid} keeps the switching cycle")
+        if outcome is not None:
+            on_cycle = set(outcome)
+            chosen = {lid: next((p for p in ps if p in on_cycle), choice[lid][0]) for lid, ps in graph.switched}
+            return CyclicSwitching(chosen, outcome, graph.context)
     return None
 
 
@@ -551,7 +556,6 @@ __all__ = [
     "BudgetExceeded",
     "PreconditionError",
     "CyclicSwitching",
-    "contained_net",
     "find_cyclic_switching",
     "is_dr_correct",
     "Indexing",

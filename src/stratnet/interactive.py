@@ -265,25 +265,15 @@ def bullet_net(net: Net) -> Net:
     ws = _Workspace(net)
     for e, lab in ws.edges.items():
         ws.edges[e] = Label(bullet_formula(lab.formula), lab.flat)
-    fresh = _Fresh(net)
-    X = Atom(RESERVED_ATOM)
-    Xd = Atom(RESERVED_ATOM, True)
+    eb = _EtaBuilder(ws, _Fresh(net))
     for lid in sorted(lid for lid, link in net.links.items() if link.kind == "ax"):
         e_neg, e_pos = net.links[lid].conclusions
         if isinstance(ws.edges[e_pos].formula, Par):
             e_neg, e_pos = e_pos, e_neg
-        where = ws.loc[lid]
+        eb.where = ws.loc[lid]
         ws.remove_link(lid)
-        n1, p1, n2, p2 = (fresh.edge() for _ in range(4))
-        ws.edges.update({n1: Label(Xd), p1: Label(X), n2: Label(Xd), p2: Label(X)})
-        for kind, premises, conclusions in (
-            ("ax", (), (n1, p1)),
-            ("ax", (), (n2, p2)),
-            ("par", (n1, n2), (e_neg,)),
-            ("tensor", (p1, p2), (e_pos,)),
-        ):
-            ws.add_link(fresh.link(), Link(kind, premises, conclusions), where)
-    return ws.freeze(fresh.n)
+        eb.expand(ws.edges[e_pos].formula, ws.edges[e_neg].formula, e_neg, e_pos)
+    return ws.freeze(eb.fresh.n)
 
 
 # -- tests ---------------------------------------------------------------------

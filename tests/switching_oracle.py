@@ -12,10 +12,47 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterator
 
-from stratnet.correctness import BudgetExceeded, CyclicSwitching, _top_structure, contained_net
-from stratnet.net import Net, UGraph
+from stratnet.correctness import BudgetExceeded, CyclicSwitching
+from stratnet.net import Box, Net, UGraph, underlying_graph
 
 ORACLE_BUDGET = 1 << 20
+
+
+def _top_structure(net: Net):
+    """The nodes of the depth-zero underlying graph (boxes collapsed into
+    single nodes), its edges split in one pass into fixed ones and premises
+    of switched links (keyed by edge id), and the premise groups of the
+    switched links."""
+    graph = underlying_graph(net, at_depth_zero=True)
+    # The graph lists the links outside every box first, then one node per box.
+    top_links = graph.nodes[: len(graph.nodes) - len(net.boxes)]
+    switched: list[tuple[str, list[str]]] = []
+    switched_premises: set[str] = set()
+    for lid in top_links:
+        link = net.links[lid]
+        if link.kind in ("par", "whynot") and link.premises:
+            switched.append((lid, list(link.premises)))
+            switched_premises.update(link.premises)
+    fixed: list[tuple[str, str, str]] = []
+    candidates: dict[str, tuple[str, str, str]] = {}
+    for edge in graph.edges:
+        if edge[2] in switched_premises:
+            candidates[edge[2]] = edge
+        else:
+            fixed.append(edge)
+    return graph.nodes, fixed, switched, candidates
+
+
+def contained_net(net: Net, box: Box) -> Net:
+    """The net contained in a box: its conclusions are the premises of the
+    border links (auxiliaries first, principal last)."""
+    links = {lid: net.links[lid] for lid in box.contents}
+    edges = {e: net.edges[e] for lid in links for e in net.links[lid].conclusions}
+    conclusions = []
+    for lid in box.auxiliaries:
+        conclusions.extend(net.links[lid].premises)
+    conclusions.extend(net.links[box.principal].premises)
+    return Net(edges, links, box.children, tuple(conclusions))
 
 
 @dataclass(frozen=True)

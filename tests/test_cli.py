@@ -83,6 +83,7 @@ BOUNDARY_PROBES = {
     "normalize-axiom-cut-with-itself": (["normalize"], None, None),
     "test-no-conclusion": (["test"], "empty", None),
     "test-level-no-conclusion": (["test", "--level", "0"], "empty", None),
+    "test-tensor-loop": (["test"], "tensor-loop", None),
 }
 
 
@@ -105,6 +106,8 @@ def test_validate_malformed_document_exits_2(tmp_path, capsys, probe):
         doc["links"][1]["premises"] = value
     elif field == "empty":
         doc = {"edges": [], "links": [], "boxes": [], "conclusions": []}
+    elif field == "tensor-loop":
+        doc = to_document(tensor_loop_net())
     elif field is not None:
         doc[field].append(dict(doc[field][value]))
     p = tmp_path / "probe.json"
@@ -203,6 +206,15 @@ def test_l3_marks_a_net_with_cuts_invalid(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert [json.loads(line)["file"] for line in out.splitlines()] == [g]
     assert err == f"{cut}: invalid: the interactive method needs a cut-free net; run normalize first\n"
+
+
+def test_l3_marks_a_net_that_is_not_switching_acyclic_invalid(tmp_path, capsys):
+    loop = write_net(tmp_path, "loop.json", tensor_loop_net())
+    g = write_net(tmp_path, "g.json", builder.ax(X))
+    assert main(["l3", "--method", "all", loop, g]) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["file"] for line in out.splitlines()] == [g]
+    assert err == f"{loop}: invalid: not a DR-net, membership is undefined\n"
 
 
 def test_l3_goes_on_after_a_net_without_conclusion(tmp_path, capsys):

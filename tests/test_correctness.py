@@ -106,6 +106,49 @@ def test_dr_recurses_into_boxes():
     assert witness_problem(pr, witness) is None
 
 
+def _loop_in_a_box() -> Net:
+    """A tensor loop inside a box, beside a flat axiom whose two ends leave
+    through pax ports."""
+    m = builder.mix(tensor_loop_net(), builder.flat_rule(builder.ax(X), 0))
+    return builder.promotion(builder.flat_rule(m, 2), 0)
+
+
+def test_dr_names_every_box_entered():
+    n = builder.promotion(_loop_in_a_box(), 0)
+    outer = n.boxes[0]
+    (inner,) = outer.children
+    witness = find_cyclic_switching(n)
+    assert witness is not None and witness.depth_context == (outer.principal, inner.principal)
+    assert witness_problem(n, witness) is None
+
+
+def test_dr_reports_depth_zero_before_a_box():
+    n = builder.mix(tensor_loop_net(), _loop_in_a_box())
+    witness = find_cyclic_switching(n)
+    assert witness is not None and witness.depth_context == ()
+    assert set(witness.cycle_edges) == set(n.links["looplink"].premises)
+
+
+def test_dr_builds_no_net(monkeypatch):
+    nets = [builder.promotion(_loop_in_a_box(), 0)]
+    seed = 0
+    while len(nets) < 20:
+        seed += 1
+        n = builder.random_net(seed, GenParams(target_size=30, box_bias=0.6, exponential_bias=0.5))
+        if any(b.children for b in n.boxes):
+            nets.append(n)
+    made = []
+    init = Net.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Net, "__init__", counted)
+    assert [find_cyclic_switching(n) is None for n in nets] == [False] + [True] * 19
+    assert made == []
+
+
 def _crossed_pars() -> Net:
     """A^ @ B^, A @ B over two mixed axioms: each par's premises lie in
     two components, so contraction stops with both pars left over."""

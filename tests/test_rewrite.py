@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from stratnet.formula import Atom, OfCourse, bullet_formula, parse_formula, shift_formula
+from stratnet.formula import Atom, OfCourse, Tensor, bullet_formula, dual, parse_formula, shift_formula
 from stratnet import interactive
-from stratnet.net import nets_equal, parr_closure, save, validate
+from stratnet.net import Label, Link, Net, nets_equal, parr_closure, save, validate
 from stratnet import builder
 from stratnet.builder import GenParams
 from stratnet.correctness import (
@@ -563,7 +564,30 @@ for f in sys.argv[2:]:
 """
 
 
+def _boxed_cycle_beside_pars():
+    """A net whose only cyclic switching sits inside a box beside four
+    pars: (A^*B^) and (A*B) over two axioms, par-closed, tensored with
+    three more axioms, par-closed again and promoted."""
+    a, b = Atom("A"), Atom("B")
+    edges = {
+        "e0": Label(dual(a)), "e1": Label(a), "e2": Label(dual(b)), "e3": Label(b),
+        "e4": Label(Tensor(dual(a), dual(b))), "e5": Label(Tensor(a, b)),
+    }
+    links = {
+        "l0": Link("ax", (), ("e0", "e1")),
+        "l1": Link("ax", (), ("e2", "e3")),
+        "l2": Link("tensor", ("e0", "e2"), ("e4",)),
+        "l3": Link("tensor", ("e1", "e3"), ("e5",)),
+    }
+    n = parr_closure(Net(edges, links, (), ("e4", "e5")))
+    for name in "CDE":
+        n = builder.tensor_rule(n, 0, builder.ax(Atom(name)), 0)
+    return builder.promotion(parr_closure(n), 0)
+
+
 def test_normalize_output_ignores_hash_seed(tmp_path):
+    boxed = tmp_path / "boxed.json"
+    boxed.write_bytes(save(_boxed_cycle_beside_pars()))
     files = []
     for s in range(1, 9):
         n = builder.random_net(s, GenParams(target_size=40, cut_bias=0.4, exponential_bias=0.5))
@@ -578,7 +602,11 @@ def test_normalize_output_ignores_hash_seed(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run([sys.executable, "-c", NORMALIZE_ALL, str(out), *files], env=env, check=True)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(outputs[0]) == (3 * 3 + 3) * len(files)
+        check = [sys.executable, "-m", "stratnet.cli", "check", "--criterion", "dr", str(boxed)]
+        outputs[-1]["boxed.check"] = subprocess.run(check, env=env, capture_output=True).stdout
+    assert len(outputs[0]) == (3 * 3 + 3) * len(files) + 1
+    witness = json.loads(outputs[0]["boxed.check"])["witness"]
+    assert witness["inside"] and len(witness["chosen"]) == 4
     assert b"exponential" in b"".join(outputs[0].values())
     assert all(b'"verdicts"' in v for k, v in outputs[0].items() if k.endswith(".l3"))
     assert outputs[0] == outputs[1]
