@@ -149,15 +149,13 @@ def cmd_index(args) -> int:
 
 def _l3_verdicts(n: Net, methods: list[str], step_budget: int) -> dict[str, bool]:
     out: dict[str, bool] = {}
-    # The geometric and interactive routes both decide on the closed net.
-    closed = functools.cache(lambda: net_mod.parr_closure(n))
     for m in methods:
         if m == "indexing":
             out[m] = correctness.is_l3_indexing_route(n, check_preconditions=False) is True
         elif m == "geometric":
-            out[m] = correctness.is_l3_geometric(closed(), check_preconditions=False) is True
+            out[m] = correctness.is_l3_geometric(n, check_preconditions=False) is True
         elif m == "interactive":
-            out[m] = interactive.interactive_l3_check(closed(), budget=step_budget).member
+            out[m] = interactive.interactive_l3_check(n, budget=step_budget).member
     return out
 
 
@@ -271,10 +269,8 @@ def cmd_test(args) -> int:
             f"note: joining {len(n.conclusions)} conclusions before testing",
             file=sys.stderr,
         )
-        n = net_mod.parr_closure(n)
-    formula = n.edges[n.conclusions[0]].formula
     report = interactive.interactive_l3_check(n, budget=_step_budget(), level=args.level)
-    _emit(report.to_document(formula), args.pretty)
+    _emit(report.to_document(interactive.closed_text(n)), args.pretty)
     return EXIT_OK if report.member else EXIT_FAIL
 
 

@@ -11,16 +11,22 @@ itself.
 A level-k test differs from the identity test only in the order of some
 tensor premises, which no reduction step looks at, and doubling commutes
 with cut-elimination: a doubled atomic identity block reduces as the atomic
-axiom it replaces.  So the decider reduces once, undoubled: the
-eta-expanded net is cut against the identity test of its conclusion, in
-one workspace, where the test is expanded recording the level of each atom
-position it builds.  Each atomic axiom of the normal form is a block of
-the doubled one, whose par and tensor are the two test links that consume
-the axiom's ends, lifted through the trace; the block is crossed at level
-k when exactly one of their two positions is at level k.  The doubled form
-crosses no block, so a level passes when none is crossed and the normal
-form equals the eta-expanded net under ``nets_equal``.  The doubled
-reduction and the per-level one are kept as oracles in
+axiom it replaces.  So the decider reduces once, undoubled: each
+conclusion of the eta-expanded net is cut against the identity test of its
+formula, in one workspace, where the tests are expanded recording the
+level of each atom position they build.  A net with several conclusions
+gets the report of its par-closure, which is never built: the closing pars
+only peel off against the closed test's tensors, and pars add no level.
+
+Each atomic axiom of the normal form is a block of the doubled one, whose
+par and tensor are the two test links that consume the axiom's ends,
+lifted through the trace; the end that an atomic conclusion's test (a bare
+axiom) leaves as a conclusion counts at level 0, where the closed test's
+par would consume it.  The block is crossed at level k when exactly one of
+its two positions is at level k.  The doubled form crosses no block, so
+a level passes when none is crossed and the normal form equals the
+eta-expanded net under ``nets_equal``.  The doubled reduction and the
+per-level one, both of the par-closure, are kept as oracles in
 ``tests/interactive_oracle.py``, with ``atom_sites``, the reference for
 the test's block levels.
 """
@@ -47,7 +53,7 @@ from .formula import (
     dual,
     print_formula,
 )
-from .net import Label, Link, Net, _Fresh, _labelling, nets_equal
+from .net import Label, Link, Net, _Fresh, nets_equal
 from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _reduce, _Workspace, normalize, normalize_no_axiom
 
 
@@ -397,9 +403,9 @@ class InteractiveReport:
     member: bool
     levels: tuple[LevelReport, ...]
 
-    def to_document(self, formula: Formula) -> dict:
+    def to_document(self, formula_text: str) -> dict:
         return {
-            "formula": print_formula(formula),
+            "formula": formula_text,
             "member": self.member,
             "levels": [
                 {"k": r.k, "pass": r.passed, "swapped_sites": r.swapped_sites}
@@ -413,31 +419,34 @@ def interactive_l3_check(
 ) -> InteractiveReport:
     """Cut the doubled form against the test of every level (or of the one
     level given) and demand it reduce back to itself, all by one reduction
-    of the undoubled net against the identity test (see the module
-    docstring).  Levels range over the atoms of the conclusion; higher
-    tests equal the identity and pass trivially."""
+    of the undoubled net against the identity test of each conclusion (see
+    the module docstring).  The report is that of the net's par-closure.
+    Levels range over the atoms of the conclusions; higher tests equal the
+    identity and pass trivially."""
     if net.cut_links():
         raise PreconditionError("the interactive check needs a cut-free net; normalize first")
-    if len(net.conclusions) != 1:
-        raise PreconditionError("the interactive check needs a single conclusion; close the net first")
-    eta, ws, cut, level_of = _identity_cut(net)
+    if not net.conclusions or net.has_flat_conclusion():
+        raise PreconditionError("the interactive check needs a net with a conclusion and no flat one")
+    eta, ws, cuts, level_of = _identity_cut(net)
     levels = _levels(level_of.values())
     if level is not None:
         if level not in levels:
-            a = net.edges[net.conclusions[0]].formula
-            raise PreconditionError(
-                f"{level} is not a level of {print_formula(a)}; its levels are {levels}"
-            )
+            raise PreconditionError(f"{level} is not a level of {closed_text(net)}; its levels are {levels}")
         levels = [level]
     if not levels:
         return InteractiveReport(True, ())
-    trace = _reduce(ws, {cut: (0,)}, budget=budget)
-    # The levels of the test positions that each axiom's ends lift to.
+    trace = _reduce(ws, {cut: (i,) for i, cut in enumerate(cuts)}, budget=budget)
+    # The levels of the test positions that each axiom's ends lift to; an
+    # atomic conclusion's test is a bare axiom, whose positive end stays a
+    # conclusion at level 0.
     ends: dict[str, list] = {}
     for lid, link in ws.links.items():
         for slot, e in enumerate(link.premises):
             if ws.kind_of_producer(e) == "ax":
                 ends.setdefault(ws.producer[e], []).append(level_of.get((trace.lift_to_source(lid), slot)))
+    for e in ws.conclusions:
+        if ws.kind_of_producer(e) == "ax":
+            ends.setdefault(ws.producer[e], []).append(0)
     same = nets_equal(ws.freeze(), eta)
     reports: list[LevelReport] = []
     for k in levels:
@@ -449,40 +458,32 @@ def interactive_l3_check(
     return InteractiveReport(all(r.passed for r in reports), tuple(reports))
 
 
-def _identity_cut(net: Net) -> tuple[Net, _Workspace, str, dict[tuple[str, int], int]]:
-    """The eta-expansion of a closed cut-free net; a workspace that holds
-    it cut against the identity test of its conclusion (``cut_compose`` up
-    to the test's ids); the cut; and the level of each atom position of
-    the test, keyed by the test link and premise slot that consume it."""
+def closed_text(net: Net) -> str:
+    """The text of the par-closure's conclusion, ``(A1 @ (A2 @ ... An))``,
+    joined from the conclusions' texts without building the closure."""
+    texts = [print_formula(net.edges[e].formula) for e in net.conclusions]
+    return "".join(f"({t} @ " for t in texts[:-1]) + texts[-1] + ")" * (len(texts) - 1)
+
+
+def _identity_cut(net: Net) -> tuple[Net, _Workspace, list[str], dict[tuple[str, int], int]]:
+    """The eta-expansion of a cut-free net; a workspace that holds it with
+    each conclusion cut against the identity test of its formula
+    (``cut_compose`` up to the tests' ids), the tests' positive sides as
+    its conclusions, in order; the cuts, in conclusion order; and the level
+    of each atom position of the tests, keyed by the link and premise slot
+    that consume it."""
     eta = eta_expand(net)
     ws = _Workspace(eta)
-    (c,) = ws.conclusions
-    a = ws.edges[c].formula
     eb = _EtaBuilder(ws, _Fresh(eta))
-    neg, pos = eb.edge(Label(dual(a))), eb.edge(Label(a))
-    eb.expand(a, dual(a), neg, pos)
-    cut = eb.link("cut", (c, neg), ())
-    ws.conclusions = [pos]
-    return eta, ws, cut, eb.levels
-
-
-# -- comparison up to block swaps -------------------------------------------------
-
-
-def swapping_compare(a: Net, b: Net) -> bool:
-    """True iff a is b with at least one identity block turned into a swap
-    block (and no change in the other direction)."""
-    views = []
-    for net in (a, b):
-        # The encoding of the net with every swap block turned back into an
-        # identity block, and the crossed-flags of its blocks by the
-        # canonical rank of their tensors there.
-        sites = _blocks(net)
-        rank, encoding = _labelling(_swap_sites(net, [s for s in sites if s.crossed]))
-        views.append((encoding, [s.crossed for s in sorted(sites, key=lambda s: rank[s.tensor])]))
-    (form_a, flags_a), (form_b, flags_b) = views
-    # Equal forms have as many blocks, ranked alike.
-    return form_a == form_b and flags_a != flags_b and all(fa >= fb for fa, fb in zip(flags_a, flags_b))
+    cuts, positives = [], []
+    for c in eta.conclusions:
+        a = ws.edges[c].formula
+        neg, pos = eb.edge(Label(dual(a))), eb.edge(Label(a))
+        eb.expand(a, dual(a), neg, pos)
+        cuts.append(eb.link("cut", (c, neg), ()))
+        positives.append(pos)
+    ws.conclusions = positives
+    return eta, ws, cuts, eb.levels
 
 
 # -- feet --------------------------------------------------------------------------
@@ -591,7 +592,7 @@ __all__ = [
     "LevelReport",
     "InteractiveReport",
     "interactive_l3_check",
-    "swapping_compare",
+    "closed_text",
     "Foot",
     "detect_feet",
     "feet_composition",

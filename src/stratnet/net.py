@@ -518,74 +518,6 @@ class UGraph:
     # (node, node, edge-id); node order within a pair is not significant.
     edges: tuple[tuple[str, str, str], ...]
 
-    def adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        adj: dict[str, list[tuple[str, str]]] = {n: [] for n in self.nodes}
-        for a, b, e in self.edges:
-            adj[a].append((b, e))
-            adj[b].append((a, e))
-        return adj
-
-    def find_cycle(self) -> list[str] | None:
-        """Return the edge ids of some cycle, or None.  Parallel edges count."""
-        adj = self.adjacency()
-        seen: set[str] = set()
-        for start in self.nodes:
-            if start in seen:
-                continue
-            # Iterative DFS tracking the edge used to enter each node.
-            stack: list[tuple[str, str | None]] = [(start, None)]
-            parent_edge: dict[str, str | None] = {start: None}
-            parent_node: dict[str, str | None] = {start: None}
-            while stack:
-                node, via = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                for neigh, eid in adj[node]:
-                    if eid == via:
-                        continue
-                    if neigh in parent_edge:
-                        # Found a cycle: walk both endpoints up to their
-                        # common ancestor.  For reporting we return the
-                        # closing edge plus the tree paths.
-                        return _cycle_edges(parent_node, parent_edge, node, neigh, eid)
-                    parent_edge[neigh] = eid
-                    parent_node[neigh] = node
-                    stack.append((neigh, eid))
-        return None
-
-
-def _cycle_edges(
-    parent_node: dict[str, str | None],
-    parent_edge: dict[str, str | None],
-    a: str,
-    b: str,
-    closing: str,
-) -> list[str]:
-    def path_to_root(x: str) -> list[tuple[str, str]]:
-        out = []
-        while parent_edge.get(x) is not None:
-            out.append((x, parent_edge[x]))
-            x = parent_node[x]  # type: ignore[assignment]
-        out.append((x, ""))
-        return out
-
-    pa = path_to_root(a)
-    pb = path_to_root(b)
-    nodes_a = [n for n, _ in pa]
-    set_b = {n for n, _ in pb}
-    meet = next(n for n in nodes_a if n in set_b)
-    edges: list[str] = [closing]
-    for n, e in pa:
-        if n == meet:
-            break
-        edges.append(e)
-    for n, e in pb:
-        if n == meet:
-            break
-        edges.append(e)
-    return [e for e in edges if e]
-
 
 def underlying_graph(net: Net, at_depth_zero: bool = False) -> UGraph:
     """Forget conclusions, orientation and premise order.  With the flag,

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from stratnet.formula import Atom, OfCourse, Tensor
-from stratnet.net import Box, Label, Link, Net, UNORDERED_PREMISES
+from stratnet.net import Box, Label, Link, Net, UNORDERED_PREMISES, _Fresh
 from stratnet import builder
 
 
@@ -74,15 +74,18 @@ def make_unstable_membership_net():
 
 
 def tensor_last_two(base: Net) -> Net:
-    """The net with a tensor link "looplink" over its last two conclusions,
-    which no sequent rule allows when they already share a component."""
+    """The net with a tensor link, under fresh ids, over its last two
+    conclusions, which no sequent rule allows when they already share a
+    component.  The tensor's conclusion is the last conclusion."""
     e1, e2 = base.conclusions[-2:]
+    fresh = _Fresh(base)
+    lid, loop = fresh.link(), fresh.edge()
     edges = dict(base.edges)
     links = dict(base.links)
-    edges["loop"] = Label(Tensor(edges[e1].formula, edges[e2].formula))
-    links["looplink"] = Link("tensor", (e1, e2), ("loop",))
-    conclusions = tuple(e for e in base.conclusions if e not in (e1, e2)) + ("loop",)
-    return Net(edges, links, base.boxes, conclusions)
+    edges[loop] = Label(Tensor(edges[e1].formula, edges[e2].formula))
+    links[lid] = Link("tensor", (e1, e2), (loop,))
+    conclusions = tuple(e for e in base.conclusions if e not in (e1, e2)) + (loop,)
+    return Net(edges, links, base.boxes, conclusions, mark=fresh.n)
 
 
 def tensor_loop_net(context: Net | None = None) -> Net:

@@ -1,6 +1,7 @@
-"""Two references for ``stratnet.interactive.interactive_l3_check``, and
+"""Two references for ``stratnet.interactive.interactive_l3_check``;
 ``atom_sites``, the reference for the block levels that the eta-expansion
-of a test records.
+of a test records; and ``swapping_compare``, which the per-level reference
+uses to tell a block swapping.
 
 ``oracle_level_normal_forms`` builds each level's test, cuts the doubled
 net against it, normalizes the composite and labels the normal form.
@@ -30,9 +31,8 @@ from stratnet.interactive import (
     bullet_net,
     cut_compose,
     eta_expand,
-    swapping_compare,
 )
-from stratnet.net import Label, Net, _Fresh, canonical_form, nets_equal
+from stratnet.net import Label, Net, _Fresh, _labelling, canonical_form, nets_equal
 from stratnet.rewrite import DEFAULT_STEP_BUDGET, _reduce, _Workspace, normalize
 
 
@@ -44,6 +44,22 @@ def atom_sites(net: Net) -> list[AtomSite]:
     quasi = default_exponential_quasi_indexing(net).assignment
     level = {lid: quasi[link.conclusions[0]] for lid, link in net.links.items() if link.kind in ("par", "tensor")}
     return [replace(s, levels=(level[s.par], level[s.tensor])) for s in _blocks(net)]
+
+
+def swapping_compare(a: Net, b: Net) -> bool:
+    """True iff a is b with at least one identity block turned into a swap
+    block (and no change in the other direction)."""
+    views = []
+    for net in (a, b):
+        # The encoding of the net with every swap block turned back into an
+        # identity block, and the crossed-flags of its blocks by the
+        # canonical rank of their tensors there.
+        sites = _blocks(net)
+        rank, encoding = _labelling(_swap_sites(net, [s for s in sites if s.crossed]))
+        views.append((encoding, [s.crossed for s in sorted(sites, key=lambda s: rank[s.tensor])]))
+    (form_a, flags_a), (form_b, flags_b) = views
+    # Equal forms have as many blocks, ranked alike.
+    return form_a == form_b and flags_a != flags_b and all(fa >= fb for fa, fb in zip(flags_a, flags_b))
 
 
 def oracle_level_normal_forms(

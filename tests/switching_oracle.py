@@ -1,5 +1,6 @@
 """Exhaustive switching enumeration, kept as the reference for the
-polynomial switching-acyclicity check in ``stratnet.correctness``.
+polynomial switching-acyclicity check in ``stratnet.correctness``, with
+the depth-first cycle search it runs on each switching's graph.
 
 Its cost doubles with each par, so it serves small nets only; the budget
 guards the test suite against a net too large to enumerate.
@@ -98,10 +99,76 @@ def enumerate_switchings(net: Net, budget: int = ORACLE_BUDGET) -> Iterator[Swit
         yield Switching(chosen, _graph(structure, chosen))
 
 
+def find_cycle(graph: UGraph) -> list[str] | None:
+    """Return the edge ids of some cycle of the graph, or None.  Parallel
+    edges count."""
+    adj: dict[str, list[tuple[str, str]]] = {n: [] for n in graph.nodes}
+    for a, b, e in graph.edges:
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    seen: set[str] = set()
+    for start in graph.nodes:
+        if start in seen:
+            continue
+        # Iterative DFS tracking the edge used to enter each node.
+        stack: list[tuple[str, str | None]] = [(start, None)]
+        parent_edge: dict[str, str | None] = {start: None}
+        parent_node: dict[str, str | None] = {start: None}
+        while stack:
+            node, via = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            for neigh, eid in adj[node]:
+                if eid == via:
+                    continue
+                if neigh in parent_edge:
+                    # Found a cycle: walk both endpoints up to their
+                    # common ancestor.  For reporting we return the
+                    # closing edge plus the tree paths.
+                    return _cycle_edges(parent_node, parent_edge, node, neigh, eid)
+                parent_edge[neigh] = eid
+                parent_node[neigh] = node
+                stack.append((neigh, eid))
+    return None
+
+
+def _cycle_edges(
+    parent_node: dict[str, str | None],
+    parent_edge: dict[str, str | None],
+    a: str,
+    b: str,
+    closing: str,
+) -> list[str]:
+    def path_to_root(x: str) -> list[tuple[str, str]]:
+        out = []
+        while parent_edge.get(x) is not None:
+            out.append((x, parent_edge[x]))
+            x = parent_node[x]  # type: ignore[assignment]
+        out.append((x, ""))
+        return out
+
+    pa = path_to_root(a)
+    pb = path_to_root(b)
+    nodes_a = [n for n, _ in pa]
+    set_b = {n for n, _ in pb}
+    meet = next(n for n in nodes_a if n in set_b)
+    edges: list[str] = [closing]
+    for n, e in pa:
+        if n == meet:
+            break
+        edges.append(e)
+    for n, e in pb:
+        if n == meet:
+            break
+        edges.append(e)
+    return [e for e in edges if e]
+
+
 def find_cyclic_switching(net: Net, _context: tuple[str, ...] = ()) -> CyclicSwitching | None:
     """The first switching with a cycle, depth zero first, then each box."""
     for sw in enumerate_switchings(net):
-        cyc = sw.graph.find_cycle()
+        cyc = find_cycle(sw.graph)
         if cyc is not None:
             return CyclicSwitching(sw.chosen, tuple(cyc), _context)
     for box in net.boxes:

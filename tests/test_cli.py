@@ -433,6 +433,37 @@ def test_test_command_autocloses(tmp_path, capsys):
     assert "joining" in capsys.readouterr().err
 
 
+WIDE_COMMANDS = (
+    ["l3", "--method", "all"],
+    ["l3", "--method", "interactive"],
+    ["test"],
+    ["test", "--level", "0"],
+    ["check", "--criterion", "dr"],
+    ["normalize"],
+)
+
+
+@pytest.mark.parametrize("name", ["axioms", "gen"])
+def test_wide_documents_keep_the_exit_contract(tmp_path, capsys, name):
+    # 1,000 juxtaposed axioms (2,000 conclusions), and the net of gen
+    # --seed 1 --size 3000 --cut-bias 0 (1,821 conclusions): a closed
+    # formula nests one level per conclusion, far past the recursion limit,
+    # and no command may build one but the geometric route, which only
+    # solves an indexing on it
+    if name == "axioms":
+        net = builder.ax(X)
+        for _ in range(999):
+            net = builder.mix(net, builder.ax(X))
+    else:
+        net = builder.random_net(1, builder.GenParams(target_size=3000, cut_bias=0))
+    p = write_net(tmp_path, f"{name}.json", net)
+    for command in WIDE_COMMANDS:
+        assert main(command + [p]) in (0, 1), command
+        out = capsys.readouterr().out
+        if command[-1] == "all":
+            assert set(json.loads(out)["verdicts"]) == {"indexing", "geometric", "interactive"}
+
+
 def test_test_command_rejects_cuts(tmp_path, capsys):
     left, _ = make_unstable_membership_net()
     generated = str(tmp_path / "g.json")
@@ -533,13 +564,14 @@ def test_test_command_stdout_unchanged(tmp_path, capsys, name, level, derelictio
 
 
 def identity_reduction_steps(net) -> int:
-    """Steps of the closed net, eta-expanded, cut against the identity net
-    of its conclusion: the one reduction of the interactive check."""
+    """Steps of the net, eta-expanded, with each conclusion cut against the
+    identity net of its formula: the one reduction of the interactive
+    check."""
     from stratnet.interactive import cut_compose, eta_expand, identity_net
     from stratnet.rewrite import normalize
 
-    test = identity_net(net.edges[net.conclusions[0]].formula)
-    return len(normalize(cut_compose(eta_expand(net), [test]))[1].steps)
+    tests = [identity_net(net.edges[e].formula) for e in net.conclusions]
+    return len(normalize(cut_compose(eta_expand(net), tests))[1].steps)
 
 
 @pytest.mark.parametrize("name, code", [("dereliction", 1), ("shift-source", 0)])
@@ -566,12 +598,11 @@ def test_test_command_budget_bounds_the_identity_reduction(
 def test_l3_budget_bounds_the_identity_reduction(
     tmp_path, capsys, monkeypatch, name, code, dereliction_net, shift_source_net
 ):
-    # the same boundary for l3 --method interactive, which closes the net
-    # itself
-    from stratnet.net import parr_closure
-
+    # the same boundary for l3 --method interactive, which cuts each
+    # conclusion against the identity test of its formula instead of
+    # closing the net
     net = {"dereliction": dereliction_net, "shift-source": shift_source_net}[name]
-    steps = identity_reduction_steps(parr_closure(net))
+    steps = identity_reduction_steps(net)
     p = write_net(tmp_path, f"{name}.json", net)
     monkeypatch.setenv("STRATNET_BUDGET", str(steps - 1))
     assert main(["l3", "--method", "interactive", p]) == 3

@@ -82,11 +82,28 @@ def test_axiom_dr_correct():
     assert is_dr_correct(builder.ax(X))
 
 
+def loop_premises(net: Net) -> set[str]:
+    """The premises of the tensor that ``tensor_last_two`` put over the
+    net's last two conclusions."""
+    return set(net.links[net.producer(net.conclusions[-1])].premises)
+
+
 def test_tensor_loop_not_dr():
     bad = tensor_loop_net()
     witness = find_cyclic_switching(bad)
     assert witness is not None
-    assert set(witness.cycle_edges) == set(bad.links["looplink"].premises)
+    assert set(witness.cycle_edges) == loop_premises(bad)
+
+
+def test_tensor_loop_beside_a_tensor_loop():
+    # the second loop takes fresh ids, so the first stays as it was
+    inner = tensor_loop_net()
+    bad = tensor_loop_net(inner)
+    assert validate(bad).ok()
+    assert len(bad.links) == 2 * len(inner.links)
+    assert not is_dr_correct(bad)
+    witness = find_cyclic_switching(bad)
+    assert witness is not None and witness_problem(bad, witness) is None
 
 
 def test_builder_outputs_dr():
@@ -123,10 +140,11 @@ def test_dr_names_every_box_entered():
 
 
 def test_dr_reports_depth_zero_before_a_box():
-    n = builder.mix(tensor_loop_net(), _loop_in_a_box())
+    loop = tensor_loop_net()
+    n = builder.mix(loop, _loop_in_a_box())
     witness = find_cyclic_switching(n)
     assert witness is not None and witness.depth_context == ()
-    assert set(witness.cycle_edges) == set(n.links["looplink"].premises)
+    assert set(witness.cycle_edges) == loop_premises(loop)
 
 
 def test_dr_builds_no_net(monkeypatch):

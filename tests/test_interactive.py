@@ -33,13 +33,12 @@ from stratnet.interactive import (
     interactive_l3_check,
     make_test,
     swap_net,
-    swapping_compare,
     syntactic_interpretation,
 )
 from stratnet.interactive import test_levels as level_range
 from stratnet.rewrite import normalize, normalize_no_axiom, transport_indexing
 
-from interactive_oracle import atom_sites
+from interactive_oracle import atom_sites, swapping_compare
 
 X = Atom("X")
 Y = Atom("Y")
@@ -322,10 +321,15 @@ def test_interactive_dereliction_fails_with_swapping_residue(dereliction_net):
 
 
 def test_interactive_preconditions():
+    # a cut-free net with at least one conclusion, none of them flat: two
+    # conclusions get the report of their par-closure
     with pytest.raises(PreconditionError):
         interactive_l3_check(builder.cut_rule(builder.ax(X), 1, builder.ax(X), 0))
+    assert interactive_l3_check(builder.ax(X)) == interactive_l3_check(parr_closure(builder.ax(X)))
     with pytest.raises(PreconditionError):
-        interactive_l3_check(builder.ax(X))
+        interactive_l3_check(builder.daimon())
+    with pytest.raises(PreconditionError):
+        interactive_l3_check(builder.flat_rule(builder.ax(X), 0))
 
 
 def test_interactive_agrees_with_geometric():

@@ -1,9 +1,10 @@
 """The interactive decider against its oracles.
 
 The decider reduces each eta-expanded net once, undoubled, against the
-identity test of its conclusion.  ``interactive_oracle`` keeps the doubled
-form of that reduction, which derives every level's normal form from one
-reduction of the doubled net, and the per-level reduction.  Per level, the
+identity test of each conclusion.  ``interactive_oracle`` keeps, for the
+par-closure, the doubled form of that reduction, which derives every
+level's normal form from one reduction of the doubled net, and the
+per-level reduction.  Per level, the
 derived and the per-level normal forms must be the same, byte for byte
 under ``save``, and all three must give the same ``LevelReport``.
 """
@@ -85,18 +86,17 @@ class Observed:
 
 
 def reference_nets(request) -> list:
-    """Criterion 2's nets and a few identity nets, closed."""
+    """Criterion 2's nets and a few identity nets."""
     names = ("shift_source_net", "dereliction_net", "par_shift_net", "shift_par_net")
     nets = [request.getfixturevalue(name) for name in names] + [make_unstable_membership_net()[1]]
-    nets += [identity_net(f) for f in (Atom("X"), Tensor(Atom("X"), Atom("Y")), OfCourse(Atom("X")))]
-    return [parr_closure(n) for n in nets]
+    return nets + [identity_net(f) for f in (Atom("X"), Tensor(Atom("X"), Atom("Y")), OfCourse(Atom("X")))]
 
 
 def test_oracle_on_reference_nets(monkeypatch, request):
     # every level alone as well as all together
     observed = Observed(monkeypatch)
     failing = 0
-    for net in reference_nets(request):
+    for net in map(parr_closure, reference_nets(request)):
         levels = observed.check(net)
         failing += not interactive_l3_check(net).member
         for k in range(levels):
@@ -128,13 +128,13 @@ def l3_cutfree_corpus(seed: int) -> tuple:
 
 
 def random_boxed_nets() -> list:
-    """Seeded closed cut-free nets heavy in boxes, contraction and
-    paragraphs, and closed compound axioms, which the check eta-expands."""
+    """Seeded cut-free nets heavy in boxes, contraction and paragraphs, and
+    compound axioms, which the check eta-expands."""
     params = GenParams(target_size=24, cut_bias=0, exponential_bias=0.7, box_bias=0.7, paragraph_bias=0.3)
     nets = [builder.random_net(seed, params) for seed in range(300)]
     rng = random.Random(5)
     nets += [builder.ax(builder.random_formula(rng, 4, params)) for _ in range(60)]
-    return [parr_closure(n) for n in nets if n.conclusions and not n.has_flat_conclusion()]
+    return [n for n in nets if n.conclusions and not n.has_flat_conclusion()]
 
 
 def outcome(check, net, level):
@@ -145,18 +145,26 @@ def outcome(check, net, level):
         return str(exc)
 
 
-@pytest.mark.parametrize("corpus", ["reference", "criterion-1", "l3-cutfree-201", "random-boxed"])
+CORPORA = ["reference", "criterion-1", "l3-cutfree-201", "random-boxed"]
+
+
+def corpus_nets(request, corpus: str) -> list:
+    """A corpus's nets, unclosed."""
+    return {
+        "reference": lambda: reference_nets(request),
+        "criterion-1": lambda: cut_free_corpus(1000),
+        "l3-cutfree-201": lambda: l3_cutfree_nets(201),
+        "random-boxed": random_boxed_nets,
+    }[corpus]()
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
 def test_reports_equal_the_doubled_check(request, corpus):
     # the undoubled check against the doubled one: the same report for all
     # levels, for each level alone, and the same error for a level out of
     # range, on every net of each corpus; the counts are nets, members and
     # nets with a contraction
-    nets = {
-        "reference": lambda: reference_nets(request),
-        "criterion-1": lambda: [parr_closure(n) for n in cut_free_corpus(1000)],
-        "l3-cutfree-201": lambda: l3_cutfree_corpus(201),
-        "random-boxed": random_boxed_nets,
-    }[corpus]()
+    nets = [parr_closure(n) for n in corpus_nets(request, corpus)]
     members = contracted = 0
     for net in nets:
         report = doubled_l3_check(net)
@@ -169,6 +177,26 @@ def test_reports_equal_the_doubled_check(request, corpus):
         "criterion-1": (1000, 320, 263),
         "l3-cutfree-201": (300, 94, 81),
         "random-boxed": (360, 60, 235),
+    }[corpus]
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_reports_equal_the_closed_check(request, corpus):
+    # the check on a net as loaded, each conclusion cut against its own
+    # identity test, against the check on its par-closure: the same report
+    # for all levels, for each level alone, and the same error for a level
+    # out of range; the counts are nets and nets with several conclusions
+    nets = corpus_nets(request, corpus)
+    for net in nets:
+        closed = parr_closure(net)
+        report = interactive_l3_check(closed)
+        for level in [None, -1, *range(len(report.levels) + 1)]:
+            assert outcome(interactive_l3_check, net, level) == outcome(interactive_l3_check, closed, level)
+    assert (len(nets), sum(len(n.conclusions) > 1 for n in nets)) == {
+        "reference": (8, 4),
+        "criterion-1": (1000, 997),
+        "l3-cutfree-201": (300, 300),
+        "random-boxed": (360, 360),
     }[corpus]
 
 
@@ -203,7 +231,6 @@ def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch
 
         monkeypatch.setattr(module, name, counted)
 
-    count(interactive, "_labelling")
     count(net_mod, "_labelling")
     count(rewrite, "traversal_order")
     count(net_mod, "traversal_order")
@@ -261,8 +288,9 @@ def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys
     # workspace or the identity test into a third (900 workspaces), far
     # fewer nets are made (3,563, then 1,763 while the check froze pib and
     # uncrossed its doubled normal form; 1,163 now), and the CLI closes
-    # each net once for both routes that need it (600 closings of a net
-    # with more than one conclusion)
+    # each net once, for the geometric route only: the interactive check
+    # tests each conclusion on its own (600 closings of a net with more
+    # than one conclusion while both routes closed it)
     calls = Counter()
 
     def count(name, *modules):
@@ -305,6 +333,28 @@ def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys
     assert '"verdicts"' in capsys.readouterr().out
     assert (calls["_relabel"], calls["cut_compose"], calls["parr_closure"]) == (0, 0, 300)
     assert calls["_Workspace"] <= 300 and calls["Net"] <= 1200
+
+
+def test_no_closing_on_the_interactive_route(monkeypatch, tmp_path, capsys):
+    # l3 --method interactive and test on the same 300 nets: every
+    # conclusion gets its own identity test, so neither closes a net (each
+    # closed the 300 nets, all with more than one conclusion, before)
+    closings = 0
+    for module in (net_mod, correctness):
+
+        def counted_closure(net, close=module.parr_closure):
+            nonlocal closings
+            closings += 1
+            return close(net)
+
+        monkeypatch.setattr(module, "parr_closure", counted_closure)
+    for i, net in enumerate(l3_cutfree_nets(201)):
+        path = tmp_path / f"{i}.json"
+        path.write_bytes(save(net))
+        assert main(["l3", "--method", "interactive", str(path)]) in (0, 1)
+        assert main(["test", str(path)]) in (0, 1)
+    assert capsys.readouterr().out.count('"verdicts"') == 300
+    assert closings == 0
 
 
 def assert_test_base_matches_atom_sites(a) -> None:
