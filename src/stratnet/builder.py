@@ -2,7 +2,12 @@
 
 Each function mirrors one sequent-style building rule and type-checks its
 arguments eagerly, so everything built here is sequentializable and passes
-the switching-acyclicity criterion.  The seeded random generator drives the
+the switching-acyclicity criterion.  The rules that add one link (cut,
+tensor, par, bottom, flat, why-not, paragraph) share one extension step,
+``_extend``: the link's premises stop being conclusions, and its conclusion,
+if it has one, takes the first premise's place or goes last.  Every rule
+builds its net once and hands its id mark on, so the next rule draws fresh
+ids without scanning the net.  The seeded random generator drives the
 property-test corpus.
 """
 
@@ -32,7 +37,7 @@ class RuleError(ValueError):
 
 
 def daimon() -> Net:
-    return Net({}, {}, (), ())
+    return Net({}, {}, (), (), mark=0)
 
 
 def ax(a: Formula) -> Net:
@@ -42,15 +47,16 @@ def ax(a: Formula) -> Net:
         {"l0": Link("ax", (), ("e0", "e1"))},
         (),
         ("e0", "e1"),
+        mark=2,
     )
 
 
 def one_rule() -> Net:
-    return Net({"e0": Label(ONE)}, {"l0": Link("one", (), ("e0",))}, (), ("e0",))
+    return Net({"e0": Label(ONE)}, {"l0": Link("one", (), ("e0",))}, (), ("e0",), mark=1)
 
 
-def _relabel(net: Net, fresh: _Fresh) -> tuple[Net, dict[str, str]]:
-    """The net under fresh ids, and the map from its old link ids."""
+def _relabel(net: Net, fresh: _Fresh) -> tuple[dict[str, Label], dict[str, Link], tuple[Box, ...], tuple[str, ...]]:
+    """The net's edges, links, boxes and conclusions under fresh ids."""
     emap = {e: fresh.edge() for e in net.edges}
     lmap = {l: fresh.link() for l in net.links}
 
@@ -62,7 +68,7 @@ def _relabel(net: Net, fresh: _Fresh) -> tuple[Net, dict[str, str]]:
             tuple(rebox(ch) for ch in box.children),
         )
 
-    renamed = Net(
+    return (
         {emap[e]: lab for e, lab in net.edges.items()},
         {
             lmap[l]: Link(lk.kind, tuple(emap[e] for e in lk.premises), tuple(emap[e] for e in lk.conclusions))
@@ -70,21 +76,20 @@ def _relabel(net: Net, fresh: _Fresh) -> tuple[Net, dict[str, str]]:
         },
         tuple(rebox(b) for b in net.boxes),
         tuple(emap[e] for e in net.conclusions),
-        mark=fresh.n if lmap else None,
     )
-    return renamed, lmap
 
 
 def mix(a: Net, b: Net) -> Net:
     """Juxtaposition; conclusions of a then b."""
     fresh = _Fresh(a, b)
+    edges, links, boxes, conclusions = b.edges, b.links, b.boxes, b.conclusions
     if set(a.edges) & set(b.edges) or set(a.links) & set(b.links):
-        b, _ = _relabel(b, fresh)
+        edges, links, boxes, conclusions = _relabel(b, fresh)
     return Net(
-        {**a.edges, **b.edges},
-        {**a.links, **b.links},
-        a.boxes + b.boxes,
-        a.conclusions + b.conclusions,
+        {**a.edges, **edges},
+        {**a.links, **links},
+        a.boxes + boxes,
+        a.conclusions + conclusions,
         mark=fresh.n,
     )
 
@@ -96,41 +101,44 @@ def _conclusion(net: Net, i: int) -> str:
         raise RuleError(f"conclusion index {i} out of range (net has {len(net.conclusions)})")
 
 
-def cut_rule(a: Net, i: int, b: Net, j: int) -> Net:
-    ea, eb = _conclusion(a, i), _conclusion(b, j)
+def _extend(a: Net, kind: str, premises: tuple[str, ...], label: Label | None = None, in_place: bool = False) -> Net:
+    """The net with one new link on some of its conclusions.  The premises
+    stop being conclusions; the link's conclusion, when it has a label,
+    takes the place of the first premise (in_place) or goes last."""
+    fresh = _Fresh(a)
+    lid = fresh.link()
+    conclusions = [e for e in a.conclusions if e not in premises]
+    edges, new = a.edges, ()
+    if label is not None:
+        new = (fresh.edge(),)
+        edges = {**edges, new[0]: label}
+        conclusions.insert(min(map(a.conclusions.index, premises)) if in_place else len(conclusions), new[0])
+    return Net(edges, {**a.links, lid: Link(kind, premises, new)}, a.boxes, tuple(conclusions), mark=fresh.n)
+
+
+def _pair(a: Net, i: int, b: Net, j: int, rule: str) -> tuple[Net, tuple[str, str], Label, Label]:
+    """The mix of a and b, conclusion i of a and j of b in it, and their
+    labels, which must not be flat."""
+    _conclusion(a, i), _conclusion(b, j)
     m = mix(a, b)
-    # mix may have renamed b's edges; recompute positions instead of ids
-    ea = m.conclusions[i]
-    eb = m.conclusions[len(a.conclusions) + j]
-    la, lb = m.edges[ea], m.edges[eb]
+    # mix may have renamed b's edges; take both by position
+    premises = (m.conclusions[i], m.conclusions[len(a.conclusions) + j])
+    la, lb = (m.edges[e] for e in premises)
     if la.flat or lb.flat:
-        raise RuleError("cut premises cannot be flat-labelled")
+        raise RuleError(f"{rule} premises cannot be flat-labelled")
+    return m, premises, la, lb
+
+
+def cut_rule(a: Net, i: int, b: Net, j: int) -> Net:
+    m, premises, la, lb = _pair(a, i, b, j, "cut")
     if dual(la.formula) != lb.formula:
         raise RuleError(f"cut premises are not dual: {la}, {lb}")
-    fresh = _Fresh(m)
-    lid = fresh.link()
-    links = dict(m.links)
-    links[lid] = Link("cut", (ea, eb), ())
-    conclusions = tuple(e for e in m.conclusions if e not in (ea, eb))
-    return Net(m.edges, links, m.boxes, conclusions)
+    return _extend(m, "cut", premises)
 
 
 def tensor_rule(a: Net, i: int, b: Net, j: int) -> Net:
-    _conclusion(a, i), _conclusion(b, j)
-    m = mix(a, b)
-    ea = m.conclusions[i]
-    eb = m.conclusions[len(a.conclusions) + j]
-    la, lb = m.edges[ea], m.edges[eb]
-    if la.flat or lb.flat:
-        raise RuleError("tensor premises cannot be flat-labelled")
-    fresh = _Fresh(m)
-    lid, eid = fresh.link(), fresh.edge()
-    edges = dict(m.edges)
-    edges[eid] = Label(Tensor(la.formula, lb.formula))
-    links = dict(m.links)
-    links[lid] = Link("tensor", (ea, eb), (eid,))
-    conclusions = tuple(e for e in m.conclusions if e not in (ea, eb)) + (eid,)
-    return Net(edges, links, m.boxes, conclusions)
+    m, premises, la, lb = _pair(a, i, b, j, "tensor")
+    return _extend(m, "tensor", premises, Label(Tensor(la.formula, lb.formula)))
 
 
 def par_rule(a: Net, i: int, j: int) -> Net:
@@ -142,27 +150,11 @@ def par_rule(a: Net, i: int, j: int) -> Net:
     li, lj = a.edges[ei], a.edges[ej]
     if li.flat or lj.flat:
         raise RuleError("par premises cannot be flat-labelled")
-    fresh = _Fresh(a)
-    lid, eid = fresh.link(), fresh.edge()
-    edges = dict(a.edges)
-    edges[eid] = Label(Par(li.formula, lj.formula))
-    links = dict(a.links)
-    links[lid] = Link("par", (ei, ej), (eid,))
-    first = a.conclusions[min(i, j)]
-    conclusions = tuple(
-        eid if e == first else e for e in a.conclusions if e == first or e not in (ei, ej)
-    )
-    return Net(edges, links, a.boxes, conclusions)
+    return _extend(a, "par", (ei, ej), Label(Par(li.formula, lj.formula)), in_place=True)
 
 
 def bottom_rule(a: Net) -> Net:
-    fresh = _Fresh(a)
-    lid, eid = fresh.link(), fresh.edge()
-    edges = dict(a.edges)
-    edges[eid] = Label(Bottom())
-    links = dict(a.links)
-    links[lid] = Link("bot", (), (eid,))
-    return Net(edges, links, a.boxes, a.conclusions + (eid,))
+    return _extend(a, "bot", (), Label(Bottom()))
 
 
 def flat_rule(a: Net, i: int) -> Net:
@@ -170,14 +162,7 @@ def flat_rule(a: Net, i: int) -> Net:
     li = a.edges[ei]
     if li.flat:
         raise RuleError("conclusion is already flat-labelled")
-    fresh = _Fresh(a)
-    lid, eid = fresh.link(), fresh.edge()
-    edges = dict(a.edges)
-    edges[eid] = Label(li.formula, flat=True)
-    links = dict(a.links)
-    links[lid] = Link("flat", (ei,), (eid,))
-    conclusions = tuple(eid if e == ei else e for e in a.conclusions)
-    return Net(edges, links, a.boxes, conclusions)
+    return _extend(a, "flat", (ei,), Label(li.formula, flat=True), in_place=True)
 
 
 def whynot_rule(a: Net, indices: list[int], weakening_of: Formula | None = None) -> Net:
@@ -186,7 +171,7 @@ def whynot_rule(a: Net, indices: list[int], weakening_of: Formula | None = None)
     supplied explicitly."""
     if len(set(indices)) != len(indices):
         raise RuleError("duplicate conclusion index")
-    picked = [_conclusion(a, i) for i in indices]
+    picked = tuple(_conclusion(a, i) for i in indices)
     if picked:
         labels = [a.edges[e] for e in picked]
         if not all(l.flat for l in labels):
@@ -194,24 +179,11 @@ def whynot_rule(a: Net, indices: list[int], weakening_of: Formula | None = None)
         body = labels[0].formula
         if any(l.formula != body for l in labels):
             raise RuleError("why-not premises must share one formula")
+    elif weakening_of is None:
+        raise RuleError("a weakening needs an explicit formula")
     else:
-        if weakening_of is None:
-            raise RuleError("a weakening needs an explicit formula")
         body = weakening_of
-    fresh = _Fresh(a)
-    lid, eid = fresh.link(), fresh.edge()
-    edges = dict(a.edges)
-    edges[eid] = Label(WhyNot(body))
-    links = dict(a.links)
-    links[lid] = Link("whynot", tuple(picked), (eid,))
-    if picked:
-        first = a.conclusions[min(indices)]
-        conclusions = tuple(
-            eid if e == first else e for e in a.conclusions if e == first or e not in picked
-        )
-    else:
-        conclusions = a.conclusions + (eid,)
-    return Net(edges, links, a.boxes, conclusions)
+    return _extend(a, "whynot", picked, Label(WhyNot(body)), in_place=bool(picked))
 
 
 def paragraph_rule(a: Net, i: int) -> Net:
@@ -219,14 +191,7 @@ def paragraph_rule(a: Net, i: int) -> Net:
     li = a.edges[ei]
     if li.flat:
         raise RuleError("paragraph premise cannot be flat-labelled")
-    fresh = _Fresh(a)
-    lid, eid = fresh.link(), fresh.edge()
-    edges = dict(a.edges)
-    edges[eid] = Label(Paragraph(li.formula))
-    links = dict(a.links)
-    links[lid] = Link("paragraph", (ei,), (eid,))
-    conclusions = tuple(eid if e == ei else e for e in a.conclusions)
-    return Net(edges, links, a.boxes, conclusions)
+    return _extend(a, "paragraph", (ei,), Label(Paragraph(li.formula)), in_place=True)
 
 
 def promotion(a: Net, principal_index: int) -> Net:
@@ -242,26 +207,19 @@ def promotion(a: Net, principal_index: int) -> Net:
     if not_flat:
         raise RuleError(f"promotion requires flat labels on the non-principal conclusions: {not_flat}")
     fresh = _Fresh(a)
-    edges = dict(a.edges)
-    links = dict(a.links)
-    oc = fresh.link()
-    oc_edge = fresh.edge()
+    edges, links = dict(a.edges), dict(a.links)
+    oc, oc_edge = fresh.link(), fresh.edge()
     edges[oc_edge] = Label(OfCourse(lp.formula))
     links[oc] = Link("ofcourse", (ep,), (oc_edge,))
-    new_conclusions: list[str] = []
-    auxiliaries: list[str] = []
-    replacement: dict[str, str] = {ep: oc_edge}
+    replacement = {ep: oc_edge}
+    auxiliaries = []
     for e in others:
-        pax = fresh.link()
-        pax_edge = fresh.edge()
-        edges[pax_edge] = a.edges[e]
-        links[pax] = Link("pax", (e,), (pax_edge,))
+        pax, replacement[e] = fresh.link(), fresh.edge()
+        edges[replacement[e]] = a.edges[e]
+        links[pax] = Link("pax", (e,), (replacement[e],))
         auxiliaries.append(pax)
-        replacement[e] = pax_edge
-    for e in a.conclusions:
-        new_conclusions.append(replacement[e])
     box = Box(oc, tuple(auxiliaries), frozenset(a.links), a.boxes)
-    return Net(edges, links, (box,), tuple(new_conclusions))
+    return Net(edges, links, (box,), tuple(replacement[e] for e in a.conclusions), mark=fresh.n)
 
 
 # -- seeded random generation ------------------------------------------------

@@ -60,11 +60,10 @@ def _witness_doc(w: BalanceWitness) -> dict:
 
 
 def _dot(net: Net) -> str:
-    g = net_mod.underlying_graph(net, at_depth_zero=False)
+    g = net_mod.underlying_graph(net)
     lines = ["graph net {"]
     for n in g.nodes:
-        kind = net.links[n].kind if n in net.links else "box"
-        lines.append(f'  "{n}" [label="{n}\\n{kind}"];')
+        lines.append(f'  "{n}" [label="{n}\\n{net.links[n].kind}"];')
     for a, b, e in g.edges:
         lines.append(f'  "{a}" -- "{b}" [label="{net.edges[e]}"];')
     for e in net.conclusions:
@@ -266,7 +265,7 @@ def cmd_test(args) -> int:
         return EXIT_INVALID
     if len(n.conclusions) != 1:
         print(
-            f"note: joining {len(n.conclusions)} conclusions before testing",
+            f"note: reporting the par-closure of {len(n.conclusions)} conclusions",
             file=sys.stderr,
         )
     report = interactive.interactive_l3_check(n, budget=_step_budget(), level=args.level)

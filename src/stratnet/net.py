@@ -9,8 +9,11 @@ set of contained links; two boxes are disjoint or nested.
 Nets are immutable after construction.  Cut elimination and the net
 transforms (eta-expansion, doubling, the shift) edit one mutable copy,
 ``rewrite._Workspace``, and build the new net once, at the end; the
-sequent rules in ``builder`` build new nets directly.  New ids e<n> and
-l<n> come from ``_Fresh``, which counts on past every such id of a net.
+sequent rules in ``builder`` build each new net once.  New ids e<n> and
+l<n> come from ``_Fresh``, which counts on from a net's id mark, one past
+every such id.  The builder's rules and the interactive transforms hand
+the mark to the nets they build; any other net, one from ``load`` say,
+scans its ids for it once, on first use.
 """
 
 from __future__ import annotations
@@ -152,7 +155,6 @@ class Net:
         "conclusions",
         "_producer",
         "_consumer",
-        "_link_depth",
         "_box_of_border",
         "_enclosing",
         "_mark",
@@ -179,7 +181,6 @@ class Net:
                 consumer[e] = lid
         self._producer = producer
         self._consumer = consumer
-        depth: dict[str, int] = {lid: 0 for lid in self.links}
         box_of_border: dict[str, Box] = {}
         enclosing: dict[str, tuple[Box, ...]] = {lid: () for lid in self.links}
 
@@ -188,15 +189,13 @@ class Net:
                 box_of_border[lid] = box
             inner = chain + (box,)
             for lid in box.contents:
-                if lid in depth:
-                    depth[lid] = len(inner)
+                if lid in enclosing:
                     enclosing[lid] = inner
             for child in box.children:
                 sweep(child, inner)
 
         for b in self.boxes:
             sweep(b, ())
-        self._link_depth = depth
         self._box_of_border = box_of_border
         self._enclosing = enclosing
         self._mark = mark
@@ -217,18 +216,9 @@ class Net:
     def consumer(self, edge: str) -> str | None:
         return self._consumer.get(edge)
 
-    def label(self, edge: str) -> Label:
-        return self.edges[edge]
-
     def all_boxes(self) -> Iterator[Box]:
         for b in self.boxes:
             yield from b.walk()
-
-    def box_of_principal(self, lid: str) -> Box | None:
-        box = self._box_of_border.get(lid)
-        if box is not None and box.principal == lid:
-            return box
-        return None
 
     def box_of_border_link(self, lid: str) -> Box | None:
         return self._box_of_border.get(lid)
@@ -241,9 +231,9 @@ class Net:
         """Number of boxes strictly containing a link or edge.  Border links
         sit at the depth of their box; an edge sits where its producer does."""
         if x in self.links:
-            return self._link_depth[x]
+            return len(self._enclosing[x])
         if x in self.edges:
-            return self._link_depth[self._producer[x]]
+            return len(self._enclosing[self._producer[x]])
         raise KeyError(f"unknown link or edge id: {x}")
 
     def has_flat_conclusion(self) -> bool:
@@ -511,42 +501,18 @@ def parr_closure(net: Net) -> Net:
 
 @dataclass(frozen=True)
 class UGraph:
-    """Undirected multigraph over links at depth zero, with boxes optionally
-    collapsed into single nodes.  Parallel edges are kept."""
+    """Undirected multigraph over links.  Parallel edges are kept."""
 
     nodes: tuple[str, ...]
     # (node, node, edge-id); node order within a pair is not significant.
     edges: tuple[tuple[str, str, str], ...]
 
 
-def underlying_graph(net: Net, at_depth_zero: bool = False) -> UGraph:
-    """Forget conclusions, orientation and premise order.  With the flag,
-    collapse each depth-zero box into a single node; without it, take the
-    whole net at every depth as one undirected multigraph."""
-    if at_depth_zero:
-        node_of: dict[str, str] = {}
-        for box in net.boxes:
-            name = f"box:{box.principal}"
-            for lid in box.border():
-                node_of[lid] = name
-            for lid in box.contents:
-                node_of[lid] = name
-        nodes = [lid for lid in net.links if lid not in node_of]
-        node_of.update((lid, lid) for lid in nodes)
-        nodes.extend(f"box:{b.principal}" for b in net.boxes)
-    else:
-        node_of = {lid: lid for lid in net.links}
-        nodes = list(net.links)
-    edges = []
-    for eid in net.edges:
-        cons = net.consumer(eid)
-        if cons is None:
-            continue
-        a, b = node_of[net.producer(eid)], node_of[cons]
-        if a == b and a.startswith("box:"):
-            continue  # internal to a collapsed box
-        edges.append((a, b, eid))
-    return UGraph(tuple(nodes), tuple(edges))
+def underlying_graph(net: Net) -> UGraph:
+    """Forget conclusions, orientation and premise order: the whole net at
+    every depth as one undirected multigraph."""
+    edges = tuple((net.producer(e), lid, e) for e in net.edges if (lid := net.consumer(e)) is not None)
+    return UGraph(tuple(net.links), edges)
 
 
 # -- canonical form ---------------------------------------------------------

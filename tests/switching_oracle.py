@@ -14,9 +14,31 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from stratnet.correctness import BudgetExceeded, CyclicSwitching
-from stratnet.net import Box, Net, UGraph, underlying_graph
+from stratnet.net import Box, Net, UGraph
 
 ORACLE_BUDGET = 1 << 20
+
+
+def collapsed_graph(net: Net) -> UGraph:
+    """The depth-zero underlying graph: each depth-zero box collapsed into
+    one node, the links outside every box first, then one node per box;
+    edges inside a box are dropped, parallel edges kept."""
+    node_of: dict[str, str] = {}
+    for box in net.boxes:
+        for lid in (*box.border(), *box.contents):
+            node_of[lid] = f"box:{box.principal}"
+    nodes = [lid for lid in net.links if lid not in node_of]
+    node_of.update((lid, lid) for lid in nodes)
+    nodes.extend(f"box:{b.principal}" for b in net.boxes)
+    edges = []
+    for eid in net.edges:
+        cons = net.consumer(eid)
+        if cons is None:
+            continue
+        a, b = node_of[net.producer(eid)], node_of[cons]
+        if a != b or not a.startswith("box:"):
+            edges.append((a, b, eid))
+    return UGraph(tuple(nodes), tuple(edges))
 
 
 def _top_structure(net: Net):
@@ -24,8 +46,7 @@ def _top_structure(net: Net):
     single nodes), its edges split in one pass into fixed ones and premises
     of switched links (keyed by edge id), and the premise groups of the
     switched links."""
-    graph = underlying_graph(net, at_depth_zero=True)
-    # The graph lists the links outside every box first, then one node per box.
+    graph = collapsed_graph(net)
     top_links = graph.nodes[: len(graph.nodes) - len(net.boxes)]
     switched: list[tuple[str, list[str]]] = []
     switched_premises: set[str] = set()

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from stratnet.formula import Atom, parse_formula
+from stratnet.formula import ONE, Atom, parse_formula
 from stratnet.net import Label, Link, Net, nets_equal, save, validate
 from stratnet import builder
 from stratnet.builder import GenParams, RuleError, _Fresh
@@ -161,3 +163,91 @@ def test_generator_covers_rule_kinds():
         boxes += sum(1 for _ in n.all_boxes())
     assert {"ax", "tensor", "par", "flat", "whynot", "ofcourse", "pax", "paragraph", "cut"} <= kinds
     assert boxes > 0
+
+
+def test_rules_hand_on_the_id_mark_a_scan_finds():
+    # a mark below the scan would hand out ids that are already taken
+    x, fx = builder.ax(X), builder.flat_rule(builder.ax(X), 0)
+    apart = Net({"e5": Label(ONE)}, {"l9": Link("one", (), ("e5",))}, (), ("e5",))
+    built = [
+        builder.daimon(),
+        x,
+        builder.one_rule(),
+        builder.mix(x, builder.ax(Y)),
+        builder.mix(x, apart),
+        builder.mix(builder.daimon(), x),
+        builder.cut_rule(x, 1, x, 0),
+        builder.tensor_rule(x, 0, x, 1),
+        builder.par_rule(x, 1, 0),
+        builder.bottom_rule(x),
+        fx,
+        builder.whynot_rule(fx, [0]),
+        builder.whynot_rule(x, [], weakening_of=Y),
+        builder.paragraph_rule(x, 1),
+        builder.promotion(fx, 1),
+    ]
+    built += [builder.random_net(seed, GenParams(target_size=30, cut_bias=0.4)) for seed in range(20)]
+    for net in built:
+        assert net._mark == Net(net.edges, net.links, net.boxes, net.conclusions).id_mark()
+
+
+def test_random_net_scans_no_ids_and_each_rule_builds_one_net(monkeypatch):
+    counts = {"builds": 0, "scans": 0}
+    init, id_mark = Net.__init__, Net.id_mark
+
+    def counted_init(self, *args, **kwargs):
+        counts["builds"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_id_mark(self):
+        counts["scans"] += self._mark is None
+        return id_mark(self)
+
+    monkeypatch.setattr(Net, "__init__", counted_init)
+    monkeypatch.setattr(Net, "id_mark", counted_id_mark)
+    for seed in range(50):
+        builder.random_net(seed, GenParams(target_size=60, cut_bias=0.4))
+    assert counts["scans"] == 0
+
+    x, fx = builder.ax(X), builder.flat_rule(builder.ax(X), 0)
+    rules = {
+        "mix with clashing ids": lambda: builder.mix(x, x),
+        "par": lambda: builder.par_rule(x, 0, 1),
+        "bottom": lambda: builder.bottom_rule(x),
+        "flat": lambda: builder.flat_rule(x, 1),
+        "why-not": lambda: builder.whynot_rule(fx, [0]),
+        "paragraph": lambda: builder.paragraph_rule(x, 0),
+        "promotion": lambda: builder.promotion(fx, 1),
+        # cut and tensor: the mix's net, then their own
+        "cut": lambda: builder.cut_rule(x, 1, x, 0),
+        "tensor": lambda: builder.tensor_rule(x, 1, x, 0),
+    }
+    builds = {}
+    for name, rule in rules.items():
+        counts["builds"] = 0
+        rule()
+        builds[name] = counts["builds"]
+    assert builds == {name: 2 if name in ("cut", "tensor") else 1 for name in rules}
+
+
+# Criterion 1's five bias mixes and the check-dr corpus's cut bias; the
+# test and benchmark corpora come from this generator.
+PINNED_PARAMS = [
+    GenParams(cut_bias=0.0, exponential_bias=0.35, paragraph_bias=0.15, box_bias=0.3),
+    GenParams(cut_bias=0.0, exponential_bias=0.55, paragraph_bias=0.05, box_bias=0.5),
+    GenParams(cut_bias=0.0, exponential_bias=0.15, paragraph_bias=0.4, box_bias=0.2),
+    GenParams(cut_bias=0.0, exponential_bias=0.0, paragraph_bias=0.0, box_bias=0.0),
+    GenParams(cut_bias=0.0, exponential_bias=0.45, paragraph_bias=0.3, box_bias=0.4),
+    GenParams(target_size=60, cut_bias=0.4),
+]
+
+
+def test_random_net_output_is_pinned():
+    saved, ids = hashlib.sha256(), hashlib.sha256()
+    for params in PINNED_PARAMS:
+        for seed in range(30):
+            n = builder.random_net(seed, params)
+            saved.update(save(n))
+            ids.update(repr(sorted(n.links)).encode())
+    assert saved.hexdigest() == "ae76afa30f3ad1b685e0fa9d7b253861b29e636aab1f42e7ef10e7f7b8bfb6c3"
+    assert ids.hexdigest() == "d9c2147aa9693e8cf397410d29bdddfbac3547572ca521530c5783fcd78c4abf"

@@ -430,7 +430,7 @@ def test_test_command_rejects_level_out_of_range(tmp_path, capsys, level):
 def test_test_command_autocloses(tmp_path, capsys):
     p = write_net(tmp_path, "ax.json", builder.ax(X))
     assert main(["test", p]) == 0
-    assert "joining" in capsys.readouterr().err
+    assert "note: reporting the par-closure of 2 conclusions" in capsys.readouterr().err
 
 
 WIDE_COMMANDS = (

@@ -28,7 +28,7 @@ from stratnet import builder
 
 from conftest import make_id_bang, shuffle_net, tensor_loop_net
 from isomorphism_oracle import isomorphic
-from switching_oracle import find_cycle
+from switching_oracle import collapsed_graph, find_cycle
 
 
 X = Atom("X")
@@ -150,7 +150,7 @@ def test_underlying_graph_box_collapse_parallel_edges():
     boxed = builder.promotion(joined, 1)
     wn = builder.whynot_rule(boxed, [0, 2])
     assert validate(wn).ok()
-    g = underlying_graph(wn, at_depth_zero=True)
+    g = collapsed_graph(wn)
     assert find_cycle(g) is not None
     # the collapsed node really does carry parallel edges to the why-not
     wid = next(l for l, lk in wn.links.items() if lk.kind == "whynot")
