@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (
     Atom,
@@ -79,19 +80,32 @@ def _relabel(net: Net, fresh: _Fresh) -> tuple[dict[str, Label], dict[str, Link]
     )
 
 
-def mix(a: Net, b: Net) -> Net:
-    """Juxtaposition; conclusions of a then b."""
+class _Parts(NamedTuple):
+    """A net's parts and id mark, before the net is built."""
+
+    edges: dict[str, Label]
+    links: dict[str, Link]
+    boxes: tuple[Box, ...]
+    conclusions: tuple[str, ...]
+    mark: int
+
+    def id_mark(self) -> int:
+        return self.mark
+
+
+def _merge(a: Net, b: Net) -> _Parts:
+    """The parts of mix(a, b)."""
     fresh = _Fresh(a, b)
     edges, links, boxes, conclusions = b.edges, b.links, b.boxes, b.conclusions
     if set(a.edges) & set(b.edges) or set(a.links) & set(b.links):
         edges, links, boxes, conclusions = _relabel(b, fresh)
-    return Net(
-        {**a.edges, **edges},
-        {**a.links, **links},
-        a.boxes + boxes,
-        a.conclusions + conclusions,
-        mark=fresh.n,
-    )
+    return _Parts({**a.edges, **edges}, {**a.links, **links}, a.boxes + boxes, a.conclusions + conclusions, fresh.n)
+
+
+def mix(a: Net, b: Net) -> Net:
+    """Juxtaposition; conclusions of a then b."""
+    *parts, mark = _merge(a, b)
+    return Net(*parts, mark=mark)
 
 
 def _conclusion(net: Net, i: int) -> str:
@@ -101,7 +115,9 @@ def _conclusion(net: Net, i: int) -> str:
         raise RuleError(f"conclusion index {i} out of range (net has {len(net.conclusions)})")
 
 
-def _extend(a: Net, kind: str, premises: tuple[str, ...], label: Label | None = None, in_place: bool = False) -> Net:
+def _extend(
+    a: Net | _Parts, kind: str, premises: tuple[str, ...], label: Label | None = None, in_place: bool = False
+) -> Net:
     """The net with one new link on some of its conclusions.  The premises
     stop being conclusions; the link's conclusion, when it has a label,
     takes the place of the first premise (in_place) or goes last."""
@@ -116,12 +132,12 @@ def _extend(a: Net, kind: str, premises: tuple[str, ...], label: Label | None = 
     return Net(edges, {**a.links, lid: Link(kind, premises, new)}, a.boxes, tuple(conclusions), mark=fresh.n)
 
 
-def _pair(a: Net, i: int, b: Net, j: int, rule: str) -> tuple[Net, tuple[str, str], Label, Label]:
-    """The mix of a and b, conclusion i of a and j of b in it, and their
-    labels, which must not be flat."""
+def _pair(a: Net, i: int, b: Net, j: int, rule: str) -> tuple[_Parts, tuple[str, str], Label, Label]:
+    """The parts of the mix of a and b, conclusion i of a and j of b in it,
+    and their labels, which must not be flat."""
     _conclusion(a, i), _conclusion(b, j)
-    m = mix(a, b)
-    # mix may have renamed b's edges; take both by position
+    m = _merge(a, b)
+    # the merge may have renamed b's edges; take both by position
     premises = (m.conclusions[i], m.conclusions[len(a.conclusions) + j])
     la, lb = (m.edges[e] for e in premises)
     if la.flat or lb.flat:

@@ -315,9 +315,6 @@ class BalanceWitness:
     flavor: Flavor
     closed: bool = True
 
-    def edge_ids(self) -> tuple[str, ...]:
-        return self.elements[0::2]
-
     def __str__(self) -> str:
         kind = "cycle" if self.closed else "conclusion-to-conclusion path"
         return f"unbalanced {kind} (balance {self.balance}, {self.flavor} weights): " + " - ".join(self.elements)

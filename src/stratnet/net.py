@@ -14,6 +14,9 @@ l<n> come from ``_Fresh``, which counts on from a net's id mark, one past
 every such id.  The builder's rules and the interactive transforms hand
 the mark to the nets they build; any other net, one from ``load`` say,
 scans its ids for it once, on first use.
+
+A net's saved document decodes the encoding behind ``canonical_form``, so
+isomorphic nets save to the same bytes.
 """
 
 from __future__ import annotations
@@ -801,17 +804,12 @@ def _labelling(net: Net) -> tuple[dict[str, int], list]:
     return {lid: r for r, lid in enumerate(by_rank)}, encoding
 
 
-def canonical_order(net: Net) -> dict[str, int]:
-    """Canonical rank of every link; stable under id renaming and under
-    permutation of unordered premise lists and box auxiliary lists."""
-    return _labelling(net)[0]
-
-
 def traversal_order(net: Net) -> dict[str, int]:
     """Cheap anchored rank: one depth-first sweep from the conclusions with
     label-based ordering at unordered ports.  Deterministic for a given net
-    value, but unlike canonical_order not guaranteed invariant under id
-    renaming; used where only reproducibility matters."""
+    value, but unlike the canonical labelling behind canonical_form not
+    guaranteed invariant under id renaming; used where only reproducibility
+    matters."""
     rank: dict[str, int] = {}
     lab = {e: str(l) for e, l in net.edges.items()}
 
@@ -936,42 +934,6 @@ def _walk_isomorphic(a: Net, b: Net) -> bool:
     return True
 
 
-def renumber(net: Net) -> Net:
-    """Rebuild the net with canonical sequential ids (l0,l1,... / e0,e1,...),
-    unordered premises and axiom sides in canonical order.  Saving a
-    renumbered net gives the same bytes for every isomorphic net."""
-    rank = canonical_order(net)
-    by_rank = sorted(net.links, key=rank.__getitem__)
-    lab = {e: str(l) for e, l in net.edges.items()}
-    number = {e: i for i, e in enumerate(_edge_order(net, by_rank, rank, lab))}
-    edge_name = {e: f"e{i}" for e, i in number.items()}
-    link_name = {lid: f"l{r}" for lid, r in rank.items()}
-
-    def ports(edges: tuple[str, ...], unordered: bool) -> tuple[str, ...]:
-        return tuple(edge_name[e] for e in (sorted(edges, key=number.__getitem__) if unordered else edges))
-
-    links = {
-        link_name[lid]: Link(
-            lk.kind,
-            ports(lk.premises, lk.kind in UNORDERED_PREMISES),
-            ports(lk.conclusions, lk.kind == "ax"),
-        )
-        for lid, lk in net.links.items()
-    }
-    edges = {edge_name[e]: label for e, label in net.edges.items()}
-
-    def rebox(box: Box) -> Box:
-        return Box(
-            link_name[box.principal],
-            tuple(link_name[a] for a in box.auxiliaries),
-            frozenset(link_name[c] for c in box.contents),
-            tuple(sorted((rebox(ch) for ch in box.children), key=lambda bb: bb.principal)),
-        )
-
-    boxes = tuple(sorted((rebox(b) for b in net.boxes), key=lambda bb: bb.principal))
-    return Net(edges, links, boxes, tuple(edge_name[e] for e in net.conclusions))
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -980,39 +942,30 @@ class NetFormatError(ValueError):
 
 
 def to_document(net: Net) -> dict:
-    net = renumber(net)
-
-    def box_doc(box: Box) -> dict:
-        direct = box.contents - {
-            lid for ch in box.children for lid in (set(ch.border()) | ch.contents)
-        }
-        return {
-            "principal": box.principal,
-            "auxiliaries": sorted(box.auxiliaries),
-            "contents": sorted(direct),
-            "boxes": [box_doc(ch) for ch in box.children],
-        }
-
-    return {
-        "edges": [{"id": e, "label": str(net.edges[e])} for e in sorted(net.edges, key=_id_key)],
-        "links": [
-            {
-                "id": lid,
-                "kind": lk.kind,
-                "premises": list(lk.premises),
-                "conclusions": list(lk.conclusions),
-            }
-            for lid, lk in sorted(net.links.items(), key=lambda kv: _id_key(kv[0]))
-        ],
-        "boxes": [box_doc(b) for b in net.boxes],
-        "conclusions": list(net.conclusions),
+    """The decoding of the encoding behind ``canonical_form``: link r is l<r>
+    and edge i is e<i>.  Box members and boxes go in the string order of
+    their ids, l10 before l2."""
+    links, labels, conclusions = _labelling(net)[1]
+    names = lambda numbers: [f"e{i}" for i in numbers]
+    docs, edge = [], 0
+    for r, (kind, _, _, premises, count) in enumerate(links):
+        concluded = names(range(edge, edge + count))
+        docs.append({"id": f"l{r}", "kind": kind, "premises": names(premises), "conclusions": concluded})
+        edge += count
+    boxes = {
+        r: {"principal": f"l{r}", "auxiliaries": [], "contents": [], "boxes": []}
+        for r, link in enumerate(links)
+        if link[1] == 1
     }
-
-
-def _id_key(name: str):
-    head = name.rstrip("0123456789")
-    tail = name[len(head) :]
-    return (head, int(tail) if tail else -1)
+    top: list[dict] = []
+    for r in sorted(range(len(links)), key=str):
+        _, role, up, _, _ = links[r]
+        if role == 1:
+            (top if up < 0 else boxes[up]["boxes"]).append(boxes[r])
+        elif up >= 0:
+            boxes[up]["auxiliaries" if role == 2 else "contents"].append(f"l{r}")
+    edges = [{"id": f"e{i}", "label": label} for i, label in enumerate(labels)]
+    return {"edges": edges, "links": docs, "boxes": top, "conclusions": names(conclusions)}
 
 
 def save(net: Net, pretty: bool = False) -> bytes:
@@ -1116,10 +1069,8 @@ __all__ = [
     "parr_closure",
     "UGraph",
     "underlying_graph",
-    "canonical_order",
     "canonical_form",
     "nets_equal",
-    "renumber",
     "save",
     "load",
     "to_document",

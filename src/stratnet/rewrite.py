@@ -680,13 +680,13 @@ def shift_net(net: Net) -> Net:
     for serial, lid in enumerate(shifted):
         link = net.links[lid]
         prem = link.premises[0]
-        eid = f"{prem}~sh{serial}"
+        eid = ws.fresh(prem, f"sh{serial}")
         ws.edges[eid] = Label(Paragraph(ws.edges[prem].formula))
         where = ws.loc[lid]
         if where[0] == "border":
             where = ("in", where[1])
         ws.put_link(lid, Link(link.kind, (eid,), link.conclusions))
-        ws.add_link(f"{lid}~sh{serial}", Link("paragraph", (prem,), (eid,)), where)
+        ws.add_link(ws.fresh(lid, f"sh{serial}"), Link("paragraph", (prem,), (eid,)), where)
     return ws.freeze()
 
 

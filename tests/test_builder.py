@@ -218,7 +218,6 @@ def test_random_net_scans_no_ids_and_each_rule_builds_one_net(monkeypatch):
         "why-not": lambda: builder.whynot_rule(fx, [0]),
         "paragraph": lambda: builder.paragraph_rule(x, 0),
         "promotion": lambda: builder.promotion(fx, 1),
-        # cut and tensor: the mix's net, then their own
         "cut": lambda: builder.cut_rule(x, 1, x, 0),
         "tensor": lambda: builder.tensor_rule(x, 1, x, 0),
     }
@@ -227,7 +226,7 @@ def test_random_net_scans_no_ids_and_each_rule_builds_one_net(monkeypatch):
         counts["builds"] = 0
         rule()
         builds[name] = counts["builds"]
-    assert builds == {name: 2 if name in ("cut", "tensor") else 1 for name in rules}
+    assert builds == {name: 1 for name in rules}
 
 
 # Criterion 1's five bias mixes and the check-dr corpus's cut bias; the

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -25,6 +26,8 @@ from stratnet.net import (
     validate,
 )
 from stratnet import builder
+from stratnet.interactive import bullet_net, eta_expand
+from stratnet.rewrite import normalize, shift_net
 
 from conftest import make_id_bang, shuffle_net, tensor_loop_net
 from isomorphism_oracle import isomorphic
@@ -229,7 +232,7 @@ def test_canonical_form_agrees_with_isomorphism_oracle(oracle_corpus):
             outcomes[iso] += 1
             walked = _walk_isomorphic(a, b)
             certified[iso] += walked
-            agree = (canonical_form(a) == canonical_form(b)) == nets_equal(a, b) == iso
+            agree = (canonical_form(a) == canonical_form(b)) == (save(a) == save(b)) == nets_equal(a, b) == iso
             if not agree or walked and not iso:
                 disagreements.append(seed)
     assert disagreements == []
@@ -333,6 +336,26 @@ def test_save_load_roundtrip_corpus():
 def test_save_pretty_loads():
     n = builder.random_net(3, builder.GenParams(target_size=10))
     assert nets_equal(load(save(n, pretty=True)), n)
+
+
+# Box-heavy mixes with cuts; most nets have more than 10 links, so the
+# string order of ids ("l10" before "l2") shows in the saved boxes.
+TRANSFORM_PARAMS = [
+    builder.GenParams(target_size=14, box_bias=0.8, exponential_bias=0.6, paragraph_bias=0.2, cut_bias=0.3),
+    builder.GenParams(target_size=30, box_bias=0.6, exponential_bias=0.5, paragraph_bias=0.1, cut_bias=0.4),
+]
+
+
+def test_save_bytes_of_transformed_nets_are_pinned():
+    digest = hashlib.sha256()
+    for params in TRANSFORM_PARAMS:
+        for seed in range(25):
+            n = builder.random_net(seed, params)
+            normal = normalize(n)[0]
+            for m in (n, shuffle_net(n, seed), shift_net(n), normal, bullet_net(eta_expand(normal))):
+                digest.update(save(m))
+                digest.update(save(m, pretty=True))
+    assert digest.hexdigest() == "ae078f2bb972dd6b351ca8001fe3c39a631e877675e29e572708658a939c407c"
 
 
 def test_load_minimal_axiom_document():

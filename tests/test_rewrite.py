@@ -251,6 +251,27 @@ def test_shift_net_conclusions_are_shifted_formulas():
         assert is_dr_correct(n) == is_dr_correct(plus)
 
 
+def test_shift_net_does_not_overwrite_taken_ids():
+    # the shift names the edge and link it puts above the flat link l2
+    # "e0~sh0" and "l2~sh0"; here a conclusion of the net already is "e0~sh0"
+    n = builder.whynot_rule(builder.promotion(builder.flat_rule(builder.ax(X), 0), 1), [0])
+    assert n.conclusions == ("e9", "e5") and n.links["l2"].kind == "flat"
+    name = {"e9": "e0~sh0"}
+    renamed = Net(
+        {name.get(e, e): lab for e, lab in n.edges.items()},
+        {
+            lid: Link(lk.kind, lk.premises, tuple(name.get(e, e) for e in lk.conclusions))
+            for lid, lk in n.links.items()
+        },
+        n.boxes,
+        ("e0~sh0", "e5"),
+    )
+    assert validate(renamed).ok()
+    plus = shift_net(renamed)
+    assert validate(plus).ok()
+    assert nets_equal(plus, shift_net(n))
+
+
 # -- transport ---------------------------------------------------------------------------
 
 
