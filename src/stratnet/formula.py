@@ -16,13 +16,14 @@ once made; the node table holds nodes weakly: no more than live nets use.
 
 from __future__ import annotations
 
-from threading import RLock
-from weakref import WeakValueDictionary, ref
+from _weakref import _remove_dead_weakref
+from weakref import ref
 
-# Every live formula node and edge label, by class and fields.  A node keeps
-# its dual and doubling image weakly, so no node is in a reference cycle.
-_TABLE: WeakValueDictionary = WeakValueDictionary()
-_TABLE_LOCK = RLock()
+# Every live formula node and edge label, by class and fields, as a weak
+# reference whose callback drops the entry unless a new node took it.  A node
+# keeps its dual and doubling image weakly, so no node is in a reference cycle.
+_TABLE: dict[tuple, ref] = {}
+_GONE = ref(set())  # a dead reference: the default of a lookup that misses
 
 
 class _Interned:
@@ -30,16 +31,23 @@ class _Interned:
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
+    _fill: tuple = ()  # setters of the fields' slots
+
+    def __init_subclass__(cls) -> None:
+        cls._fill = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def __new__(cls, *fields):
         key = (cls,) + fields
-        node = _TABLE.get(key)
+        node = _TABLE.get(key, _GONE)()
         if node is None:
             made = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, fields):
-                object.__setattr__(made, name, value)
-            with _TABLE_LOCK:  # one node per key, under threads too
-                node = _TABLE.setdefault(key, made)
+            for fill, value in zip(cls._fill, fields):
+                fill(made, value)
+            kept = ref(made, lambda _: _remove_dead_weakref(_TABLE, key))
+            # setdefault is atomic, so threads agree on one node per key; a
+            # dead entry whose callback is still to come is replaced
+            while (node := _TABLE.setdefault(key, kept)()) is None:
+                _remove_dead_weakref(_TABLE, key)
         return node
 
     def __setattr__(self, name: str, value) -> None:
@@ -65,7 +73,7 @@ class Atom(Formula):
     __slots__ = __match_args__ = ("name", "dual")
 
     def __new__(cls, name: str, dual: bool = False):
-        return super().__new__(cls, name, bool(dual))
+        return _Interned.__new__(cls, name, bool(dual))
 
 
 class One(Formula):

@@ -24,14 +24,16 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from operator import attrgetter
+from typing import Iterator, Mapping, Sequence
 
 from .formula import (
-    Bottom,
+    BOTTOM,
+    ONE,
     Formula,
+    MAX_FORMULA_DEPTH,
     FormulaSyntaxError,
     OfCourse,
-    One,
     Par,
     Paragraph,
     Tensor,
@@ -70,7 +72,7 @@ class Label(_Interned):
     __match_args__ = ("formula", "flat")
 
     def __new__(cls, formula: Formula, flat: bool = False):
-        return super().__new__(cls, formula, bool(flat))
+        return _Interned.__new__(cls, formula, bool(flat))
 
     def __str__(self) -> str:
         text = getattr(self, "_text", None)
@@ -170,20 +172,13 @@ class Net:
         boxes: tuple[Box, ...] = (),
         conclusions: tuple[str, ...] = (),
         mark: int | None = None,
+        _wired: tuple[dict[str, str], dict[str, str]] | None = None,
     ):
         self.edges: dict[str, Label] = dict(edges)
         self.links: dict[str, Link] = dict(links)
         self.boxes = boxes
         self.conclusions = conclusions
-        producer: dict[str, str] = {}
-        consumer: dict[str, str] = {}
-        for lid, link in self.links.items():
-            for e in link.conclusions:
-                producer[e] = lid
-            for e in link.premises:
-                consumer[e] = lid
-        self._producer = producer
-        self._consumer = consumer
+        self._producer, self._consumer = _wired or _ends(self.links)
         box_of_border: dict[str, Box] = {}
         enclosing: dict[str, tuple[Box, ...]] = {lid: () for lid in self.links}
 
@@ -256,6 +251,19 @@ class Net:
         return f"<Net {len(self.links)} links |- {concl}>"
 
 
+def _ends(links: Mapping[str, Link]) -> tuple[dict[str, str], dict[str, str]]:
+    """The producer and the consumer of each edge; the first in link order
+    where there are several."""
+    producer: dict[str, str] = {}
+    consumer: dict[str, str] = {}
+    for lid, link in reversed(links.items()):
+        for e in link.conclusions:
+            producer[e] = lid
+        for e in link.premises:
+            consumer[e] = lid
+    return producer, consumer
+
+
 class _Fresh:
     """Names e<n> and l<n> from one counter that starts past every such id
     of the given nets, so no name it gives is taken."""
@@ -277,151 +285,122 @@ class _Fresh:
 # -- validation -----------------------------------------------------------
 
 
-def _expected_labels_ok(net: Net, lid: str, link: Link, out: list[Violation]) -> None:
-    def bad(msg: str) -> None:
-        out.append(Violation("typing", lid, msg))
+# Per link kind, what validate says when its premises are flat (a pax's: are
+# not), and when its conclusions are not those they require ({0}, {1}, ...
+# stand for its conclusions, then its premises).
+_COMPLAINTS = {
+    "ax": ("", "axiom conclusions are not dual: {0}, {1}"),
+    "cut": ("cut premises cannot be flat-labelled", ""),
+    "one": ("", "one link must conclude 1, got {0}"),
+    "bot": ("", "bottom link must conclude bot, got {0}"),
+    "tensor": ("multiplicative premises cannot be flat-labelled", "conclusion {0} does not match premises {1}, {2}"),
+    "par": ("multiplicative premises cannot be flat-labelled", "conclusion {0} does not match premises {1}, {2}"),
+    "flat": ("flat premise is already flat-labelled", "flat conclusion {0} does not wrap premise {1}"),
+    "pax": ("pax premise must be flat-labelled", "pax must preserve its label, got {1} -> {0}"),
+    "ofcourse": ("of-course premise cannot be flat-labelled", "of-course conclusion {0} does not match premise {1}"),
+    "paragraph": ("paragraph premise cannot be flat-labelled", "paragraph conclusion {0} does not match premise {1}"),
+}
+_CONNECTIVE = {"tensor": Tensor, "par": Par, "ofcourse": OfCourse, "paragraph": Paragraph}
+_FLAT, _FORMULA, _PREMISES, _CONCLUSIONS = map(attrgetter, ("flat", "formula", "premises", "conclusions"))
 
-    prem = [net.edges[e] for e in link.premises]
-    conc = [net.edges[e] for e in link.conclusions]
-    kind = link.kind
+
+def _typing(kind: str, prem: list[Label], given: Sequence[Label]) -> tuple[Label, ...] | list[str]:
+    """The conclusion labels a link of this kind requires over these premise
+    labels, or why it can have none.  Of ``given``, its conclusion labels as
+    far as known, the rule reads an axiom's and a why-not's (a weakening's)."""
     if kind == "ax":
-        a, b = conc
-        if a.flat or b.flat:
-            bad("axiom conclusions cannot be flat-labelled")
-        elif dual(a.formula) != b.formula:
-            bad(f"axiom conclusions are not dual: {a}, {b}")
-    elif kind == "cut":
+        if any(c.flat for c in given):
+            return ["axiom conclusions cannot be flat-labelled"]
+        return given[0], Label(dual(given[0].formula))
+    if kind == "whynot":
+        (c,) = given or (Label(WhyNot(prem[0].formula)),)
+        if c.flat or not isinstance(c.formula, WhyNot):
+            return [f"why-not conclusion must be a ?-formula, got {c}"]
+        body = Label(c.formula.body, True)
+        return [f"why-not premise {p} does not match conclusion {c}" for p in prem if p is not body] or (c,)
+    if kind == "one" or kind == "bot":
+        return (Label(ONE if kind == "one" else BOTTOM),)
+    if any(map(_FLAT, prem)) != (kind == "pax"):
+        return [_COMPLAINTS[kind][0]]
+    if kind == "cut":
         a, b = prem
-        if a.flat or b.flat:
-            bad("cut premises cannot be flat-labelled")
-        elif dual(a.formula) != b.formula:
-            bad(f"cut premises are not dual: {a}, {b}")
-    elif kind == "one":
-        if conc[0] != Label(One()):
-            bad(f"one link must conclude 1, got {conc[0]}")
-    elif kind == "bot":
-        if conc[0] != Label(Bottom()):
-            bad(f"bottom link must conclude bot, got {conc[0]}")
-    elif kind in ("tensor", "par"):
-        l, r = prem
-        if l.flat or r.flat:
-            bad("multiplicative premises cannot be flat-labelled")
-            return
-        want = Tensor(l.formula, r.formula) if kind == "tensor" else Par(l.formula, r.formula)
-        if conc[0] != Label(want):
-            bad(f"conclusion {conc[0]} does not match premises {l}, {r}")
-    elif kind == "flat":
-        if prem[0].flat:
-            bad("flat premise is already flat-labelled")
-        elif conc[0] != Label(prem[0].formula, flat=True):
-            bad(f"flat conclusion {conc[0]} does not wrap premise {prem[0]}")
-    elif kind == "pax":
-        if not prem[0].flat:
-            bad("pax premise must be flat-labelled")
-        elif conc[0] != prem[0]:
-            bad(f"pax must preserve its label, got {prem[0]} -> {conc[0]}")
-    elif kind == "whynot":
-        if not isinstance(conc[0].formula, WhyNot) or conc[0].flat:
-            bad(f"why-not conclusion must be a ?-formula, got {conc[0]}")
-            return
-        body = conc[0].formula.body
-        for p in prem:
-            if p != Label(body, flat=True):
-                bad(f"why-not premise {p} does not match conclusion {conc[0]}")
-    elif kind == "ofcourse":
-        if prem[0].flat:
-            bad("of-course premise cannot be flat-labelled")
-        elif conc[0] != Label(OfCourse(prem[0].formula)):
-            bad(f"of-course conclusion {conc[0]} does not match premise {prem[0]}")
-    elif kind == "paragraph":
-        if prem[0].flat:
-            bad("paragraph premise cannot be flat-labelled")
-        elif conc[0] != Label(Paragraph(prem[0].formula)):
-            bad(f"paragraph conclusion {conc[0]} does not match premise {prem[0]}")
+        return () if dual(a.formula) is b.formula else [f"cut premises are not dual: {a}, {b}"]
+    if kind == "pax":
+        return (prem[0],)
+    if kind == "flat":
+        return (Label(prem[0].formula, True),)
+    return (Label(_CONNECTIVE[kind](*map(_FORMULA, prem))),)
 
 
-def validate(net: Net) -> ValidationReport:
-    """Structural validation of the net conditions.  Violations are data;
-    an empty report means every condition holds.  Flat-labelled net
-    conclusions are legal here (rule intermediates need them) and are
-    rejected separately by the correctness predicates and the file loader."""
+def _wiring(edges: Mapping, links: Mapping[str, Link], conclusions: tuple) -> tuple[list[Violation], dict, dict]:
+    """Violations of the link kinds and arities, of one producer and at most
+    one consumer per edge, and of the declared conclusions (none after a
+    wrong kind, arity or edge id); and each edge's producer and consumer."""
     out: list[Violation] = []
-
-    for lid, link in net.links.items():
+    producer, consumer = _ends(links)
+    strays = not (producer.keys() <= edges.keys() and consumer.keys() <= edges.keys())
+    for lid, link in links.items():
         shape = LINK_ARITIES.get(link.kind)
         if shape is None:
             out.append(Violation("kind", lid, f"unknown link kind {link.kind!r}"))
             continue
         arity, coarity = shape
         if arity is not None and len(link.premises) != arity:
-            out.append(
-                Violation("arity", lid, f"{link.kind} expects {arity} premises, has {len(link.premises)}")
-            )
+            out.append(Violation("arity", lid, f"{link.kind} expects {arity} premises, has {len(link.premises)}"))
         if len(link.conclusions) != coarity:
-            out.append(
-                Violation("arity", lid, f"{link.kind} expects {coarity} conclusions, has {len(link.conclusions)}")
-            )
-        for e in link.premises + link.conclusions:
-            if e not in net.edges:
+            n = len(link.conclusions)
+            out.append(Violation("arity", lid, f"{link.kind} expects {coarity} conclusions, has {n}"))
+        for e in link.premises + link.conclusions if strays else ():
+            if e not in edges:
                 out.append(Violation("edge", lid, f"references unknown edge {e!r}"))
-
-    if any(v.code in ("kind", "arity", "edge") for v in out):
-        return ValidationReport(tuple(out))
-
-    producers: dict[str, list[str]] = {e: [] for e in net.edges}
-    consumers: dict[str, list[str]] = {e: [] for e in net.edges}
-    for lid, link in net.links.items():
-        for e in link.conclusions:
-            producers[e].append(lid)
-        for e in link.premises:
-            consumers[e].append(lid)
-    for e in net.edges:
-        if len(producers[e]) != 1:
-            out.append(Violation("producer", e, f"edge is conclusion of {len(producers[e])} links, expected 1"))
-        if len(consumers[e]) > 1:
+    declared = set(conclusions)
+    if out or (
+        len(producer) == len(edges) == sum(map(len, map(_CONCLUSIONS, links.values())))
+        and len(consumer) == sum(map(len, map(_PREMISES, links.values())))
+        and declared == edges.keys() - consumer.keys()
+        and len(conclusions) == len(declared)
+    ):
+        return out, producer, consumer
+    made = Counter(e for link in links.values() for e in link.conclusions)
+    used = Counter(e for link in links.values() for e in link.premises)
+    for e in edges:
+        if made[e] != 1:
+            out.append(Violation("producer", e, f"edge is conclusion of {made[e]} links, expected 1"))
+        if used[e] > 1:
             out.append(Violation("consumer", e, "edge is premise of more than one link"))
-
-    declared = set(net.conclusions)
-    pending = {e for e in net.edges if not consumers[e]}
-    if declared != pending:
-        for e in sorted(pending - declared):
-            out.append(Violation("conclusions", e, "pending edge not declared as a conclusion"))
-        for e in sorted(declared - pending):
-            out.append(Violation("conclusions", e, "declared conclusion has a consumer or is unknown"))
-    if len(net.conclusions) != len(declared):
+    pending = {e for e in edges if e not in consumer}
+    for e in sorted(pending - declared):
+        out.append(Violation("conclusions", e, "pending edge not declared as a conclusion"))
+    for e in sorted(declared - pending):
+        out.append(Violation("conclusions", e, "declared conclusion has a consumer or is unknown"))
+    if len(conclusions) != len(declared):
         out.append(Violation("conclusions", "-", "duplicate edge in conclusions list"))
+    return out, producer, consumer
 
-    for lid, link in net.links.items():
-        _expected_labels_ok(net, lid, link, out)
 
-    # Flat-labelled edges may only feed pax or why-not links.
-    for e, lab in net.edges.items():
-        if lab.flat and consumers.get(e):
-            kind = net.links[consumers[e][0]].kind
-            if kind not in ("pax", "whynot"):
-                out.append(Violation("flat-wire", e, f"flat-labelled edge feeds a {kind} link"))
-
-    # Box conditions: principal/pax bookkeeping, laminarity, and closure.
+def _box_violations(links: Mapping[str, Link], boxes: tuple[Box, ...], producer: dict, consumer: dict) -> list:
+    """Box conditions: principal/pax bookkeeping, laminarity, and closure."""
+    out: list[Violation] = []
     seen_principals: dict[str, str] = {}
     seen_pax: dict[str, str] = {}
-    all_boxes = list(net.all_boxes())
+    all_boxes = [b for top in boxes for b in top.walk()]
     for i, box in enumerate(all_boxes):
         tag = f"box#{i}"
-        if box.principal not in net.links or net.links[box.principal].kind != "ofcourse":
+        if box.principal not in links or links[box.principal].kind != "ofcourse":
             out.append(Violation("box", tag, "principal is not an of-course link"))
             continue
         if box.principal in seen_principals:
             out.append(Violation("box", tag, "of-course link is principal of two boxes"))
         seen_principals[box.principal] = tag
         for a in box.auxiliaries:
-            if a not in net.links or net.links[a].kind != "pax":
+            if a not in links or links[a].kind != "pax":
                 out.append(Violation("box", tag, f"auxiliary {a} is not a pax link"))
             elif a in seen_pax:
                 out.append(Violation("box", tag, f"pax {a} is in the border of two boxes"))
             else:
                 seen_pax[a] = tag
         for lid in box.contents:
-            if lid not in net.links:
+            if lid not in links:
                 out.append(Violation("box", tag, f"contents reference unknown link {lid}"))
         border = set(box.border())
         if border & box.contents:
@@ -429,7 +408,7 @@ def validate(net: Net) -> ValidationReport:
         for child in box.children:
             if not (set(child.border()) | child.contents) <= box.contents:
                 out.append(Violation("box", tag, "child box is not contained in parent"))
-    for lid, link in net.links.items():
+    for lid, link in links.items():
         if link.kind == "ofcourse" and lid not in seen_principals:
             out.append(Violation("box", lid, "of-course link is not the principal of any box"))
         if link.kind == "pax" and lid not in seen_pax:
@@ -448,33 +427,58 @@ def validate(net: Net) -> ValidationReport:
     for i, box in enumerate(all_boxes):
         inside = box.contents
         border = set(box.border())
-        prem_edges = set()
-        for lid in box.border():
-            if lid in net.links:
-                prem_edges.update(net.links[lid].premises)
+        prem_edges = {e for lid in border if lid in links for e in links[lid].premises}
         for lid in inside:
-            link = net.links.get(lid)
+            link = links.get(lid)
             if link is None:
                 continue
             for e in link.conclusions:
-                cons = consumers.get(e, [])
+                cons = consumer.get(e)
                 if e in prem_edges:
                     continue
-                if not cons:
+                if cons is None:
                     out.append(Violation("box", f"box#{i}", f"edge {e} escapes the box as a pending conclusion"))
-                elif cons[0] not in inside:
-                    out.append(Violation("box", f"box#{i}", f"edge {e} crosses the border to {cons[0]}"))
+                elif cons not in inside:
+                    out.append(Violation("box", f"box#{i}", f"edge {e} crosses the border to {cons}"))
             for e in link.premises:
-                if e in producers and producers[e] and producers[e][0] not in inside:
+                if e in producer and producer[e] not in inside:
                     out.append(Violation("box", f"box#{i}", f"premise {e} is produced outside the box"))
         for lid in border:
-            link = net.links.get(lid)
+            link = links.get(lid)
             if link is None:
                 continue
             for e in link.premises:
-                if e in producers and producers[e] and producers[e][0] not in inside:
+                if e in producer and producer[e] not in inside:
                     out.append(Violation("box", f"box#{i}", f"border premise {e} does not come from inside"))
+    return out
 
+
+def validate(net: Net) -> ValidationReport:
+    """Structural validation of the net conditions.  Violations are data;
+    an empty report means every condition holds.  Flat-labelled net
+    conclusions are legal here (rule intermediates need them) and are
+    rejected separately by the correctness predicates and the file loader."""
+    out, producer, consumer = _wiring(net.edges, net.links, net.conclusions)
+    if any(v.code in ("kind", "arity", "edge") for v in out):
+        return ValidationReport(tuple(out))
+
+    for lid, link in net.links.items():
+        prem = [net.edges[e] for e in link.premises]
+        conc = [net.edges[e] for e in link.conclusions]
+        want = _typing(link.kind, prem, conc)
+        if type(want) is list:
+            out += (Violation("typing", lid, why) for why in want)
+        elif any(w is not c for w, c in zip(want, conc)):
+            out.append(Violation("typing", lid, _COMPLAINTS[link.kind][1].format(*conc, *prem)))
+
+    # Flat-labelled edges may only feed pax or why-not links.
+    for e, lab in net.edges.items():
+        if lab.flat and e in consumer:
+            kind = net.links[consumer[e]].kind
+            if kind not in ("pax", "whynot"):
+                out.append(Violation("flat-wire", e, f"flat-labelled edge feeds a {kind} link"))
+
+    out += _box_violations(net.links, net.boxes, producer, consumer)
     return ValidationReport(tuple(out))
 
 
@@ -797,11 +801,9 @@ class _Canonicalizer:
                         queue.append(f)
 
 
-def _labelling(net: Net) -> tuple[dict[str, int], list]:
-    """The canonical order and the encoding behind the canonical form, from
-    one labelling."""
-    by_rank, encoding = _Canonicalizer(net).labelling()
-    return {lid: r for r, lid in enumerate(by_rank)}, encoding
+def _labelling(net: Net) -> list:
+    """The encoding behind the canonical form."""
+    return _Canonicalizer(net).labelling()[1]
 
 
 def traversal_order(net: Net) -> dict[str, int]:
@@ -853,7 +855,7 @@ def canonical_form(net: Net) -> bytes:
     """Byte string identifying the net up to id renaming and reordering of
     unordered structure: two nets have the same form exactly when they are
     isomorphic.  Conclusion order and labels are significant."""
-    return _form(_labelling(net)[1])
+    return _form(_labelling(net))
 
 
 def _form(encoding: list) -> bytes:
@@ -945,7 +947,7 @@ def to_document(net: Net) -> dict:
     """The decoding of the encoding behind ``canonical_form``: link r is l<r>
     and edge i is e<i>.  Box members and boxes go in the string order of
     their ids, l10 before l2."""
-    links, labels, conclusions = _labelling(net)[1]
+    links, labels, conclusions = _labelling(net)
     names = lambda numbers: [f"e{i}" for i in numbers]
     docs, edge = [], 0
     for r, (kind, _, _, premises, count) in enumerate(links):
@@ -991,13 +993,8 @@ def _ids(value, what: str) -> tuple[str, ...]:
     raise NetFormatError(f"{what} must be a list of string ids, not {json.dumps(value)[:40]}")
 
 
-def from_document(doc: dict, allow_flat_conclusions: bool = False) -> Net:
-    texts: dict[str, Label] = {}  # each distinct label text is parsed once
-
-    def label(text) -> Label:
-        found = texts.get(text) if type(text) is str else None
-        return found or texts.setdefault(text, parse_label(text))
-
+def _read(doc: dict, label) -> tuple[dict, dict[str, Link], tuple[Box, ...], tuple[str, ...]]:
+    """A document's edges (each label read by ``label``), links, boxes and conclusions."""
     try:
         edges = {_id(e["id"], "an edge id"): label(e["label"]) for e in doc["edges"]}
         links = {
@@ -1031,10 +1028,85 @@ def from_document(doc: dict, allow_flat_conclusions: bool = False) -> Net:
         conclusions = _ids(doc.get("conclusions", []), "net conclusions")
     except (KeyError, TypeError) as exc:
         raise NetFormatError(f"malformed net document: {exc}") from exc
-    net = Net(edges, links, boxes, conclusions)
-    report = validate(net)
-    if not report.ok():
-        raise InvalidNetError(report)
+    return edges, links, boxes, conclusions
+
+
+def _nesting(a: Formula) -> int:
+    """How deep a formula nests, as the parser counts."""
+    inner = [f for f in map(a.__getattribute__, a.__match_args__) if isinstance(f, Formula)]
+    return 1 + max(map(_nesting, inner)) if inner else 0
+
+
+# A conclusion's text from its premises' texts, as print_formula writes it,
+# and the links whose conclusion nests one deeper than their premises.
+_TEXT = {
+    "tensor": "({} * {})".format, "par": "({} @ {})".format, "flat": "%{}".format, "pax": str,
+    "ofcourse": "!{}".format, "paragraph": "#{}".format, "whynot": lambda flat, *_: "?" + flat[1:],
+}
+_DEEPER = frozenset({"tensor", "par", "ofcourse", "paragraph", "whynot"})
+
+
+def _typed(texts: dict, links: dict[str, Link], boxes: tuple[Box, ...], conclusions: tuple[str, ...]) -> Net | None:
+    """The net of a document whose labels its links determine: an axiom's
+    first conclusion and a weakening's are parsed, each other label derived
+    from its link's premises, in dependency order, and its text from
+    theirs.  None on a label spaced or nested otherwise, a premise cycle
+    or any violation."""
+    wrong, producer, consumer = _wiring(texts, links, conclusions)
+    if wrong:
+        return None
+    # (kind, first conclusion's text) of a link with no premises -> its
+    # labels, their texts, and their nesting depth
+    leaves: dict[tuple[str, str], tuple] = {}
+    labels = dict.fromkeys(texts)
+    depth: dict[str, int] = {}
+    waiting = dict(zip(links, map(len, map(_PREMISES, links.values()))))
+    ready = [lid for lid, n in waiting.items() if not n]
+    label_of, depth_of, text_of = labels.__getitem__, depth.__getitem__, texts.__getitem__
+    for lid in ready:
+        link = links[lid]
+        kind, prem, conc = link.kind, link.premises, link.conclusions
+        if prem:
+            want = _typing(kind, list(map(label_of, prem)), ())
+            d = max(map(depth_of, prem)) + (kind in _DEEPER)
+            ok = type(want) is tuple and (not conc or _TEXT[kind](*map(text_of, prem)) == texts[conc[0]])
+        else:
+            key = kind, texts[conc[0]]
+            if key not in leaves:
+                given = (parse_label(key[1]),) if kind in ("ax", "whynot") else ()
+                want = _typing(kind, [], given)
+                shown = type(want) is tuple and [*map(str, want)]
+                leaves[key] = want, shown, _nesting(given[0].formula) if given else 0
+            want, shown, d = leaves[key]
+            ok = shown == [*map(text_of, conc)]
+        if not ok or d > MAX_FORMULA_DEPTH:
+            return None
+        for e, lab in zip(conc, want):
+            labels[e], depth[e] = lab, d
+            if (c := consumer.get(e)) is not None:
+                waiting[c] -= 1
+                if not waiting[c]:
+                    ready.append(c)
+    if len(ready) < len(links) or _box_violations(links, boxes, producer, consumer):
+        return None
+    return Net(labels, links, boxes, conclusions, _wired=(producer, consumer))
+
+
+def from_document(doc: dict, allow_flat_conclusions: bool = False) -> Net:
+    """The net of a document.  Labels are derived from their links where
+    they can be; a document that is not certified that way has every label
+    parsed and the whole net validated, which words every error."""
+    try:
+        # str.__str__ passes a string label through and fails on any other,
+        # whose error the way below words
+        net = _typed(*_read(doc, str.__str__))
+    except NetFormatError:
+        net = None
+    if net is None:
+        net = Net(*_read(doc, parse_label))
+        report = validate(net)
+        if not report.ok():
+            raise InvalidNetError(report)
     if not allow_flat_conclusions and net.has_flat_conclusion():
         bad = [e for e in net.conclusions if net.edges[e].flat]
         raise NetFormatError(f"net conclusions carry flat labels: {', '.join(bad)}")

@@ -88,6 +88,17 @@ def tensor_last_two(base: Net) -> Net:
     return Net(edges, links, base.boxes, conclusions, mark=fresh.n)
 
 
+def paragraph_chain(depth: int) -> dict:
+    """The document of an X axiom under a chain of depth paragraph links,
+    whose top label nests depth deep."""
+    edges = [{"id": "a", "label": "X^"}, {"id": "p0", "label": "X"}]
+    links = [{"id": "ax", "kind": "ax", "premises": [], "conclusions": ["a", "p0"]}]
+    for i in range(1, depth + 1):
+        edges.append({"id": f"p{i}", "label": "#" * i + "X"})
+        links.append({"id": f"l{i}", "kind": "paragraph", "premises": [f"p{i - 1}"], "conclusions": [f"p{i}"]})
+    return {"edges": edges, "links": links, "conclusions": ["a", f"p{depth}"]}
+
+
 def tensor_loop_net(context: Net | None = None) -> Net:
     """A valid net that fails switching-acyclicity: a tensor over both
     conclusions of one axiom, optionally juxtaposed with a correct context."""

@@ -32,7 +32,7 @@ from stratnet.interactive import (
     cut_compose,
     eta_expand,
 )
-from stratnet.net import Label, Net, _Fresh, _labelling, canonical_form, nets_equal
+from stratnet.net import Label, Net, _Canonicalizer, _Fresh, canonical_form, nets_equal
 from stratnet.rewrite import DEFAULT_STEP_BUDGET, _reduce, _Workspace, normalize
 
 
@@ -55,7 +55,8 @@ def swapping_compare(a: Net, b: Net) -> bool:
         # identity block, and the crossed-flags of its blocks by the
         # canonical rank of their tensors there.
         sites = _blocks(net)
-        rank, encoding = _labelling(_swap_sites(net, [s for s in sites if s.crossed]))
+        by_rank, encoding = _Canonicalizer(_swap_sites(net, [s for s in sites if s.crossed])).labelling()
+        rank = {lid: r for r, lid in enumerate(by_rank)}
         views.append((encoding, [s.crossed for s in sorted(sites, key=lambda s: rank[s.tensor])]))
     (form_a, flags_a), (form_b, flags_b) = views
     # Equal forms have as many blocks, ranked alike.

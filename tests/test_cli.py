@@ -16,7 +16,7 @@ from stratnet.formula import Atom, dual
 from stratnet.net import LINK_ARITIES, load, nets_equal, save, to_document
 from stratnet import builder
 
-from conftest import make_unstable_membership_net, tensor_loop_net
+from conftest import make_unstable_membership_net, paragraph_chain, tensor_loop_net
 
 
 X = Atom("X")
@@ -84,6 +84,7 @@ BOUNDARY_PROBES = {
     "test-no-conclusion": (["test"], "empty", None),
     "test-level-no-conclusion": (["test", "--level", "0"], "empty", None),
     "test-tensor-loop": (["test"], "tensor-loop", None),
+    "deep-derived-label": (["validate"], "paragraph-chain", 210),
 }
 
 
@@ -108,6 +109,8 @@ def test_validate_malformed_document_exits_2(tmp_path, capsys, probe):
         doc = {"edges": [], "links": [], "boxes": [], "conclusions": []}
     elif field == "tensor-loop":
         doc = to_document(tensor_loop_net())
+    elif field == "paragraph-chain":
+        doc = paragraph_chain(value)
     elif field is not None:
         doc[field].append(dict(doc[field][value]))
     p = tmp_path / "probe.json"

@@ -172,7 +172,7 @@ def test_formulas_cannot_be_changed():
 
 def test_dead_formulas_leave_the_table():
     def entries(name):
-        return [f for f in list(_TABLE.values()) if name in str(f)]
+        return [f for kept in list(_TABLE.values()) if (f := kept()) is not None and name in str(f)]
 
     a = parse_formula("(!Unused_atom_q * #(Unused_atom_q^ @ 1))")
     d, b, label = dual(a), bullet_formula(a), Label(a, True)
@@ -183,6 +183,15 @@ def test_dead_formulas_leave_the_table():
     assert probe() is None  # kept duals and images are weak: no cycle holds a node
     gc.collect()
     assert entries("Unused_atom_q") == []
+
+
+def test_dead_formulas_leave_no_key_in_the_table():
+    a = parse_formula("(!Unused_atom_k * #(Unused_atom_k^ @ 1))")
+    dual(a)
+    assert any(key[0] is Atom and key[1] == "Unused_atom_k" for key in _TABLE)
+    del a
+    gc.collect()
+    assert not any(key[0] is Atom and key[1] == "Unused_atom_k" for key in list(_TABLE))
 
 
 def test_threads_build_one_node_per_formula():

@@ -29,7 +29,7 @@ from stratnet import builder
 from stratnet.interactive import bullet_net, eta_expand
 from stratnet.rewrite import normalize, shift_net
 
-from conftest import make_id_bang, shuffle_net, tensor_loop_net
+from conftest import make_id_bang, paragraph_chain, shuffle_net, tensor_loop_net
 from isomorphism_oracle import isomorphic
 from switching_oracle import collapsed_graph, find_cycle
 
@@ -454,3 +454,13 @@ def test_malformed_label_after_repeated_texts_keeps_its_error(bad):
     with pytest.raises(NetFormatError) as loaded:
         load(json.dumps(doc))
     assert str(loaded.value) == str(direct.value)
+
+
+def test_labels_derived_from_links_keep_the_depth_limit():
+    # no label of the chain need be parsed to type it, yet the one nested
+    # 201 deep is refused as the parser refuses it
+    with pytest.raises(NetFormatError) as exc:
+        load(json.dumps(paragraph_chain(210)))
+    assert str(exc.value) == f"bad edge label '{'#' * 37}...': formula nested deeper than 200 (at position 201)"
+    chain = load(json.dumps(paragraph_chain(200)))
+    assert str(chain.edges["p200"]) == "#" * 200 + "X"
