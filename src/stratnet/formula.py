@@ -12,11 +12,15 @@ legal as an edge label, never inside a formula.
 Formulas are hash-consed: equal formulas are one node, so equality is
 identity.  A node keeps its text, and weakly its dual and doubling image,
 once made; the node table holds nodes weakly: no more than live nets use.
+Each pass over a formula is one fold, bottom up from an explicit stack over
+its distinct nodes, so no pass recurses.  The parser does, once per level
+and only to ``MAX_FORMULA_DEPTH``; so does eta-expansion (``interactive``).
 """
 
 from __future__ import annotations
 
 from _weakref import _remove_dead_weakref
+from operator import attrgetter
 from weakref import ref
 
 # Every live formula node and edge label, by class and fields, as a weak
@@ -110,120 +114,107 @@ BOTTOM = Bottom()
 # The fixed atom used by the atomic doubling substitution.
 RESERVED_ATOM = "X"
 
+# A node's parts; its connective's partner under duality; and a connective's
+# text from the texts of its parts.  The units are connectives with no parts.
+_leaf, _pair, _body = (lambda x: ()), attrgetter("left", "right"), (lambda x: (x.body,))
+_PARTS = {Atom: _leaf, One: _leaf, Bottom: _leaf, Tensor: _pair, Par: _pair, OfCourse: _body, WhyNot: _body, Paragraph: _body}
+_DUAL = {One: Bottom, Bottom: One, Tensor: Par, Par: Tensor, OfCourse: WhyNot, WhyNot: OfCourse, Paragraph: Paragraph}
+_TEMPLATE = {One: "1".format, Bottom: "bot".format, Tensor: "({} * {})".format, Par: "({} @ {})".format}
+_TEMPLATE |= {OfCourse: "!{}".format, WhyNot: "?{}".format, Paragraph: "#{}".format}
+_MODALITIES = frozenset({OfCourse, WhyNot, Paragraph})
+_NONE_KEPT = {}.get  # for a pass whose results no node keeps
+
+
+def _fold(a, known, make):
+    """make(x, *results of x's parts) for a, bottom up from an explicit
+    stack: each distinct node is made once, and a node whose result
+    known(x) gives is not entered.  No result is a tuple: a node's entry
+    holds its parts while they are made."""
+    done = {}
+    todo = [a]
+    while todo:
+        x = todo[-1]
+        r = done.get(x)
+        if r is None:
+            r = known(x)
+            if r is None:
+                try:
+                    parts = _PARTS[type(x)](x)
+                except KeyError:
+                    raise TypeError(f"not a formula: {x!r}") from None
+                if parts:
+                    done[x] = parts
+                    todo += parts
+                    continue
+                r = make(x)
+        elif type(r) is tuple:
+            r = make(x, *map(done.__getitem__, r))
+        todo.pop()
+        done[x] = r
+    return r
+
+
+def _weakly_kept(name: str):
+    """The result a node keeps weakly in the named slot, or None."""
+    return lambda x: (kept := getattr(x, name, None)) and kept()
+
+
+def _make_dual(x, *parts):
+    d = Atom(x.name, not x.dual) if type(x) is Atom else _DUAL[type(x)](*parts)
+    x._dual, d._dual = ref(d), ref(x)
+    return d
+
+
+def _make_bullet(x, *parts):
+    b = (Par if x.dual else Tensor)(*[Atom(RESERVED_ATOM, x.dual)] * 2) if type(x) is Atom else type(x)(*parts)
+    x._bullet = ref(b)
+    return b
+
+
+def _make_shift(x, *parts):
+    if type(x) in (OfCourse, WhyNot):
+        return type(x)(Paragraph(*parts))
+    return x if type(x) is Atom else type(x)(*parts)
+
+
+def _make_text(x, *parts):
+    x._text = text = (x.name + ("^" if x.dual else "")) if type(x) is Atom else _TEMPLATE[type(x)](*parts)
+    return text
+
 
 def dual(a: Formula) -> Formula:
     """De Morgan dual.  Atoms flip their polarity, the paragraph modality
     is self-dual, everything else swaps with its partner connective; kept weakly."""
     kept = getattr(a, "_dual", None)
-    d = kept and kept()
-    if d is None:
-        match a:
-            case Atom(name, pol):
-                d = Atom(name, not pol)
-            case One():
-                d = BOTTOM
-            case Bottom():
-                d = ONE
-            case Tensor(l, r):
-                d = Par(dual(l), dual(r))
-            case Par(l, r):
-                d = Tensor(dual(l), dual(r))
-            case OfCourse(b):
-                d = WhyNot(dual(b))
-            case WhyNot(b):
-                d = OfCourse(dual(b))
-            case Paragraph(b):
-                d = Paragraph(dual(b))
-            case _:
-                raise TypeError(f"not a formula: {a!r}")
-        a._dual, d._dual = ref(d), ref(a)
-    return d
+    return kept and kept() or _fold(a, _weakly_kept("_dual"), _make_dual)
 
 
 def shift_formula(a: Formula) -> Formula:
     """Insert a paragraph modality directly under every exponential."""
-    match a:
-        case Atom() | One() | Bottom():
-            return a
-        case Tensor(l, r):
-            return Tensor(shift_formula(l), shift_formula(r))
-        case Par(l, r):
-            return Par(shift_formula(l), shift_formula(r))
-        case OfCourse(b):
-            return OfCourse(Paragraph(shift_formula(b)))
-        case WhyNot(b):
-            return WhyNot(Paragraph(shift_formula(b)))
-        case Paragraph(b):
-            return Paragraph(shift_formula(b))
-    raise TypeError(f"not a formula: {a!r}")
+    return _fold(a, _NONE_KEPT, _make_shift)
 
 
 def bullet_formula(a: Formula) -> Formula:
     """Replace every positive atom with X*X and every dual atom with
     X^@X^, for the one reserved atom name X; kept weakly per node."""
     kept = getattr(a, "_bullet", None)
-    b = kept and kept()
-    if b is None:
-        match a:
-            case Atom(_, False):
-                b = Tensor(Atom(RESERVED_ATOM), Atom(RESERVED_ATOM))
-            case Atom(_, True):
-                b = Par(Atom(RESERVED_ATOM, True), Atom(RESERVED_ATOM, True))
-            case One() | Bottom():
-                b = a
-            case Tensor(l, r):
-                b = Tensor(bullet_formula(l), bullet_formula(r))
-            case Par(l, r):
-                b = Par(bullet_formula(l), bullet_formula(r))
-            case OfCourse(body):
-                b = OfCourse(bullet_formula(body))
-            case WhyNot(body):
-                b = WhyNot(bullet_formula(body))
-            case Paragraph(body):
-                b = Paragraph(bullet_formula(body))
-            case _:
-                raise TypeError(f"not a formula: {a!r}")
-        a._bullet = ref(b)
-    return b
+    return kept and kept() or _fold(a, _weakly_kept("_bullet"), _make_bullet)
 
 
 def modal_depth(a: Formula) -> int:
     """Maximum nesting of index-shifting modalities (!, ?, #) over any leaf."""
-    match a:
-        case Atom() | One() | Bottom():
-            return 0
-        case Tensor(l, r) | Par(l, r):
-            return max(modal_depth(l), modal_depth(r))
-        case OfCourse(b) | WhyNot(b) | Paragraph(b):
-            return 1 + modal_depth(b)
-    raise TypeError(f"not a formula: {a!r}")
+    return _fold(a, _NONE_KEPT, lambda x, left=0, right=0: max(left, right) + (type(x) in _MODALITIES))
+
+
+def _nesting(a: Formula) -> int:
+    """How deep a formula nests, as the parser counts."""
+    return _fold(a, _NONE_KEPT, lambda x, *inner: 1 + max(inner) if inner else 0)
 
 
 def print_formula(a: Formula) -> str:
     """The formula's text in the grammar above; kept per node."""
     text = getattr(a, "_text", None)
-    if text is None:
-        match a:
-            case Atom(name, d):
-                text = name + ("^" if d else "")
-            case One():
-                text = "1"
-            case Bottom():
-                text = "bot"
-            case Tensor(l, r):
-                text = f"({print_formula(l)} * {print_formula(r)})"
-            case Par(l, r):
-                text = f"({print_formula(l)} @ {print_formula(r)})"
-            case OfCourse(b):
-                text = "!" + print_formula(b)
-            case WhyNot(b):
-                text = "?" + print_formula(b)
-            case Paragraph(b):
-                text = "#" + print_formula(b)
-            case _:
-                raise TypeError(f"not a formula: {a!r}")
-        a._text = text
-    return text
+    return _fold(a, lambda x: getattr(x, "_text", None), _make_text) if text is None else text
 
 
 class FormulaSyntaxError(ValueError):
@@ -234,10 +225,12 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-# Deepest formula nesting the parser accepts.  Formula functions recurse
-# once per connective, so this keeps every later pass well inside Python's
-# recursion limit.
+# Deepest formula nesting the parser accepts, a rule on documents: the parser
+# recurses once per level, and the texts that a formula's nodes keep grow in
+# total length with the square of its depth.
 MAX_FORMULA_DEPTH = 200
+# The parser reads a modality by the prefix it is printed with.
+_PREFIX = {_TEMPLATE[c](""): c for c in _MODALITIES}
 
 
 class _Parser:
@@ -277,15 +270,9 @@ class _Parser:
             right = self.formula(depth + 1)
             self.expect(")")
             return Tensor(left, right) if op == "*" else Par(left, right)
-        if c == "!":
+        if c in _PREFIX:
             self.pos += 1
-            return OfCourse(self.formula(depth + 1))
-        if c == "?":
-            self.pos += 1
-            return WhyNot(self.formula(depth + 1))
-        if c == "#":
-            self.pos += 1
-            return Paragraph(self.formula(depth + 1))
+            return _PREFIX[c](self.formula(depth + 1))
         if c == "1":
             self.pos += 1
             return ONE

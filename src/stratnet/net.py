@@ -38,7 +38,9 @@ from .formula import (
     Paragraph,
     Tensor,
     WhyNot,
+    _TEMPLATE,
     _Interned,
+    _nesting,
     dual,
     parse_formula,
     print_formula,
@@ -237,9 +239,6 @@ class Net:
     def has_flat_conclusion(self) -> bool:
         return any(self.edges[e].flat for e in self.conclusions)
 
-    def conclusion_formulas(self) -> tuple[Label, ...]:
-        return tuple(self.edges[e] for e in self.conclusions)
-
     def cut_links(self) -> list[str]:
         return [lid for lid, lk in self.links.items() if lk.kind == "cut"]
 
@@ -399,7 +398,7 @@ def _box_violations(links: Mapping[str, Link], boxes: tuple[Box, ...], producer:
                 out.append(Violation("box", tag, f"pax {a} is in the border of two boxes"))
             else:
                 seen_pax[a] = tag
-        for lid in box.contents:
+        for lid in sorted(box.contents):
             if lid not in links:
                 out.append(Violation("box", tag, f"contents reference unknown link {lid}"))
         border = set(box.border())
@@ -428,7 +427,7 @@ def _box_violations(links: Mapping[str, Link], boxes: tuple[Box, ...], producer:
         inside = box.contents
         border = set(box.border())
         prem_edges = {e for lid in border if lid in links for e in links[lid].premises}
-        for lid in inside:
+        for lid in sorted(inside):
             link = links.get(lid)
             if link is None:
                 continue
@@ -443,7 +442,7 @@ def _box_violations(links: Mapping[str, Link], boxes: tuple[Box, ...], producer:
             for e in link.premises:
                 if e in producer and producer[e] not in inside:
                     out.append(Violation("box", f"box#{i}", f"premise {e} is produced outside the box"))
-        for lid in border:
+        for lid in sorted(border):
             link = links.get(lid)
             if link is None:
                 continue
@@ -1031,17 +1030,10 @@ def _read(doc: dict, label) -> tuple[dict, dict[str, Link], tuple[Box, ...], tup
     return edges, links, boxes, conclusions
 
 
-def _nesting(a: Formula) -> int:
-    """How deep a formula nests, as the parser counts."""
-    inner = [f for f in map(a.__getattribute__, a.__match_args__) if isinstance(f, Formula)]
-    return 1 + max(map(_nesting, inner)) if inner else 0
-
-
 # A conclusion's text from its premises' texts, as print_formula writes it,
 # and the links whose conclusion nests one deeper than their premises.
-_TEXT = {
-    "tensor": "({} * {})".format, "par": "({} @ {})".format, "flat": "%{}".format, "pax": str,
-    "ofcourse": "!{}".format, "paragraph": "#{}".format, "whynot": lambda flat, *_: "?" + flat[1:],
+_TEXT = {kind: _TEMPLATE[c] for kind, c in _CONNECTIVE.items()} | {
+    "flat": "%{}".format, "pax": str, "whynot": lambda flat, *_: _TEMPLATE[WhyNot](flat[1:]),
 }
 _DEEPER = frozenset({"tensor", "par", "ofcourse", "paragraph", "whynot"})
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .correctness import BudgetExceeded, Indexing, PreconditionError, _propagate
-from .formula import Paragraph
+from .formula import Paragraph, shift_formula
 from .net import Box, Label, Link, Net, traversal_order
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -661,8 +661,6 @@ def normalize_no_axiom(
 
 
 def _shift_label(lab: Label) -> Label:
-    from .formula import shift_formula
-
     if lab.flat:
         return Label(Paragraph(shift_formula(lab.formula)), flat=True)
     return Label(shift_formula(lab.formula))

@@ -167,7 +167,7 @@ def validate(net: Net) -> ValidationReport:
                 out.append(Violation("box", tag, f"pax {a} is in the border of two boxes"))
             else:
                 seen_pax[a] = tag
-        for lid in box.contents:
+        for lid in sorted(box.contents):
             if lid not in net.links:
                 out.append(Violation("box", tag, f"contents reference unknown link {lid}"))
         border = set(box.border())
@@ -199,7 +199,7 @@ def validate(net: Net) -> ValidationReport:
         for lid in box.border():
             if lid in net.links:
                 prem_edges.update(net.links[lid].premises)
-        for lid in inside:
+        for lid in sorted(inside):
             link = net.links.get(lid)
             if link is None:
                 continue
@@ -214,7 +214,7 @@ def validate(net: Net) -> ValidationReport:
             for e in link.premises:
                 if e in producers and producers[e] and producers[e][0] not in inside:
                     out.append(Violation("box", f"box#{i}", f"premise {e} is produced outside the box"))
-        for lid in border:
+        for lid in sorted(border):
             link = net.links.get(lid)
             if link is None:
                 continue

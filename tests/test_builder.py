@@ -16,7 +16,8 @@ def test_daimon_axiom_one():
     assert builder.daimon().links == {}
     n = builder.ax(X)
     assert [str(n.edges[e]) for e in n.conclusions] == ["X^", "X"]
-    assert [str(e) for e in builder.one_rule().conclusion_formulas()] == ["1"]
+    n = builder.one_rule()
+    assert [str(n.edges[e]) for e in n.conclusions] == ["1"]
 
 
 def test_ax_compound():
@@ -84,14 +85,14 @@ def test_index_out_of_range():
 
 def test_dereliction_shape(dereliction_net):
     assert validate(dereliction_net).ok()
-    assert [str(e) for e in dereliction_net.conclusion_formulas()] == ["(?X^ @ X)"]
+    assert [str(dereliction_net.edges[e]) for e in dereliction_net.conclusions] == ["(?X^ @ X)"]
     kinds = sorted(l.kind for l in dereliction_net.links.values())
     assert kinds == ["ax", "flat", "par", "whynot"]
 
 
 def test_promotion_shape():
     n = builder.promotion(builder.flat_rule(builder.ax(X), 0), 1)
-    assert [str(e) for e in n.conclusion_formulas()] == ["%X^", "!X"]
+    assert [str(n.edges[e]) for e in n.conclusions] == ["%X^", "!X"]
     box = n.boxes[0]
     assert len(box.auxiliaries) == 1
     assert n.links[box.principal].kind == "ofcourse"
@@ -106,7 +107,7 @@ def test_weakening_needs_formula():
     with pytest.raises(RuleError):
         builder.whynot_rule(builder.daimon(), [])
     n = builder.whynot_rule(builder.daimon(), [], weakening_of=X)
-    assert [str(e) for e in n.conclusion_formulas()] == ["?X"]
+    assert [str(n.edges[e]) for e in n.conclusions] == ["?X"]
     wid = next(iter(n.links))
     assert n.links[wid].premises == ()
 

@@ -16,7 +16,7 @@ from stratnet.formula import Atom, dual
 from stratnet.net import LINK_ARITIES, load, nets_equal, save, to_document
 from stratnet import builder
 
-from conftest import make_unstable_membership_net, paragraph_chain, tensor_loop_net
+from conftest import make_id_bang, make_unstable_membership_net, paragraph_chain, tensor_loop_net
 
 
 X = Atom("X")
@@ -138,6 +138,22 @@ def test_validate_deeply_nested_json_exits_2(tmp_path, capsys):
     p.write_text('{"edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
     assert main(["validate", str(p)]) == 2
     assert capsys.readouterr().err.startswith("invalid:")
+
+
+def test_validate_messages_ignore_hash_seed(tmp_path):
+    doc = to_document(make_id_bang(X))
+    doc["boxes"][0]["contents"] += ["ghost_a", "ghost_b", "ghost_c", "ghost_d", "ghost_e"]
+    p = tmp_path / "ghosts.json"
+    p.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "stratnet.cli", "validate", str(p)], env=env, capture_output=True)
+        runs.add((run.returncode, run.stderr))
+    ((code, err),) = runs
+    assert code == 2 and err.count(b"contents reference unknown link ghost_") == 5
 
 
 def test_validate_dot_export(tmp_path, capsys):

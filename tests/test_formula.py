@@ -26,8 +26,12 @@ from stratnet.formula import (
     print_formula,
     shift_formula,
 )
-from stratnet.formula import _TABLE
-from stratnet.net import Label
+from stratnet.builder import random_formula
+from stratnet.formula import _TABLE, Formula
+from stratnet.net import Label, _nesting
+
+import formula_oracle
+from test_acceptance import BIAS_MIXES
 
 atoms = st.builds(Atom, st.sampled_from(["X", "Y", "Z", "W"]), st.booleans())
 formulas = st.recursive(
@@ -204,3 +208,79 @@ def test_threads_build_one_node_per_formula():
     finally:
         sys.setswitchinterval(interval)
     assert all(b[i] is built[0][i] for b in built for i in range(len(texts)))
+
+
+# -- the one fold, against the recursive passes ---------------------------------
+
+FAST = [dual, shift_formula, bullet_formula, modal_depth, print_formula, _nesting]
+ORACLE = [
+    formula_oracle.dual,
+    formula_oracle.shift_formula,
+    formula_oracle.bullet_formula,
+    formula_oracle.modal_depth,
+    formula_oracle.print_formula,
+    formula_oracle._nesting,
+]
+
+
+def _forget(*formulas):
+    """Drop every result that a node of these formulas keeps."""
+    todo, seen = list(formulas), set()
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            for name in ("_dual", "_bullet", "_text"):
+                if hasattr(x, name):
+                    delattr(x, name)
+            todo += [f for f in map(x.__getattribute__, x.__match_args__) if isinstance(f, Formula)]
+
+
+def test_passes_agree_with_the_recursive_oracle():
+    rng = random.Random(2021)
+    for i in range(2000):
+        f = random_formula(rng, rng.randint(0, 12), BIAS_MIXES[i % len(BIAS_MIXES)])
+        inputs = (f, dual(f), bullet_formula(f), shift_formula(f))
+        # every pass misses on f, and later inputs find some parts kept
+        _forget(*inputs)
+        fast = [p(g) for g in inputs for p in FAST]
+        _forget(*inputs, *(r for r in fast if isinstance(r, Formula)))
+        slow = [p(g) for g in inputs for p in ORACLE]
+        for got, want in zip(fast, slow):
+            assert got is want if isinstance(want, Formula) else (type(got), got) == (type(want), want)
+
+
+def _chain(depth: int) -> tuple[Formula, str]:
+    """A formula nested depth deep that cycles through par, tensor, #, ! and
+    ?, with its text."""
+    f, text = Atom("Deep"), "Deep"
+    for i in range(depth):
+        f, text = [
+            (Par(f, Atom("Y")), f"({text} @ Y)"),
+            (Tensor(ONE, f), f"(1 * {text})"),
+            (Paragraph(f), "#" + text),
+            (OfCourse(f), "!" + text),
+            (WhyNot(f), "?" + text),
+        ][i % 5]
+    return f, text
+
+
+def test_passes_take_formulas_far_deeper_than_the_recursion_limit():
+    f, _ = _chain(10_000)
+    assert _nesting(f) == 10_000 and modal_depth(f) == 6_000
+    assert dual(dual(f)) is f and _nesting(dual(f)) == 10_000
+    assert modal_depth(shift_formula(f)) == 10_000  # a # under each of the 4,000 ! and ?
+    assert _nesting(bullet_formula(f)) == 10_001
+    g, text = _chain(3_000)
+    assert print_formula(g) == text and str(Label(g, True)) == "%" + text
+
+
+def test_the_fold_makes_each_shared_node_once():
+    from stratnet.formula import _NONE_KEPT, _fold
+
+    tower = Atom("Z")
+    for _ in range(16):
+        tower = Tensor(tower, tower)  # 17 distinct nodes, 131,071 as a tree
+    made = []
+    assert _fold(tower, _NONE_KEPT, lambda x, *parts: made.append(x) or 1 + sum(parts)) == 2**17 - 1
+    assert len(made) == len(set(made)) == 17

@@ -140,7 +140,7 @@ def test_identity_nets(dereliction_net):
     assert len(idxx.links) == 4
     for f in (Tensor(X, Y), OfCourse(X), Paragraph(X), WhyNot(Tensor(X, X))):
         n = identity_net(f)
-        assert [e.formula for e in n.conclusion_formulas()] == [dual(f), f]
+        assert [n.edges[e].formula for e in n.conclusions] == [dual(f), f]
         assert is_proof_net(n)
 
 
