@@ -253,15 +253,17 @@ def test_passes_agree_with_the_recursive_oracle():
 def _chain(depth: int) -> tuple[Formula, str]:
     """A formula nested depth deep that cycles through par, tensor, #, ! and
     ?, with its text."""
+    steps = [
+        (lambda f: Par(f, Atom("Y")), "({} @ Y)"),
+        (lambda f: Tensor(ONE, f), "(1 * {})"),
+        (Paragraph, "#{}"),
+        (OfCourse, "!{}"),
+        (WhyNot, "?{}"),
+    ]
     f, text = Atom("Deep"), "Deep"
     for i in range(depth):
-        f, text = [
-            (Par(f, Atom("Y")), f"({text} @ Y)"),
-            (Tensor(ONE, f), f"(1 * {text})"),
-            (Paragraph(f), "#" + text),
-            (OfCourse(f), "!" + text),
-            (WhyNot(f), "?" + text),
-        ][i % 5]
+        make, template = steps[i % len(steps)]
+        f, text = make(f), template.format(text)
     return f, text
 
 
