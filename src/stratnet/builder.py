@@ -2,20 +2,19 @@
 
 Each function mirrors one sequent-style building rule and type-checks its
 arguments eagerly, so everything built here is sequentializable and passes
-the switching-acyclicity criterion.  The rules that add one link (cut,
-tensor, par, bottom, flat, why-not, paragraph) share one extension step,
-``_extend``: the link's premises stop being conclusions, and its conclusion,
-if it has one, takes the first premise's place or goes last.  Every rule
-builds its net once and hands its id mark on, so the next rule draws fresh
-ids without scanning the net.  The seeded random generator drives the
-property-test corpus.
+the switching-acyclicity criterion.  Every rule edits one mutable draft,
+``_Draft``, which holds a net's edges, links, boxes, conclusions and id
+counter: a rule takes its net into a draft, absorbs a second net if it has
+one, adds its link, and freezes the draft into one ``Net`` that hands the
+id mark on, so the next rule draws fresh ids without scanning the net.
+The seeded random generator chains the rules on drafts and freezes once;
+it drives the property-test corpus.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .formula import (
     Atom,
@@ -37,205 +36,227 @@ class RuleError(ValueError):
     """A building rule was applied to unsuitable conclusions."""
 
 
-def daimon() -> Net:
-    return Net({}, {}, (), (), mark=0)
-
-
-def ax(a: Formula) -> Net:
-    """Axiom with conclusions dual(a), a."""
-    return Net(
-        {"e0": Label(dual(a)), "e1": Label(a)},
-        {"l0": Link("ax", (), ("e0", "e1"))},
-        (),
-        ("e0", "e1"),
-        mark=2,
-    )
-
-
-def one_rule() -> Net:
-    return Net({"e0": Label(ONE)}, {"l0": Link("one", (), ("e0",))}, (), ("e0",), mark=1)
-
-
-def _relabel(net: Net, fresh: _Fresh) -> tuple[dict[str, Label], dict[str, Link], tuple[Box, ...], tuple[str, ...]]:
-    """The net's edges, links, boxes and conclusions under fresh ids."""
-    emap = {e: fresh.edge() for e in net.edges}
-    lmap = {l: fresh.link() for l in net.links}
-
-    def rebox(box: Box) -> Box:
-        return Box(
-            lmap[box.principal],
-            tuple(lmap[a] for a in box.auxiliaries),
-            frozenset(lmap[c] for c in box.contents),
-            tuple(rebox(ch) for ch in box.children),
-        )
-
-    return (
-        {emap[e]: lab for e, lab in net.edges.items()},
-        {
-            lmap[l]: Link(lk.kind, tuple(emap[e] for e in lk.premises), tuple(emap[e] for e in lk.conclusions))
-            for l, lk in net.links.items()
-        },
-        tuple(rebox(b) for b in net.boxes),
-        tuple(emap[e] for e in net.conclusions),
-    )
-
-
-class _Parts(NamedTuple):
-    """A net's parts and id mark, before the net is built."""
-
-    edges: dict[str, Label]
-    links: dict[str, Link]
-    boxes: tuple[Box, ...]
-    conclusions: tuple[str, ...]
-    mark: int
-
-    def id_mark(self) -> int:
-        return self.mark
-
-
-def _merge(a: Net, b: Net) -> _Parts:
-    """The parts of mix(a, b)."""
-    fresh = _Fresh(a, b)
-    edges, links, boxes, conclusions = b.edges, b.links, b.boxes, b.conclusions
-    if set(a.edges) & set(b.edges) or set(a.links) & set(b.links):
-        edges, links, boxes, conclusions = _relabel(b, fresh)
-    return _Parts({**a.edges, **edges}, {**a.links, **links}, a.boxes + boxes, a.conclusions + conclusions, fresh.n)
-
-
-def mix(a: Net, b: Net) -> Net:
-    """Juxtaposition; conclusions of a then b."""
-    *parts, mark = _merge(a, b)
-    return Net(*parts, mark=mark)
-
-
-def _conclusion(net: Net, i: int) -> str:
+def _conclusion(net: Net | _Draft, i: int) -> str:
     try:
         return net.conclusions[i]
     except IndexError:
         raise RuleError(f"conclusion index {i} out of range (net has {len(net.conclusions)})")
 
 
-def _extend(
-    a: Net | _Parts, kind: str, premises: tuple[str, ...], label: Label | None = None, in_place: bool = False
-) -> Net:
-    """The net with one new link on some of its conclusions.  The premises
-    stop being conclusions; the link's conclusion, when it has a label,
-    takes the place of the first premise (in_place) or goes last."""
-    fresh = _Fresh(a)
-    lid = fresh.link()
-    conclusions = [e for e in a.conclusions if e not in premises]
-    edges, new = a.edges, ()
-    if label is not None:
-        new = (fresh.edge(),)
-        edges = {**edges, new[0]: label}
-        conclusions.insert(min(map(a.conclusions.index, premises)) if in_place else len(conclusions), new[0])
-    return Net(edges, {**a.links, lid: Link(kind, premises, new)}, a.boxes, tuple(conclusions), mark=fresh.n)
+class _Draft:
+    """A net under construction, edited in place by the rules below and
+    frozen once.  New ids come from one counter, which starts at the id
+    mark of the net taken."""
+
+    def __init__(self, edges=(), links=(), boxes=(), conclusions=(), mark: int = 0):
+        self.edges: dict[str, Label] = dict(edges)
+        self.links: dict[str, Link] = dict(links)
+        self.boxes: list[Box] = list(boxes)
+        self.conclusions: list[str] = list(conclusions)
+        self.fresh = _Fresh()
+        self.fresh.n = mark
+
+    @classmethod
+    def take(cls, net: Net) -> _Draft:
+        return cls(net.edges, net.links, net.boxes, net.conclusions, net.id_mark())
+
+    def id_mark(self) -> int:
+        return self.fresh.n
+
+    def freeze(self) -> Net:
+        return Net(self.edges, self.links, tuple(self.boxes), tuple(self.conclusions), mark=self.fresh.n)
+
+    def absorb(self, other: Net | _Draft) -> _Draft:
+        """Juxtaposition: the other net's parts go after this draft's.  Only
+        when one of its ids is taken here are all of them renamed, edges
+        first, then links, counting on from the larger of the two marks."""
+        fresh = self.fresh
+        fresh.n = max(fresh.n, other.id_mark())
+        edges, links, boxes, conclusions = other.edges, other.links, other.boxes, other.conclusions
+        if not (self.edges.keys().isdisjoint(edges) and self.links.keys().isdisjoint(links)):
+            emap = {e: fresh.edge() for e in edges}
+            lmap = {l: fresh.link() for l in links}
+
+            def rebox(box: Box) -> Box:
+                return Box(
+                    lmap[box.principal],
+                    tuple(lmap[a] for a in box.auxiliaries),
+                    frozenset(lmap[c] for c in box.contents),
+                    tuple(rebox(ch) for ch in box.children),
+                )
+
+            edges = {emap[e]: lab for e, lab in edges.items()}
+            links = {
+                lmap[l]: Link(lk.kind, tuple(emap[e] for e in lk.premises), tuple(emap[e] for e in lk.conclusions))
+                for l, lk in links.items()
+            }
+            boxes = [rebox(b) for b in boxes]
+            conclusions = [emap[e] for e in conclusions]
+        self.edges.update(edges)
+        self.links.update(links)
+        self.boxes += boxes
+        self.conclusions += conclusions
+        return self
+
+    def add(self, kind: str, premises: tuple[str, ...], label: Label | None = None, in_place: bool = False) -> str:
+        """Add one link on some conclusions and return its id, drawn before
+        its conclusion's.  The premises stop being conclusions; the link's
+        conclusion, when it has a label, takes the place of the earliest
+        premise (in_place) or goes last."""
+        lid = self.fresh.link()
+        at = min(map(self.conclusions.index, premises)) if in_place else None
+        self.conclusions = [e for e in self.conclusions if e not in premises]
+        new = ()
+        if label is not None:
+            new = (self.fresh.edge(),)
+            self.edges[new[0]] = label
+            self.conclusions.insert(len(self.conclusions) if at is None else at, new[0])
+        self.links[lid] = Link(kind, premises, new)
+        return lid
+
+    def join(self, kind: str, i: int, other: Net | _Draft, j: int) -> _Draft:
+        """Absorb the other net and cut or tensor conclusion i of this draft
+        with conclusion j of the other, neither of them flat."""
+        _conclusion(self, i), _conclusion(other, j)
+        offset = len(self.conclusions)
+        self.absorb(other)
+        # the other net's edges may have been renamed; take both by position
+        premises = (self.conclusions[i], self.conclusions[offset + j])
+        la, lb = (self.edges[e] for e in premises)
+        if la.flat or lb.flat:
+            raise RuleError(f"{kind} premises cannot be flat-labelled")
+        if kind == "tensor":
+            self.add(kind, premises, Label(Tensor(la.formula, lb.formula)))
+        elif dual(la.formula) != lb.formula:
+            raise RuleError(f"cut premises are not dual: {la}, {lb}")
+        else:
+            self.add(kind, premises)
+        return self
+
+    def _in_place(self, kind: str, indices: tuple[int, ...], label, flat_error: str) -> _Draft:
+        """Add a link on the given conclusions, none of them flat, in place
+        of the earliest; label maps their formulas to its conclusion's label."""
+        picked = tuple(_conclusion(self, i) for i in indices)
+        if any(self.edges[e].flat for e in picked):
+            raise RuleError(flat_error)
+        self.add(kind, picked, label(*(self.edges[e].formula for e in picked)), in_place=True)
+        return self
+
+    def par(self, i: int, j: int) -> _Draft:
+        if i == j:
+            raise RuleError("par needs two distinct conclusions")
+        return self._in_place("par", (i, j), lambda l, r: Label(Par(l, r)), "par premises cannot be flat-labelled")
+
+    def bottom(self) -> _Draft:
+        self.add("bot", (), Label(Bottom()))
+        return self
+
+    def flat(self, i: int) -> _Draft:
+        return self._in_place("flat", (i,), lambda f: Label(f, flat=True), "conclusion is already flat-labelled")
+
+    def whynot(self, indices: list[int], weakening_of: Formula | None = None) -> _Draft:
+        if len(set(indices)) != len(indices):
+            raise RuleError("duplicate conclusion index")
+        picked = tuple(_conclusion(self, i) for i in indices)
+        if picked:
+            labels = [self.edges[e] for e in picked]
+            if not all(l.flat for l in labels):
+                raise RuleError("why-not premises must be flat-labelled")
+            body = labels[0].formula
+            if any(l.formula != body for l in labels):
+                raise RuleError("why-not premises must share one formula")
+        elif weakening_of is None:
+            raise RuleError("a weakening needs an explicit formula")
+        else:
+            body = weakening_of
+        self.add("whynot", picked, Label(WhyNot(body)), in_place=bool(picked))
+        return self
+
+    def paragraph(self, i: int) -> _Draft:
+        flat_error = "paragraph premise cannot be flat-labelled"
+        return self._in_place("paragraph", (i,), lambda f: Label(Paragraph(f)), flat_error)
+
+    def promote(self, principal_index: int) -> _Draft:
+        ep = _conclusion(self, principal_index)
+        lp = self.edges[ep]
+        if lp.flat:
+            raise RuleError("the principal conclusion cannot be flat-labelled")
+        others = [e for e in self.conclusions if e != ep]
+        not_flat = [e for e in others if not self.edges[e].flat]
+        if not_flat:
+            raise RuleError(f"promotion requires flat labels on the non-principal conclusions: {not_flat}")
+        contents, children = frozenset(self.links), tuple(self.boxes)
+        oc = self.add("ofcourse", (ep,), Label(OfCourse(lp.formula)), in_place=True)
+        auxiliaries = tuple(self.add("pax", (e,), self.edges[e], in_place=True) for e in others)
+        self.boxes = [Box(oc, auxiliaries, contents, children)]
+        return self
 
 
-def _pair(a: Net, i: int, b: Net, j: int, rule: str) -> tuple[_Parts, tuple[str, str], Label, Label]:
-    """The parts of the mix of a and b, conclusion i of a and j of b in it,
-    and their labels, which must not be flat."""
-    _conclusion(a, i), _conclusion(b, j)
-    m = _merge(a, b)
-    # the merge may have renamed b's edges; take both by position
-    premises = (m.conclusions[i], m.conclusions[len(a.conclusions) + j])
-    la, lb = (m.edges[e] for e in premises)
-    if la.flat or lb.flat:
-        raise RuleError(f"{rule} premises cannot be flat-labelled")
-    return m, premises, la, lb
+def _axiom(a: Formula) -> _Draft:
+    edges = {"e0": Label(dual(a)), "e1": Label(a)}
+    return _Draft(edges, {"l0": Link("ax", (), ("e0", "e1"))}, (), ("e0", "e1"), mark=2)
+
+
+def _one() -> _Draft:
+    return _Draft({"e0": Label(ONE)}, {"l0": Link("one", (), ("e0",))}, (), ("e0",), mark=1)
+
+
+def daimon() -> Net:
+    return _Draft().freeze()
+
+
+def ax(a: Formula) -> Net:
+    """Axiom with conclusions dual(a), a."""
+    return _axiom(a).freeze()
+
+
+def one_rule() -> Net:
+    return _one().freeze()
+
+
+def mix(a: Net, b: Net) -> Net:
+    """Juxtaposition; conclusions of a then b."""
+    return _Draft.take(a).absorb(b).freeze()
 
 
 def cut_rule(a: Net, i: int, b: Net, j: int) -> Net:
-    m, premises, la, lb = _pair(a, i, b, j, "cut")
-    if dual(la.formula) != lb.formula:
-        raise RuleError(f"cut premises are not dual: {la}, {lb}")
-    return _extend(m, "cut", premises)
+    return _Draft.take(a).join("cut", i, b, j).freeze()
 
 
 def tensor_rule(a: Net, i: int, b: Net, j: int) -> Net:
-    m, premises, la, lb = _pair(a, i, b, j, "tensor")
-    return _extend(m, "tensor", premises, Label(Tensor(la.formula, lb.formula)))
+    return _Draft.take(a).join("tensor", i, b, j).freeze()
 
 
 def par_rule(a: Net, i: int, j: int) -> Net:
     """Join two distinct conclusions of one net: i becomes the left premise,
     j the right one.  The new conclusion takes the earlier position."""
-    if i == j:
-        raise RuleError("par needs two distinct conclusions")
-    ei, ej = _conclusion(a, i), _conclusion(a, j)
-    li, lj = a.edges[ei], a.edges[ej]
-    if li.flat or lj.flat:
-        raise RuleError("par premises cannot be flat-labelled")
-    return _extend(a, "par", (ei, ej), Label(Par(li.formula, lj.formula)), in_place=True)
+    return _Draft.take(a).par(i, j).freeze()
 
 
 def bottom_rule(a: Net) -> Net:
-    return _extend(a, "bot", (), Label(Bottom()))
+    return _Draft.take(a).bottom().freeze()
 
 
 def flat_rule(a: Net, i: int) -> Net:
-    ei = _conclusion(a, i)
-    li = a.edges[ei]
-    if li.flat:
-        raise RuleError("conclusion is already flat-labelled")
-    return _extend(a, "flat", (ei,), Label(li.formula, flat=True), in_place=True)
+    return _Draft.take(a).flat(i).freeze()
 
 
 def whynot_rule(a: Net, indices: list[int], weakening_of: Formula | None = None) -> Net:
     """Gather n >= 0 flat conclusions of one formula into a ?-conclusion.
     With an empty index list this is a weakening and the formula must be
     supplied explicitly."""
-    if len(set(indices)) != len(indices):
-        raise RuleError("duplicate conclusion index")
-    picked = tuple(_conclusion(a, i) for i in indices)
-    if picked:
-        labels = [a.edges[e] for e in picked]
-        if not all(l.flat for l in labels):
-            raise RuleError("why-not premises must be flat-labelled")
-        body = labels[0].formula
-        if any(l.formula != body for l in labels):
-            raise RuleError("why-not premises must share one formula")
-    elif weakening_of is None:
-        raise RuleError("a weakening needs an explicit formula")
-    else:
-        body = weakening_of
-    return _extend(a, "whynot", picked, Label(WhyNot(body)), in_place=bool(picked))
+    return _Draft.take(a).whynot(indices, weakening_of).freeze()
 
 
 def paragraph_rule(a: Net, i: int) -> Net:
-    ei = _conclusion(a, i)
-    li = a.edges[ei]
-    if li.flat:
-        raise RuleError("paragraph premise cannot be flat-labelled")
-    return _extend(a, "paragraph", (ei,), Label(Paragraph(li.formula)), in_place=True)
+    return _Draft.take(a).paragraph(i).freeze()
 
 
 def promotion(a: Net, principal_index: int) -> Net:
     """Enclose the net in a box.  The selected conclusion A becomes !A under
     a new of-course link; every other conclusion must be flat-labelled and
     receives a pax port on the border."""
-    ep = _conclusion(a, principal_index)
-    lp = a.edges[ep]
-    if lp.flat:
-        raise RuleError("the principal conclusion cannot be flat-labelled")
-    others = [e for e in a.conclusions if e != ep]
-    not_flat = [e for e in others if not a.edges[e].flat]
-    if not_flat:
-        raise RuleError(f"promotion requires flat labels on the non-principal conclusions: {not_flat}")
-    fresh = _Fresh(a)
-    edges, links = dict(a.edges), dict(a.links)
-    oc, oc_edge = fresh.link(), fresh.edge()
-    edges[oc_edge] = Label(OfCourse(lp.formula))
-    links[oc] = Link("ofcourse", (ep,), (oc_edge,))
-    replacement = {ep: oc_edge}
-    auxiliaries = []
-    for e in others:
-        pax, replacement[e] = fresh.link(), fresh.edge()
-        edges[replacement[e]] = a.edges[e]
-        links[pax] = Link("pax", (e,), (replacement[e],))
-        auxiliaries.append(pax)
-    box = Box(oc, tuple(auxiliaries), frozenset(a.links), a.boxes)
-    return Net(edges, links, (box,), tuple(replacement[e] for e in a.conclusions), mark=fresh.n)
+    return _Draft.take(a).promote(principal_index).freeze()
 
 
 # -- seeded random generation ------------------------------------------------
@@ -283,64 +304,49 @@ def random_formula(rng: random.Random, budget: int, params: GenParams) -> Formul
     return Tensor(left, right) if rng.random() < 0.5 else Par(left, right)
 
 
-def _gen_with(rng: random.Random, f: Formula, params: GenParams) -> tuple[Net, int]:
+def _gen_with(rng: random.Random, f: Formula, params: GenParams) -> tuple[_Draft, int]:
     """A sequentializable net having f among its conclusions; returns the
-    net and the position of f.  Leaves are atomic axioms, so the output has
-    no compound axiom links."""
+    draft and the position of f.  Leaves are atomic axioms, so the output
+    has no compound axiom links."""
     match f:
         case Atom():
-            return ax(f), 1
+            return _axiom(f), 1
         case Tensor(l, r):
             nl, il = _gen_with(rng, l, params)
             nr, ir = _gen_with(rng, r, params)
-            net = tensor_rule(nl, il, nr, ir)
-            return net, len(net.conclusions) - 1
+            nl.join("tensor", il, nr, ir)
+            return nl, len(nl.conclusions) - 1
         case Par(l, r):
             nl, il = _gen_with(rng, l, params)
             nr, ir = _gen_with(rng, r, params)
-            m = mix(nl, nr)
-            net = par_rule(m, il, len(nl.conclusions) + ir)
-            return net, il
+            offset = len(nl.conclusions)
+            nl.absorb(nr).par(il, offset + ir)
+            return nl, il
         case Paragraph(b):
             n, i = _gen_with(rng, b, params)
-            return paragraph_rule(n, i), i
+            return n.paragraph(i), i
         case OfCourse(b):
             n, i = _gen_with(rng, b, params)
             for pos in range(len(n.conclusions)):
                 if pos != i and not n.edges[n.conclusions[pos]].flat:
-                    n = flat_rule(n, pos)
-            return promotion(n, i), i
+                    n.flat(pos)
+            return n.promote(i), i
         case WhyNot(b):
             k = rng.choice((0, 1, 1, 2))
             if k == 0:
-                net = whynot_rule(daimon(), [], weakening_of=b)
-                return net, 0
-            pieces = []
-            for _ in range(k):
-                n, i = _gen_with(rng, b, params)
-                pieces.append(flat_rule(n, i))
-            acc = pieces[0]
-            positions = [_find_flat(acc, b)]
-            for extra in pieces[1:]:
-                offset = len(acc.conclusions)
-                acc = mix(acc, extra)
-                positions.append(offset + _find_flat(extra, b))
-            net = whynot_rule(acc, positions)
-            return net, min(positions)
+                return _Draft().whynot([], weakening_of=b), 0
+            # each piece's only flat conclusion of formula b is the one
+            # flattened here: its other conclusions are atoms, flat or not
+            acc, positions = _Draft(), []
+            for n, i in [_gen_with(rng, b, params) for _ in range(k)]:
+                positions.append(len(acc.conclusions) + i)
+                acc.absorb(n.flat(i))
+            return acc.whynot(positions), positions[0]
         case One():
-            return one_rule(), 0
+            return _one(), 0
         case Bottom():
-            net = bottom_rule(daimon())
-            return net, 0
+            return _Draft().bottom(), 0
     raise AssertionError(f"unhandled formula {f!r}")
-
-
-def _find_flat(net: Net, body: Formula) -> int:
-    for pos, e in enumerate(net.conclusions):
-        lab = net.edges[e]
-        if lab.flat and lab.formula == body:
-            return pos
-    raise AssertionError("flattened conclusion disappeared")
 
 
 def random_net(seed: int, params: GenParams | None = None) -> Net:
@@ -351,45 +357,34 @@ def random_net(seed: int, params: GenParams | None = None) -> Net:
     if params.target_size <= 0:
         return ax(Atom(rng.choice(_ATOMS))) if rng.random() < 0.7 else daimon()
 
-    pool: list[Net] = []
-    total = 0
-    while total < params.target_size:
+    net = _Draft()
+    while len(net.links) < params.target_size:
         depth = rng.randint(1, 3)
         if rng.random() < params.cut_bias:
             a = random_formula(rng, depth, params)
             na, ia = _gen_with(rng, a, params)
             nb, ib = _gen_with(rng, dual(a), params)
-            piece = cut_rule(na, ia, nb, ib)
+            piece = na.join("cut", ia, nb, ib)
         else:
             f = random_formula(rng, depth, params)
             piece, _ = _gen_with(rng, f, params)
-        pool.append(piece)
-        total += piece.size()
-
-    net = pool[0]
-    for piece in pool[1:]:
-        net = mix(net, piece)
+        net.absorb(piece)
 
     # Consume pending flat conclusions so the result is a DR-net candidate:
-    # group them by formula and gather each group under a why-not link.
-    while True:
-        flats = [(idx, net.edges[e].formula) for idx, e in enumerate(net.conclusions) if net.edges[e].flat]
-        if not flats:
-            break
-        body = flats[0][1]
-        group = [idx for idx, f in flats if f == body]
-        net = whynot_rule(net, group)
+    # group them by formula, in order of first appearance, and gather each
+    # group under a why-not link.
+    groups: dict[Formula, list[str]] = {}
+    for e in net.conclusions:
+        if net.edges[e].flat:
+            groups.setdefault(net.edges[e].formula, []).append(e)
+    for group in groups.values():
+        net.whynot(list(map(net.conclusions.index, group)))
 
-    # Close a few conclusion pairs with pars so multi-conclusion structure
-    # does not dominate, keeping at least one conclusion when possible.
-    plain = lambda: [
-        idx for idx, e in enumerate(net.conclusions) if not net.edges[e].flat
-    ]
-    while len(plain()) > 2 and rng.random() < 0.6:
-        candidates = plain()
-        i, j = rng.sample(candidates, 2)
-        net = par_rule(net, i, j)
-    return net
+    # Close a few conclusion pairs, none of them flat now, with pars so
+    # multi-conclusion structure does not dominate.
+    while len(net.conclusions) > 2 and rng.random() < 0.6:
+        net.par(*rng.sample(range(len(net.conclusions)), 2))
+    return net.freeze()
 
 
 __all__ = [

@@ -14,7 +14,7 @@ identity.  A node keeps its text, and weakly its dual and doubling image,
 once made; the node table holds nodes weakly: no more than live nets use.
 Each pass over a formula is one fold, bottom up from an explicit stack over
 its distinct nodes, so no pass recurses.  The parser does, once per level
-and only to ``MAX_FORMULA_DEPTH``; so does eta-expansion (``interactive``).
+and only to ``MAX_FORMULA_DEPTH``.
 """
 
 from __future__ import annotations

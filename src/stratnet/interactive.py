@@ -91,7 +91,15 @@ class _EtaBuilder:
 
     def expand(self, a: Formula, da: Formula, out_neg: str, out_pos: str) -> None:
         """Build links concluding out_neg (labelled da, the dual of a) and
-        out_pos (labelled a)."""
+        out_pos (labelled a).  Iterative: each step returns the steps that
+        follow it, in order, and a connective's own links wait on the stack
+        until the expansions of its subformulas are built."""
+        stack: list[tuple] = [(self._open, a, da, out_neg, out_pos)]
+        while stack:
+            step, *args = stack.pop()
+            stack += reversed(step(*args))
+
+    def _open(self, a: Formula, da: Formula, out_neg: str, out_pos: str) -> list[tuple]:
         match a:
             case Atom():
                 self.link("ax", (), (out_neg, out_pos))
@@ -105,44 +113,50 @@ class _EtaBuilder:
                 pl = self.edge(Label(l))
                 nr = self.edge(Label(da.right))
                 pr = self.edge(Label(r))
-                self.expand(l, da.left, nl, pl)
-                self.expand(r, da.right, nr, pr)
                 neg, pos = ("par", "tensor") if isinstance(a, Tensor) else ("tensor", "par")
-                self.link(neg, (nl, nr), (out_neg,))
-                self.link(pos, (pl, pr), (out_pos,))
+                return [
+                    (self._open, l, da.left, nl, pl),
+                    (self._open, r, da.right, nr, pr),
+                    (self._close, 0, neg, (nl, nr), out_neg, pos, (pl, pr), out_pos),
+                ]
             case Paragraph(b):
                 nb = self.edge(Label(da.body))
                 pb = self.edge(Label(b))
                 self.depth += 1
-                self.expand(b, da.body, nb, pb)
-                self.depth -= 1
-                self.link("paragraph", (nb,), (out_neg,))
-                self.link("paragraph", (pb,), (out_pos,))
-            case OfCourse(b):
-                self._box(b, da.body, out_neg, out_pos, flat_side_neg=True)
-            case WhyNot(b):
-                self._box(b, da.body, out_neg, out_pos, flat_side_neg=False)
+                return [
+                    (self._open, b, da.body, nb, pb),
+                    (self._close, 1, "paragraph", (nb,), out_neg, "paragraph", (pb,), out_pos),
+                ]
+            case OfCourse(b) | WhyNot(b):
+                outer = self.where
+                box = self.ws.open_box(outer)
+                self.where = ("in", box)
+                nb = self.edge(Label(da.body))
+                pb = self.edge(Label(b))
+                self.depth += 1
+                if isinstance(a, OfCourse):
+                    doors = (pb, nb, da.body, out_pos, out_neg)
+                else:
+                    doors = (nb, pb, b, out_neg, out_pos)
+                return [(self._open, b, da.body, nb, pb), (self._close_box, outer, box, *doors)]
             case _:
                 raise TypeError(f"not a formula: {a!r}")
+        return []
 
-    def _box(self, b: Formula, db: Formula, out_neg: str, out_pos: str, flat_side_neg: bool) -> None:
-        """Box for an exponential axiom: the expansion of the body sits in a
-        box whose principal door bangs one side; the other side is flattened
+    def _close(self, levels: int, neg: str, neg_in: tuple, out_neg: str, pos: str, pos_in: tuple, out_pos: str) -> list:
+        self.depth -= levels
+        self.link(neg, neg_in, (out_neg,))
+        self.link(pos, pos_in, (out_pos,))
+        return []
+
+    def _close_box(
+        self, outer: tuple, box, principal_in: str, flat_in: str, flat_body: Formula, oc_out: str, wn_out: str
+    ) -> list:
+        """Close the box of an exponential axiom: its principal door bangs
+        one side of the body's expansion; the other side is flattened
         inside, exits through one pax port, and meets a unary why-not."""
-        outer = self.where
-        box = self.ws.open_box(outer)
-        self.where = ("in", box)
-        nb = self.edge(Label(db))
-        pb = self.edge(Label(b))
-        self.depth += 1
-        self.expand(b, db, nb, pb)
         self.depth -= 1
-        if flat_side_neg:
-            principal_in, flat_in, flat_label = pb, nb, Label(db, flat=True)
-            oc_out, wn_out = out_pos, out_neg
-        else:
-            principal_in, flat_in, flat_label = nb, pb, Label(b, flat=True)
-            oc_out, wn_out = out_neg, out_pos
+        flat_label = Label(flat_body, flat=True)
         flat_out = self.edge(flat_label)
         self.link("flat", (flat_in,), (flat_out,))
         self.where = outer
@@ -150,6 +164,7 @@ class _EtaBuilder:
         self.link("pax", (flat_out,), (pax_out,), ("border", box))
         self.link("ofcourse", (principal_in,), (oc_out,), ("border", box))
         self.link("whynot", (pax_out,), (wn_out,))
+        return []
 
 
 def eta_expand(net: Net) -> Net:
@@ -335,40 +350,28 @@ def cut_compose(net: Net, partners: list[Net | tuple[Net, int]]) -> Net:
         raise CompositionError(
             f"need one partner per conclusion ({len(net.conclusions)}), got {len(partners)}"
         )
-    acc = net
-    offsets: list[int] = []
-    partner_sizes: list[int] = []
-    picks: list[int] = []
+    draft, spans = builder._Draft.take(net), []
     for item in partners:
-        partner, index = item if isinstance(item, tuple) else (item, -1)
-        offsets.append(len(acc.conclusions))
-        partner_sizes.append(len(partner.conclusions))
-        picks.append(index)
-        acc = builder.mix(acc, partner)
-    edges = dict(acc.edges)
-    links = dict(acc.links)
-    fresh = _Fresh(acc)
-    consumed: set[str] = set()
-    for i in range(len(partners)):
-        mine = acc.conclusions[i]
-        want = dual(acc.edges[mine].formula)
-        span = acc.conclusions[offsets[i] : offsets[i] + partner_sizes[i]]
-        if picks[i] >= 0:
-            candidates = [span[picks[i]]]
+        partner, pick = item if isinstance(item, tuple) else (item, -1)
+        offset = len(draft.conclusions)
+        spans.append((draft.absorb(partner).conclusions[offset:], pick))
+    edges = draft.edges
+    for i, (span, pick) in enumerate(spans):
+        mine = net.conclusions[i]
+        want = dual(edges[mine].formula)
+        if pick >= 0:
+            candidates = [span[pick]]
         else:
-            candidates = [e for e in span if not acc.edges[e].flat and acc.edges[e].formula == want]
+            candidates = [e for e in span if not edges[e].flat and edges[e].formula == want]
         if len(candidates) != 1:
             raise CompositionError(
                 f"partner {i} has {len(candidates)} conclusions labelled {want}; pass an explicit index"
             )
         other = candidates[0]
-        if acc.edges[other].flat or acc.edges[other].formula != want:
-            raise CompositionError(f"partner {i} conclusion {other} is not dual to {acc.edges[mine]}")
-        links[fresh.link()] = Link("cut", (mine, other), ())
-        consumed.add(mine)
-        consumed.add(other)
-    conclusions = tuple(e for e in acc.conclusions if e not in consumed)
-    return Net(edges, links, acc.boxes, conclusions, mark=fresh.n)
+        if edges[other].flat or edges[other].formula != want:
+            raise CompositionError(f"partner {i} conclusion {other} is not dual to {edges[mine]}")
+        draft.add("cut", (mine, other))
+    return draft.freeze()
 
 
 def compose(f: Net, g: Net) -> Net:

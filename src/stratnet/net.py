@@ -9,11 +9,11 @@ set of contained links; two boxes are disjoint or nested.
 Nets are immutable after construction.  Cut elimination and the net
 transforms (eta-expansion, doubling, the shift) edit one mutable copy,
 ``rewrite._Workspace``, and build the new net once, at the end; the
-sequent rules in ``builder`` build each new net once.  New ids e<n> and
-l<n> come from ``_Fresh``, which counts on from a net's id mark, one past
-every such id.  The builder's rules and the interactive transforms hand
-the mark to the nets they build; any other net, one from ``load`` say,
-scans its ids for it once, on first use.
+sequent rules edit a ``builder._Draft`` and freeze it once.  New ids e<n>
+and l<n> come from ``_Fresh``, which counts on from a net's id mark, one
+past every such id.  The builder's rules and the interactive transforms
+hand the mark to the nets they build; any other net, one from ``load``
+say, scans its ids for it once, on first use.
 
 A net's saved document decodes the encoding behind ``canonical_form``, so
 isomorphic nets save to the same bytes.

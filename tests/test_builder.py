@@ -207,10 +207,16 @@ def test_random_net_scans_no_ids_and_each_rule_builds_one_net(monkeypatch):
     monkeypatch.setattr(Net, "__init__", counted_init)
     monkeypatch.setattr(Net, "id_mark", counted_id_mark)
     for seed in range(50):
+        counts["builds"] = 0
         builder.random_net(seed, GenParams(target_size=60, cut_bias=0.4))
+        assert counts["builds"] == 1
     assert counts["scans"] == 0
 
+    from stratnet.interactive import cut_compose
+
     x, fx = builder.ax(X), builder.flat_rule(builder.ax(X), 0)
+    closed, tensor = builder.par_rule(x, 0, 1), builder.tensor_rule(x, 1, x, 0)
+    with_one, bottom = builder.mix(x, builder.one_rule()), builder.bottom_rule(builder.daimon())
     rules = {
         "mix with clashing ids": lambda: builder.mix(x, x),
         "par": lambda: builder.par_rule(x, 0, 1),
@@ -221,6 +227,9 @@ def test_random_net_scans_no_ids_and_each_rule_builds_one_net(monkeypatch):
         "promotion": lambda: builder.promotion(fx, 1),
         "cut": lambda: builder.cut_rule(x, 1, x, 0),
         "tensor": lambda: builder.tensor_rule(x, 1, x, 0),
+        "cut_compose, one partner": lambda: cut_compose(closed, [tensor]),
+        "cut_compose, two partners": lambda: cut_compose(x, [x, x]),
+        "cut_compose, three partners": lambda: cut_compose(with_one, [x, x, bottom]),
     }
     builds = {}
     for name, rule in rules.items():

@@ -3,6 +3,7 @@ import pytest
 from stratnet.formula import (
     Atom,
     OfCourse,
+    Par,
     Paragraph,
     Tensor,
     WhyNot,
@@ -302,6 +303,17 @@ def test_syntactic_interpretation_idempotent_up_to_bottom():
     bots_once = sum(1 for l in once.links.values() if l.kind == "bot")
     bots_twice = sum(1 for l in twice.links.values() if l.kind == "bot")
     assert bots_twice == bots_once + 1
+
+
+def test_eta_expansion_runs_far_deeper_than_the_recursion_limit():
+    # a par, tensor and # chain 2,000 deep, expanded from an explicit stack
+    f = X
+    for i in range(2_000):
+        f = (Par(f, Y), Tensor(X, f), Paragraph(f))[i % 3]
+    n = eta_expand(builder.ax(f))
+    assert [n.edges[e].formula for e in n.conclusions] == [dual(f), f]
+    assert sum(link.kind == "ax" for link in n.links.values()) == 1 + 667 + 667
+    assert interactive_l3_check(builder.ax(f)).member
 
 
 # -- the interactive decider ----------------------------------------------------------------

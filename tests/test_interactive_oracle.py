@@ -316,7 +316,7 @@ def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys
     for i, net in enumerate(l3_cutfree_nets(201)):
         paths.append(tmp_path / f"{i}.json")
         paths[-1].write_bytes(save(net))
-    count("_relabel", builder)
+    count("absorb", builder._Draft)
     count("cut_compose", interactive)
     for module in (net_mod, correctness):
         close = module.parr_closure
@@ -331,7 +331,7 @@ def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys
     for path in paths:
         assert main(["l3", "--method", "all", str(path)]) in (0, 1)
     assert '"verdicts"' in capsys.readouterr().out
-    assert (calls["_relabel"], calls["cut_compose"], calls["parr_closure"]) == (0, 0, 300)
+    assert (calls["absorb"], calls["cut_compose"], calls["parr_closure"]) == (0, 0, 300)
     assert calls["_Workspace"] <= 300 and calls["Net"] <= 1200
 
 
