@@ -77,20 +77,20 @@ class _Draft:
             emap = {e: fresh.edge() for e in edges}
             lmap = {l: fresh.link() for l in links}
 
-            def rebox(box: Box) -> Box:
-                return Box(
+            renamed: dict[int, Box] = {}  # by id: a Box hashes its whole subtree
+            for box in reversed([b for top in boxes for b in top.walk()]):  # children first
+                renamed[id(box)] = Box(
                     lmap[box.principal],
                     tuple(lmap[a] for a in box.auxiliaries),
-                    frozenset(lmap[c] for c in box.contents),
-                    tuple(rebox(ch) for ch in box.children),
+                    frozenset(map(lmap.__getitem__, box.contents)),
+                    tuple(renamed[id(ch)] for ch in box.children),
                 )
-
             edges = {emap[e]: lab for e, lab in edges.items()}
             links = {
                 lmap[l]: Link(lk.kind, tuple(emap[e] for e in lk.premises), tuple(emap[e] for e in lk.conclusions))
                 for l, lk in links.items()
             }
-            boxes = [rebox(b) for b in boxes]
+            boxes = [renamed[id(b)] for b in boxes]
             conclusions = [emap[e] for e in conclusions]
         self.edges.update(edges)
         self.links.update(links)

@@ -54,7 +54,7 @@ from .formula import (
     print_formula,
 )
 from .net import Label, Link, Net, _Fresh, nets_equal
-from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _reduce, _Workspace, normalize, normalize_no_axiom
+from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _MBox, _reduce, _Workspace, normalize, normalize_no_axiom
 
 
 # -- eta-expansion ------------------------------------------------------------
@@ -62,16 +62,17 @@ from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _reduce, _Workspace, nor
 
 class _EtaBuilder:
     """Expands axioms into a workspace.  Each new link goes to ``where``:
-    the replaced axiom's location, or inside the box being built.
-    ``levels`` records the level of each atom position built, the number
-    of paragraph, of-course and why-not links below it down to the
-    replaced axiom's wires, keyed by the new link and premise slot that
-    consume the position; ``atoms`` holds the positions not yet consumed."""
+    the replaced axiom's box (None at the top), or the box being built,
+    whose border takes its of-course and pax links.  ``levels`` records
+    the level of each atom position built, the number of paragraph,
+    of-course and why-not links below it down to the replaced axiom's
+    wires, keyed by the new link and premise slot that consume the
+    position; ``atoms`` holds the positions not yet consumed."""
 
     def __init__(self, ws: _Workspace, fresh: _Fresh):
         self.ws = ws
         self.fresh = fresh
-        self.where: tuple = ("top",)
+        self.where: _MBox | None = None
         self.depth = 0
         self.atoms: dict[str, int] = {}
         self.levels: dict[tuple[str, int], int] = {}
@@ -81,9 +82,9 @@ class _EtaBuilder:
         self.ws.edges[e] = label
         return e
 
-    def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...], where=None) -> str:
+    def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...]) -> str:
         lid = self.fresh.link()
-        self.ws.add_link(lid, Link(kind, premises, conclusions), where or self.where)
+        self.ws.add_link(lid, Link(kind, premises, conclusions), self.where)
         for slot, e in enumerate(premises):
             if e in self.atoms:
                 self.levels[lid, slot] = self.atoms.pop(e)
@@ -130,7 +131,7 @@ class _EtaBuilder:
             case OfCourse(b) | WhyNot(b):
                 outer = self.where
                 box = self.ws.open_box(outer)
-                self.where = ("in", box)
+                self.where = box
                 nb = self.edge(Label(da.body))
                 pb = self.edge(Label(b))
                 self.depth += 1
@@ -150,7 +151,7 @@ class _EtaBuilder:
         return []
 
     def _close_box(
-        self, outer: tuple, box, principal_in: str, flat_in: str, flat_body: Formula, oc_out: str, wn_out: str
+        self, outer: _MBox | None, box, principal_in: str, flat_in: str, flat_body: Formula, oc_out: str, wn_out: str
     ) -> list:
         """Close the box of an exponential axiom: its principal door bangs
         one side of the body's expansion; the other side is flattened
@@ -159,10 +160,10 @@ class _EtaBuilder:
         flat_label = Label(flat_body, flat=True)
         flat_out = self.edge(flat_label)
         self.link("flat", (flat_in,), (flat_out,))
-        self.where = outer
         pax_out = self.edge(flat_label)
-        self.link("pax", (flat_out,), (pax_out,), ("border", box))
-        self.link("ofcourse", (principal_in,), (oc_out,), ("border", box))
+        self.link("pax", (flat_out,), (pax_out,))
+        self.link("ofcourse", (principal_in,), (oc_out,))
+        self.where = outer
         self.link("whynot", (pax_out,), (wn_out,))
         return []
 

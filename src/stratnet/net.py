@@ -8,12 +8,13 @@ set of contained links; two boxes are disjoint or nested.
 
 Nets are immutable after construction.  Cut elimination and the net
 transforms (eta-expansion, doubling, the shift) edit one mutable copy,
-``rewrite._Workspace``, and build the new net once, at the end; the
-sequent rules edit a ``builder._Draft`` and freeze it once.  New ids e<n>
-and l<n> come from ``_Fresh``, which counts on from a net's id mark, one
-past every such id.  The builder's rules and the interactive transforms
-hand the mark to the nets they build; any other net, one from ``load``
-say, scans its ids for it once, on first use.
+``rewrite._Workspace``, and build the new net once, at the end, on the
+wiring the copy kept; the sequent rules edit a ``builder._Draft`` and
+freeze it once.  No walk of a built net's box tree recurses, so boxes nest
+to any depth.  New ids e<n> and l<n> come from ``_Fresh``, which counts on
+from a net's id mark, one past every such id.  The builder's rules and the
+interactive transforms hand the mark to the nets they build; any other
+net, one from ``load`` say, scans its ids for it once, on first use.
 
 A net's saved document decodes the encoding behind ``canonical_form``, so
 isomorphic nets save to the same bytes.
@@ -118,9 +119,12 @@ class Box:
         return (self.principal,) + self.auxiliaries
 
     def walk(self) -> Iterator["Box"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This box and every box inside it, parents before children."""
+        stack = [self]
+        while stack:
+            box = stack.pop()
+            yield box
+            stack += reversed(box.children)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,18 +188,16 @@ class Net:
         box_of_border: dict[str, Box] = {}
         enclosing: dict[str, tuple[Box, ...]] = {lid: () for lid in self.links}
 
-        def sweep(box: Box, chain: tuple[Box, ...]) -> None:
+        stack = [(b, ()) for b in reversed(boxes)]
+        while stack:  # parents before children, so the innermost box wins
+            box, chain = stack.pop()
             for lid in box.border():
                 box_of_border[lid] = box
             inner = chain + (box,)
             for lid in box.contents:
                 if lid in enclosing:
                     enclosing[lid] = inner
-            for child in box.children:
-                sweep(child, inner)
-
-        for b in self.boxes:
-            sweep(b, ())
+            stack += ((child, inner) for child in reversed(box.children))
         self._box_of_border = box_of_border
         self._enclosing = enclosing
         self._mark = mark
@@ -413,13 +415,15 @@ def _box_violations(links: Mapping[str, Link], boxes: tuple[Box, ...], producer:
         if link.kind == "pax" and lid not in seen_pax:
             out.append(Violation("box", lid, "pax link is not in the border of any box"))
 
-    # Disjoint-or-nested, including across different roots.
+    # Disjoint-or-nested, including across different roots: every pair is
+    # compared, for the messages, only when one pass finds an overlap.
     sets = [(set(b.border()) | b.contents, i) for i, b in enumerate(all_boxes)]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            a, b = sets[i][0], sets[j][0]
-            if a & b and not (a <= b or b <= a):
-                out.append(Violation("box", f"box#{sets[i][1]}/box#{sets[j][1]}", "boxes overlap without nesting"))
+    if not _laminar(sets):
+        for i in range(len(sets)):
+            for j in range(i + 1, len(sets)):
+                a, b = sets[i][0], sets[j][0]
+                if a & b and not (a <= b or b <= a):
+                    out.append(Violation("box", f"box#{sets[i][1]}/box#{sets[j][1]}", "boxes overlap without nesting"))
 
     # The contents of a box, with the border premises as conclusions, must
     # form a self-contained subnet: no edge may cross the border sideways.
@@ -450,6 +454,19 @@ def _box_violations(links: Mapping[str, Link], boxes: tuple[Box, ...], producer:
                 if e in producer and producer[e] not in inside:
                     out.append(Violation("box", f"box#{i}", f"border premise {e} does not come from inside"))
     return out
+
+
+def _laminar(sets: list[tuple[set[str], int]]) -> bool:
+    """Whether every two of these member sets are disjoint or nested.  Taken
+    largest first, the members of each set must share one owner, the last
+    set before it to contain them, or none: then every earlier set that
+    meets it contains it."""
+    owner: dict[str, int] = {}
+    for members, i in sorted(sets, key=lambda s: -len(s[0])):
+        if len(set(map(owner.get, members))) > 1:
+            return False
+        owner.update(dict.fromkeys(members, i))
+    return True
 
 
 def validate(net: Net) -> ValidationReport:

@@ -11,13 +11,17 @@ composes the lift maps forward, once, when an id is first lifted to the
 input.  ``apply_step`` runs the same step code on a fresh workspace and
 freezes after one step.
 
-The workspace is the one way to edit a net, and the rule for where a link
-sits in the box tree is written once, in ``_place``.  ``add_link`` puts a
-link at a location and places it there, ``open_box`` opens an empty box
-whose border links are added afterwards, and ``remove_link`` and
-``remove_box`` undo them.  Loading a net, copying a box's contents in the
-exponential step, ``shift_net`` here and ``eta_expand`` and ``bullet_net``
-in ``interactive`` all go through these.
+The rewrite steps and the transforms edit a net only through the
+workspace (the sequent rules in ``builder`` edit a draft of their own).
+A link's location is the box it sits in or on whose border it sits, or
+None at the top, and its kind gives its role there, as ``validate``
+requires: an of-course link is the box's principal, a pax link an
+auxiliary, any other link a direct link.  ``_place`` applies this rule and
+``remove_link`` undoes it; ``add_link`` adds a link and places it,
+``open_box`` opens an empty box whose border links are added afterwards,
+and ``remove_box`` removes a box whole.  Loading a net, copying a box's
+contents in the exponential step, ``shift_net`` here and ``eta_expand``
+and ``bullet_net`` in ``interactive`` all go through these.
 
 Cuts wait in a priority worklist.  A cut is classified by its premise
 producers (the shared ``_family``, which ``find_redexes`` also uses) when
@@ -149,38 +153,37 @@ class _MBox:
 
 class _Workspace:
     """A net edited in place, by reduction steps or by a transform.  Each
-    link's location is ("top",), ("in", box) or ("border", box).  ``step``
-    resets ``lift`` (the step's new ids -> their sources) and ``touched``
-    (the cuts the step put, each with the cut whose rank it inherits, or
-    None when a rewired cut keeps its own); ``queued`` holds the redexes
-    waiting in ``normalize``.  Loading opens the net's boxes, outermost
-    first, places each box's border, and then places every other link in
-    ``net.links`` order.  A box lists its direct links in insertion order,
-    so no order in the workspace depends on the hash seed."""
+    link's location, ``loc[lid]``, is its box or None at the top; its kind
+    gives its role there.  ``step`` resets ``lift`` (the step's new ids ->
+    their sources) and ``touched`` (the cuts the step put, each with the
+    cut whose rank it inherits, or None when a rewired cut keeps its own);
+    ``queued`` holds the redexes waiting in ``normalize``.  Loading copies
+    the net's wiring, opens its boxes, outermost first, places each box's
+    border, and then places every other link in ``net.links`` order.  A box
+    lists its direct links in insertion order, so no order in the workspace
+    depends on the hash seed."""
 
     def __init__(self, net: Net):
         self.edges: dict[str, Label] = dict(net.edges)
         self.links: dict[str, Link] = dict(net.links)
-        self.producer = {e: lid for lid, link in self.links.items() for e in link.conclusions}
-        self.consumer = {e: lid for lid, link in self.links.items() for e in link.premises}
+        self.producer = dict(net._producer)
+        self.consumer = dict(net._consumer)
         self.conclusions: list[str] = list(net.conclusions)
         self.lift: dict[str, str] = {}
         self.touched: list[tuple[str, str | None]] = []
         self.queued: dict[str, tuple[tuple, str]] = {}  # cut -> (key, step family)
         self.roots: list[_MBox] = []
-        self.loc: dict[str, tuple] = {}
-        self.box_by_principal: dict[str, _MBox] = {}
-        self.box_by_pax: dict[str, _MBox] = {}
+        self.loc: dict[str, _MBox | None] = {}
         self._serial = 0
 
-        def around(lid: str) -> tuple:
+        def around(lid: str) -> _MBox | None:
             outer = net.enclosing_boxes(lid)
-            return ("in", self.box_by_principal[outer[-1].principal]) if outer else ("top",)
+            return self.loc[outer[-1].principal] if outer else None
 
         for box in net.all_boxes():
             mb = self.open_box(around(box.principal))
             for lid in box.border():
-                self._place(lid, ("border", mb))
+                self._place(lid, mb)
         for lid in net.links:
             if lid not in self.loc:
                 self._place(lid, around(lid))
@@ -204,8 +207,7 @@ class _Workspace:
 
     def depth(self, lid: str) -> int:
         """Number of boxes around a link that is not on a box border."""
-        where = self.loc[lid]
-        d, mb = 0, where[1] if where[0] == "in" else None
+        d, mb = 0, self.loc[lid]
         while mb is not None:
             d, mb = d + 1, mb.parent
         return d
@@ -234,46 +236,43 @@ class _Workspace:
             if self.producer.get(e) == lid:
                 del self.producer[e]
 
-    def add_link(self, lid: str, link: Link, where: tuple, origin: str | None = None) -> None:
-        """Add a link at a location, which also places it in the box tree."""
+    def add_link(self, lid: str, link: Link, box: _MBox | None, origin: str | None = None) -> None:
+        """Add a link in a box, or at the top, which also places it there."""
         self.put_link(lid, link, origin)
-        self._place(lid, where)
+        self._place(lid, box)
 
-    def _place(self, lid: str, where: tuple) -> None:
-        """Put a link at ("top",), ("in", box) or ("border", box); on a box
-        border an of-course link becomes the box's principal and a pax link
-        its next auxiliary.  ``remove_link`` undoes it."""
-        self.loc[lid] = where
-        if where[0] == "in":
-            where[1].direct[lid] = None
-        elif where[0] == "border" and self.links[lid].kind == "ofcourse":
-            where[1].principal = lid
-            self.box_by_principal[lid] = where[1]
-        elif where[0] == "border":
-            where[1].auxiliaries.append(lid)
-            self.box_by_pax[lid] = where[1]
+    def _place(self, lid: str, box: _MBox | None) -> None:
+        """Put a link in a box, or at the top with None; in a box an
+        of-course link becomes its principal, a pax link its next auxiliary
+        and any other link a direct link.  ``remove_link`` undoes it."""
+        self.loc[lid] = box
+        if box is not None:
+            kind = self.links[lid].kind
+            if kind == "ofcourse":
+                box.principal = lid
+            elif kind == "pax":
+                box.auxiliaries.append(lid)
+            else:
+                box.direct[lid] = None
 
-    def open_box(self, where: tuple) -> _MBox:
-        """An empty box at ("top",) or ("in", box); its border links are
-        added afterwards, at ("border", new box)."""
-        parent = where[1] if where[0] == "in" else None
+    def open_box(self, parent: _MBox | None) -> _MBox:
+        """An empty box in a box, or at the top with None; its border links
+        are added afterwards, in the new box."""
         mb = _MBox(parent)
         (self.roots if parent is None else parent.children).append(mb)
         return mb
 
     def remove_link(self, lid: str) -> None:
-        where = self.loc.pop(lid)
-        if where[0] == "in":
-            del where[1].direct[lid]
-        elif where[0] == "border":
-            mb = where[1]
-            if mb.principal == lid:
-                mb.principal = ""
-                del self.box_by_principal[lid]
+        box = self.loc.pop(lid)
+        link = self.links.pop(lid)
+        if box is not None:
+            if link.kind == "ofcourse":
+                box.principal = ""
+            elif link.kind == "pax":
+                box.auxiliaries.remove(lid)
             else:
-                mb.auxiliaries.remove(lid)
-                del self.box_by_pax[lid]
-        self._unhook(lid, self.links.pop(lid))
+                del box.direct[lid]
+        self._unhook(lid, link)
         self.queued.pop(lid, None)
 
     def remove_edge(self, e: str) -> None:
@@ -282,12 +281,14 @@ class _Workspace:
     def remove_box(self, mb: _MBox) -> None:
         """Remove a box with its border links, everything inside it and the
         edges those links conclude."""
-        for lid in [mb.principal, *mb.auxiliaries, *mb.direct]:
-            for e in self.links[lid].conclusions:
-                self.remove_edge(e)
-            self.remove_link(lid)
-        for child in list(mb.children):
-            self.remove_box(child)
+        stack = [mb]
+        while stack:
+            box = stack.pop()
+            for lid in [box.principal, *box.auxiliaries, *box.direct]:
+                for e in self.links[lid].conclusions:
+                    self.remove_edge(e)
+                self.remove_link(lid)
+            stack += reversed(box.children)
         (mb.parent.children if mb.parent is not None else self.roots).remove(mb)
 
     # one step --------------------------------------------------------------------
@@ -319,16 +320,21 @@ class _Workspace:
             raise StepError(f"unknown step kind {redex.kind}")
 
     def freeze(self, mark: int | None = None) -> Net:
-        def rebuild(mb: _MBox) -> Box:
-            children = tuple(rebuild(c) for c in mb.children)
+        order, stack = [], self.roots[::-1]
+        while stack:  # every box, parents before children
+            order.append(stack.pop())
+            stack += reversed(order[-1].children)
+        built: dict[_MBox, Box] = {}
+        for mb in reversed(order):  # each box after the boxes inside it
+            children = tuple(map(built.__getitem__, mb.children))
             total: set[str] = set(mb.direct)
             for cb in children:
                 total |= cb.contents
                 total.update(cb.border())
-            return Box(mb.principal, tuple(mb.auxiliaries), frozenset(total), children)
-
-        boxes = tuple(rebuild(mb) for mb in self.roots)
-        return Net(self.edges, self.links, boxes, tuple(self.conclusions), mark)
+            built[mb] = Box(mb.principal, tuple(mb.auxiliaries), frozenset(total), children)
+        boxes = tuple(map(built.__getitem__, self.roots))
+        wired = dict(self.producer), dict(self.consumer)
+        return Net(self.edges, self.links, boxes, tuple(self.conclusions), mark, _wired=wired)
 
 
 # -- the five step families ---------------------------------------------------
@@ -420,8 +426,7 @@ def _trace_up(ws: _Workspace, premise: str) -> tuple[list[_MBox], str]:
             return boxes, prod
         if kind != "pax":
             raise StepError(f"why-not premise {premise} is produced by a {kind} link")
-        mb = ws.box_by_pax[prod]
-        boxes.append(mb)
+        boxes.append(ws.loc[prod])
         e = ws.links[prod].premises[0]
 
 
@@ -443,25 +448,21 @@ def _trace_down(ws: _Workspace, pax_conclusion: str) -> tuple[list[tuple[_MBox, 
             return chain, consumer
         if kind != "pax":
             raise StepError(f"auxiliary wire {pax_conclusion} feeds a {kind} link")
-        mb = ws.box_by_pax[consumer]
         out_edge = ws.links[consumer].conclusions[0]
-        chain.append((mb, consumer, out_edge))
+        chain.append((ws.loc[consumer], consumer, out_edge))
         e = out_edge
 
 
-def _copy_contents(ws: _Workspace, box: _MBox, where: tuple, tag: str) -> dict[str, str]:
-    """Copy the subnet inside a box (everything but its own border) to a
-    location, opening a copy of each box inside it; returns the edge map."""
-    placed: list[tuple[str, tuple]] = []
-
-    def collect(mb: _MBox, at: tuple) -> None:
-        placed.extend((lid, at) for lid in mb.direct)
-        for child in mb.children:
-            nb = ws.open_box(at)
-            placed.extend((lid, ("border", nb)) for lid in (child.principal, *child.auxiliaries))
-            collect(child, ("in", nb))
-
-    collect(box, where)
+def _copy_contents(ws: _Workspace, box: _MBox, where: _MBox | None, tag: str) -> dict[str, str]:
+    """Copy the subnet inside a box (everything but its own border) into a
+    box or the top, opening a copy of each box inside it; returns the edge map."""
+    placed = [(lid, where) for lid in box.direct]
+    stack = [(child, where) for child in reversed(box.children)]
+    while stack:
+        child, at = stack.pop()
+        nb = ws.open_box(at)
+        placed.extend((lid, nb) for lid in (child.principal, *child.auxiliaries, *child.direct))
+        stack += ((grandchild, nb) for grandchild in reversed(child.children))
     link_map = {lid: ws.fresh(lid, tag) for lid, _ in placed}
     edge_map = {e: ws.fresh(e, tag) for lid in link_map for e in ws.links[lid].conclusions}
     for lid, at in placed:
@@ -479,7 +480,7 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
     links = ws.links
     oc_id = ws.producer[p_oc]
     wn_id = ws.producer[p_wn]
-    box = ws.box_by_principal.get(oc_id)
+    box = ws.loc[oc_id]
     if box is None:
         raise StepError("of-course link without a box")
     premises = list(links[wn_id].premises)
@@ -562,7 +563,7 @@ def _add_pax(
     pax_id = ws.fresh(lift_to, "px")
     out_edge = ws.fresh(wire, "px")
     ws.edges[out_edge] = label
-    ws.add_link(pax_id, Link("pax", (wire,), (out_edge,)), ("border", mb))
+    ws.add_link(pax_id, Link("pax", (wire,), (out_edge,)), mb)
     ws.lift[pax_id] = lift_to
     ws.lift[out_edge] = edge_lift
     return out_edge
@@ -680,11 +681,8 @@ def shift_net(net: Net) -> Net:
         prem = link.premises[0]
         eid = ws.fresh(prem, f"sh{serial}")
         ws.edges[eid] = Label(Paragraph(ws.edges[prem].formula))
-        where = ws.loc[lid]
-        if where[0] == "border":
-            where = ("in", where[1])
         ws.put_link(lid, Link(link.kind, (eid,), link.conclusions))
-        ws.add_link(ws.fresh(lid, f"sh{serial}"), Link("paragraph", (prem,), (eid,)), where)
+        ws.add_link(ws.fresh(lid, f"sh{serial}"), Link("paragraph", (prem,), (eid,)), ws.loc[lid])
     return ws.freeze()
 
 

@@ -470,9 +470,10 @@ def test_wide_documents_keep_the_exit_contract(tmp_path, capsys, name):
     # and no command may build one but the geometric route, which only
     # solves an indexing on it
     if name == "axioms":
-        net = builder.ax(X)
-        for _ in range(999):
-            net = builder.mix(net, builder.ax(X))
+        draft = builder._Draft()  # one draft: a chain of mix calls copies the net each time
+        for _ in range(1_000):
+            draft.absorb(builder.ax(X))
+        net = draft.freeze()
     else:
         net = builder.random_net(1, builder.GenParams(target_size=3000, cut_bias=0))
     p = write_net(tmp_path, f"{name}.json", net)

@@ -130,6 +130,22 @@ def premise_cycle(doc, rng):
     return doc
 
 
+def overlapping_boxes(doc, rng):
+    """Add a link of one box to the contents of a sibling box: the two
+    then overlap without nesting."""
+    siblings, todo = [], [doc["boxes"]]
+    while todo:
+        boxes = todo.pop()
+        if len(boxes) > 1:
+            siblings.append(boxes)
+        todo += [b["boxes"] for b in boxes]
+    if not siblings:
+        return None
+    a, b = rng.sample(rng.choice(siblings), 2)
+    b["contents"].append(rng.choice([a["principal"], *a["auxiliaries"], *a["contents"]]))
+    return doc
+
+
 MUTANTS = {
     "spacing": lambda doc, rng: relabel(doc, rng, doc["edges"], lambda t: rng.choice([" ", "\t"]) + t.replace(" * ", "*", 1)),
     "swapped-tensor-premises": swap_tensor_premises,
@@ -145,6 +161,7 @@ MUTANTS = {
         doc, rng, [e for e in doc["edges"] if e["id"] in doc["conclusions"]], lambda t: "%" + t if t[0] != "%" else None
     ),
     "premise-cycle": premise_cycle,
+    "overlapping-boxes": overlapping_boxes,
 }
 
 

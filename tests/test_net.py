@@ -26,6 +26,7 @@ from stratnet.net import (
     validate,
 )
 from stratnet import builder
+from stratnet.correctness import find_cyclic_switching
 from stratnet.interactive import bullet_net, eta_expand
 from stratnet.rewrite import normalize, shift_net
 
@@ -99,6 +100,29 @@ def test_depth():
     assert all(b2.depth(l) == 2 for l in inner_box.contents)
     with pytest.raises(KeyError):
         b2.depth("nonexistent")
+
+
+def test_box_walks_run_far_deeper_than_the_recursion_limit():
+    # A promotion chain 1,500 boxes deep, closed by a why-not.  Not
+    # validated: the box-closure check walks every box's whole contents.
+    draft = builder._Draft.take(builder.flat_rule(builder.ax(X), 0))
+    for _ in range(1_500):
+        draft.promote(1)
+    n = draft.whynot([0]).freeze()
+    assert n.depth("l0") == 1_500 and len(list(n.all_boxes())) == 1_500
+    assert find_cyclic_switching(n) is None
+    assert len(list(bullet_net(n).all_boxes())) == 1_500
+    # cut against a weakening, which erases the boxes, and against a
+    # one-premise why-not, which absorbs the chain under new ids and copies
+    # its boxes
+    body = dual(n.edges[n.conclusions[1]].formula).body
+    weakening = builder.whynot_rule(builder.daimon(), [], weakening_of=body)
+    nf, trace = normalize(builder.cut_rule(n, 1, weakening, 0))
+    assert len(trace.steps) == 1
+    assert [link.kind for link in nf.links.values()] == ["whynot"] and not nf.boxes
+    dereliction = builder.whynot_rule(builder.flat_rule(builder.ax(body), 1), [1])
+    nf, trace = normalize(builder.cut_rule(dereliction, 1, n, 1))
+    assert not nf.cut_links() and len(list(nf.all_boxes())) == 1_499
 
 
 def test_parr_closure_single_and_empty():
