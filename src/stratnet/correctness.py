@@ -28,15 +28,18 @@ between two conclusions of one component whose offsets differ is an
 unbalanced conclusion-to-conclusion path.  ``strong_indexing`` is the one
 strong check (equal conclusion indexes within each component); the
 proof-net criterion asks it with plain weights and the indexing route to
-level membership with exponential ones.
+level membership with exponential ones.  The geometric route asks for an
+exponential indexing of the par-closure, which it never builds: the
+traversal takes the closing pars as extra constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Literal
 
-from .net import Net, parr_closure
+from .net import Net, _closing_pars
 
 Flavor = Literal["plain", "exponential", "quasi"]
 
@@ -348,22 +351,26 @@ def _link_constraints(net: Net, flavor: Flavor) -> Iterator[tuple[str, str, int,
         # one / bot have a single incident edge and induce no constraint
 
 
-def _propagate(net: Net, flavor: Flavor):
+def _propagate(net: Net, flavor: Flavor, closing=()):
     """The one traversal of the constraint graph.  Every component is walked
     depth-first from its least edge id, anchored at zero.  Returns the
     offsets, the spanning-tree parent of each edge ((edge, link) it was
     reached from, None at an anchor), each edge's component representative
     (its anchor), and the first constraint the offsets violate as
-    (e1, e2, link, balance), or None."""
+    (e1, e2, link, balance), or None.  ``closing`` adds par links after the
+    net's own, as (link id, premises, conclusion edge): given
+    ``_closing_pars(net)``, the walk is that of the par-closure."""
     adjacency: dict[str, list[tuple[str, int, str]]] = {e: [] for e in net.edges}
-    for e1, e2, w, lid in _link_constraints(net, flavor):
+    adjacency.update((c, []) for _, _, c in closing)
+    pars = ((p, c, 0, lid) for lid, premises, c in closing for p in premises)
+    for e1, e2, w, lid in chain(_link_constraints(net, flavor), pars):
         adjacency[e1].append((e2, -w, lid))  # idx(e2) = idx(e1) - w
         adjacency[e2].append((e1, w, lid))
     offset: dict[str, int] = {}
     parent: dict[str, tuple[str, str] | None] = {}
     rep: dict[str, str] = {}
     conflict: tuple[str, str, str, int] | None = None
-    for start in sorted(net.edges):
+    for start in sorted(adjacency):
         if start in rep:
             continue
         offset[start], parent[start], rep[start] = 0, None, start
@@ -496,11 +503,13 @@ def is_l3_indexing_route(net: Net, check_preconditions: bool = True) -> bool | B
 
 def is_l3_geometric(net: Net, check_preconditions: bool = True) -> bool | BalanceWitness:
     """Membership via balance: every cycle of the par-closure must cancel
-    its exponential and paragraph crossings."""
+    its exponential and paragraph crossings.  The closure is not built: its
+    pars join the constraint graph under the ids ``parr_closure`` would
+    give them, so the witness is the one the closure's indexing gives."""
     if check_preconditions:
         _require_l3_preconditions(net)
-    result = solve_indexing(parr_closure(net), "exponential")
-    return result if isinstance(result, BalanceWitness) else True
+    _, parent, _, conflict = _propagate(net, "exponential", _closing_pars(net))
+    return True if conflict is None else _unbalanced_cycle(parent, conflict, "exponential")
 
 
 def default_exponential_quasi_indexing(net: Net, allow_cuts: bool = False) -> Indexing:

@@ -11,21 +11,23 @@ itself.
 A level-k test differs from the identity test only in the order of some
 tensor premises, which no reduction step looks at, and doubling commutes
 with cut-elimination: a doubled atomic identity block reduces as the atomic
-axiom it replaces.  So the decider reduces once, undoubled: each
+axiom it replaces.  So the decider reduces once, undoubled: each compound
 conclusion of the eta-expanded net is cut against the identity test of its
 formula, in one workspace, where the tests are expanded recording the
-level of each atom position they build.  A net with several conclusions
-gets the report of its par-closure, which is never built: the closing pars
-only peel off against the closed test's tensors, and pars add no level.
+level of each atom position they build.  An atomic conclusion gets no
+test: its test would be a bare axiom, whose one step hands the conclusion
+back.  A net with several conclusions gets the report of its par-closure,
+which is never built: the closing pars only peel off against the closed
+test's tensors, and pars add no level.
 
 Each atomic axiom of the normal form is a block of the doubled one, whose
 par and tensor are the two test links that consume the axiom's ends,
-lifted through the trace; the end that an atomic conclusion's test (a bare
-axiom) leaves as a conclusion counts at level 0, where the closed test's
-par would consume it.  The block is crossed at level k when exactly one of
-its two positions is at level k.  The doubled form crosses no block, so
-a level passes when none is crossed and the normal form equals the
-eta-expanded net under ``nets_equal``.  The doubled reduction and the
+lifted through the trace; an end that is an atomic conclusion counts at
+level 0, where the closed test's par would consume it, so such a net has
+level 0 even when no test has an atom.  The block is crossed at level k
+when exactly one of its two positions is at level k.  The doubled form
+crosses no block, so a level passes when none is crossed and the normal
+form equals the eta-expanded net under ``nets_equal``.  The doubled reduction and the
 per-level one, both of the par-closure, are kept as oracles in
 ``tests/interactive_oracle.py``, with ``atom_sites``, the reference for
 the test's block levels.
@@ -423,8 +425,8 @@ def interactive_l3_check(
 ) -> InteractiveReport:
     """Cut the doubled form against the test of every level (or of the one
     level given) and demand it reduce back to itself, all by one reduction
-    of the undoubled net against the identity test of each conclusion (see
-    the module docstring).  The report is that of the net's par-closure.
+    of the undoubled net against the identity test of each compound
+    conclusion (see the module docstring).  The report is that of the net's par-closure.
     Levels range over the atoms of the conclusions; higher tests equal the
     identity and pass trivially."""
     if net.cut_links():
@@ -433,6 +435,8 @@ def interactive_l3_check(
         raise PreconditionError("the interactive check needs a net with a conclusion and no flat one")
     eta, ws, cuts, level_of = _identity_cut(net)
     levels = _levels(level_of.values())
+    if not levels and len(cuts) < len(net.conclusions):
+        levels = [0]  # an atomic conclusion gets no test, but its end is at level 0
     if level is not None:
         if level not in levels:
             raise PreconditionError(f"{level} is not a level of {closed_text(net)}; its levels are {levels}")
@@ -441,8 +445,8 @@ def interactive_l3_check(
         return InteractiveReport(True, ())
     trace = _reduce(ws, {cut: (i,) for i, cut in enumerate(cuts)}, budget=budget)
     # The levels of the test positions that each axiom's ends lift to; an
-    # atomic conclusion's test is a bare axiom, whose positive end stays a
-    # conclusion at level 0.
+    # atomic conclusion gets no test and stays a conclusion, whose end
+    # counts at level 0, where the closed test's par would consume it.
     ends: dict[str, list] = {}
     for lid, link in ws.links.items():
         for slot, e in enumerate(link.premises):
@@ -471,19 +475,24 @@ def closed_text(net: Net) -> str:
 
 def _identity_cut(net: Net) -> tuple[Net, _Workspace, list[str], dict[tuple[str, int], int]]:
     """The eta-expansion of a cut-free net; a workspace that holds it with
-    each conclusion cut against the identity test of its formula
+    each compound conclusion cut against the identity test of its formula
     (``cut_compose`` up to the tests' ids), the tests' positive sides as
-    its conclusions, in order; the cuts, in conclusion order; and the level
-    of each atom position of the tests, keyed by the link and premise slot
-    that consume it."""
+    its conclusions, in order, where an atomic conclusion stays itself:
+    its test would be a bare axiom, which the axiom step removes again; the
+    cuts, in conclusion order; and the level of each atom position of the
+    tests, keyed by the link and premise slot that consume it."""
     eta = eta_expand(net)
     ws = _Workspace(eta)
     eb = _EtaBuilder(ws, _Fresh(eta))
     cuts, positives = [], []
     for c in eta.conclusions:
         a = ws.edges[c].formula
-        neg, pos = eb.edge(Label(dual(a))), eb.edge(Label(a))
-        eb.expand(a, dual(a), neg, pos)
+        if isinstance(a, Atom):
+            positives.append(c)
+            continue
+        da = dual(a)
+        neg, pos = eb.edge(Label(da)), eb.edge(Label(a))
+        eb.expand(a, da, neg, pos)
         cuts.append(eb.link("cut", (c, neg), ()))
         positives.append(pos)
     ws.conclusions = positives

@@ -501,25 +501,39 @@ def validate(net: Net) -> ValidationReport:
 # -- derived constructions -------------------------------------------------
 
 
-def parr_closure(net: Net) -> Net:
-    """Join all conclusions with a right-nested tree of par links, yielding
-    a single conclusion A1 @ (A2 @ (... )).  A net with zero or one
-    conclusion is returned unchanged."""
+def _closing_pars(net: Net) -> list[tuple[str, tuple[str, str], str]]:
+    """The par links that close the net, as (link id, premises, conclusion
+    edge), innermost first: the last conclusion is joined with the one
+    before it, and so on up to the first.  Ids come from one ``_Fresh``,
+    link then edge; none for zero or one conclusion."""
     if any(net.edges[e].flat for e in net.conclusions):
         raise ValueError("cannot close a net with a flat-labelled conclusion")
     if len(net.conclusions) <= 1:
-        return net
-    edges = dict(net.edges)
-    links = dict(net.links)
+        return []
     fresh = _Fresh(net)
+    pars = []
     current = net.conclusions[-1]
     for other in reversed(net.conclusions[:-1]):
         lid = fresh.link()
         eid = fresh.edge()
+        pars.append((lid, (other, current), eid))
+        current = eid
+    return pars
+
+
+def parr_closure(net: Net) -> Net:
+    """Join all conclusions with a right-nested tree of par links, yielding
+    a single conclusion A1 @ (A2 @ (... )).  A net with zero or one
+    conclusion is returned unchanged."""
+    pars = _closing_pars(net)
+    if not pars:
+        return net
+    edges = dict(net.edges)
+    links = dict(net.links)
+    for lid, (other, current), eid in pars:
         edges[eid] = Label(Par(edges[other].formula, edges[current].formula))
         links[lid] = Link("par", (other, current), (eid,))
-        current = eid
-    return Net(edges, links, net.boxes, (current,))
+    return Net(edges, links, net.boxes, (eid,))
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,12 @@ class RewriteTrace:
         return self._source.get(x, x)
 
 
+# Keyed by the premise producers' kinds, in either order.
 _FAMILIES = {
-    frozenset(("one", "bot")): STEP_UNIT,
-    frozenset(("tensor", "par")): STEP_MULT,
-    frozenset(("ofcourse", "whynot")): STEP_EXP,
-    frozenset(("paragraph",)): STEP_PARG,
+    ("one", "bot"): STEP_UNIT, ("bot", "one"): STEP_UNIT,
+    ("tensor", "par"): STEP_MULT, ("par", "tensor"): STEP_MULT,
+    ("ofcourse", "whynot"): STEP_EXP, ("whynot", "ofcourse"): STEP_EXP,
+    ("paragraph", "paragraph"): STEP_PARG,
 }
 
 
@@ -120,7 +121,7 @@ def _family(kind1: str, kind2: str) -> str | None:
     kinds; an axiom producer always makes an axiom step."""
     if kind1 == "ax" or kind2 == "ax":
         return STEP_AXIOM
-    return _FAMILIES.get(frozenset((kind1, kind2)))
+    return _FAMILIES.get((kind1, kind2))
 
 
 def find_redexes(net: Net) -> list[Redex]:

@@ -452,6 +452,18 @@ def test_test_command_autocloses(tmp_path, capsys):
     assert "note: reporting the par-closure of 2 conclusions" in capsys.readouterr().err
 
 
+def test_test_command_on_atomic_conclusions(tmp_path, capsys):
+    # both conclusions of an axiom are atomic, so neither gets a test, yet
+    # their ends sit at level 0, the axiom's one level
+    p = write_net(tmp_path, "ax.json", builder.ax(X))
+    assert main(["test", "--level", "0", p]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["member"], doc["levels"]) == (True, [{"k": 0, "pass": True, "swapped_sites": 0}])
+    assert main(["test", "--level", "1", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "1 is not a level of (X^ @ X); its levels are [0]" in captured.err
+
+
 WIDE_COMMANDS = (
     ["l3", "--method", "all"],
     ["l3", "--method", "interactive"],
@@ -462,21 +474,25 @@ WIDE_COMMANDS = (
 )
 
 
-@pytest.mark.parametrize("name", ["axioms", "gen"])
-def test_wide_documents_keep_the_exit_contract(tmp_path, capsys, name):
-    # 1,000 juxtaposed axioms (2,000 conclusions), and the net of gen
-    # --seed 1 --size 3000 --cut-bias 0 (1,821 conclusions): a closed
-    # formula nests one level per conclusion, far past the recursion limit,
-    # and no command may build one but the geometric route, which only
-    # solves an indexing on it
+WIDE_NETS = ("axioms", "gen")
+
+
+def wide_net(name: str):
+    """1,000 juxtaposed axioms (2,000 conclusions), or the net of gen
+    --seed 1 --size 3000 --cut-bias 0 (1,821 conclusions)."""
     if name == "axioms":
         draft = builder._Draft()  # one draft: a chain of mix calls copies the net each time
         for _ in range(1_000):
             draft.absorb(builder.ax(X))
-        net = draft.freeze()
-    else:
-        net = builder.random_net(1, builder.GenParams(target_size=3000, cut_bias=0))
-    p = write_net(tmp_path, f"{name}.json", net)
+        return draft.freeze()
+    return builder.random_net(1, builder.GenParams(target_size=3000, cut_bias=0))
+
+
+@pytest.mark.parametrize("name", WIDE_NETS)
+def test_wide_documents_keep_the_exit_contract(tmp_path, capsys, name):
+    # a closed formula nests one level per conclusion, far past the
+    # recursion limit, and no command may build one
+    p = write_net(tmp_path, f"{name}.json", wide_net(name))
     for command in WIDE_COMMANDS:
         assert main(command + [p]) in (0, 1), command
         out = capsys.readouterr().out

@@ -5,7 +5,7 @@ from collections import defaultdict
 import pytest
 
 from stratnet.formula import Atom, Paragraph, parse_formula
-from stratnet.net import Link, Net, nets_equal, validate
+from stratnet.net import Link, Net, nets_equal, parr_closure, validate
 from stratnet import builder
 from stratnet.builder import GenParams
 from stratnet.correctness import (
@@ -29,6 +29,9 @@ from stratnet.correctness import (
 )
 
 from conftest import brute_force_indexable, make_unstable_membership_net, tensor_last_two, tensor_loop_net
+from test_acceptance import BIAS_MIXES
+from test_cli import WIDE_NETS, wide_net
+from test_interactive_oracle import l3_cutfree_nets
 from switching_oracle import count_switchings, enumerate_switchings, total_switchings, witness_problem
 from switching_oracle import find_cyclic_switching as oracle_find_cyclic_switching
 
@@ -439,6 +442,64 @@ def test_l3_routes_agree_on_corpus():
         v1 = is_l3_indexing_route(n, check_preconditions=False) is True
         v2 = is_l3_geometric(n, check_preconditions=False) is True
         assert v1 == v2, seed
+
+
+def closed_geometric(net: Net) -> bool | BalanceWitness:
+    """The geometric route on the par-closure built: the oracle for
+    ``is_l3_geometric``, which walks the closing pars without building
+    them."""
+    result = solve_indexing(parr_closure(net), "exponential")
+    return result if isinstance(result, BalanceWitness) else True
+
+
+def assert_geometric_matches_the_closure(nets) -> int:
+    """Same verdict and same witness on every net; returns the members."""
+    members = 0
+    for net in nets:
+        verdict = is_l3_geometric(net, check_preconditions=False)
+        assert verdict == closed_geometric(net)
+        members += verdict is True
+    return members
+
+
+def test_geometric_route_matches_the_closure_on_the_l3_cutfree_corpus():
+    assert assert_geometric_matches_the_closure(l3_cutfree_nets(201)) == 94
+
+
+def test_geometric_route_matches_the_closure_on_random_nets():
+    # criterion 1's five bias mixes at target sizes 0 to 34, with and
+    # without cuts; the counts are nets with 0, 1 and more conclusions,
+    # and members
+    rng = random.Random(24)
+    nets = []
+    for seed in range(1_500):
+        mix = BIAS_MIXES[seed % len(BIAS_MIXES)]
+        params = GenParams(
+            target_size=rng.randint(0, 34),
+            cut_bias=rng.choice([0.0, 0.4]),
+            exponential_bias=mix.exponential_bias,
+            paragraph_bias=mix.paragraph_bias,
+            box_bias=mix.box_bias,
+        )
+        nets.append(builder.random_net(seed, params))
+    members = assert_geometric_matches_the_closure(nets)
+    widths = [min(len(n.conclusions), 2) for n in nets]
+    assert (widths.count(0), widths.count(1), widths.count(2), members) == (16, 16, 1468, 538)
+
+
+@pytest.mark.parametrize("name", WIDE_NETS)
+def test_geometric_route_matches_the_closure_on_wide_nets(name):
+    assert_geometric_matches_the_closure([wide_net(name)])
+
+
+def test_geometric_route_rejects_a_flat_conclusion_as_the_closure_does():
+    n = builder.flat_rule(builder.ax(X), 0)
+    with pytest.raises(ValueError) as closing:
+        parr_closure(n)
+    with pytest.raises(ValueError) as route:
+        is_l3_geometric(n, check_preconditions=False)
+    assert type(route.value) is type(closing.value) is ValueError
+    assert str(route.value) == str(closing.value) == "cannot close a net with a flat-labelled conclusion"
 
 
 def test_l3_preconditions():

@@ -24,6 +24,8 @@ from stratnet.correctness import (
 )
 from stratnet.interactive import (
     CompositionError,
+    InteractiveReport,
+    LevelReport,
     bullet_net,
     compose,
     cut_compose,
@@ -342,6 +344,14 @@ def test_interactive_preconditions():
         interactive_l3_check(builder.daimon())
     with pytest.raises(PreconditionError):
         interactive_l3_check(builder.flat_rule(builder.ax(X), 0))
+
+
+def test_axiom_on_an_atom_has_level_zero():
+    # neither conclusion is tested, but both ends sit at level 0
+    report = InteractiveReport(True, (LevelReport(0, True, 0, False),))
+    assert interactive_l3_check(builder.ax(X)) == interactive_l3_check(builder.ax(X), level=0) == report
+    with pytest.raises(PreconditionError, match="1 is not a level of"):
+        interactive_l3_check(builder.ax(X), level=1)
 
 
 def test_interactive_agrees_with_geometric():

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import stratnet
 from stratnet import builder, correctness, interactive, net as net_mod, rewrite
 from stratnet.builder import GenParams
 from stratnet.interactive import _swap_sites, _test_base, identity_net, interactive_l3_check
@@ -200,6 +201,56 @@ def test_reports_equal_the_closed_check(request, corpus):
     }[corpus]
 
 
+def is_atomic(net, e) -> bool:
+    return isinstance(net.edges[e].formula, Atom)
+
+
+def test_atomic_beside_compound_conclusions_equal_the_doubled_check():
+    # an atomic conclusion gets no test, yet its end counts at level 0:
+    # against the doubled check of the par-closure, on the seed-201
+    # l3-cutfree nets with both kinds of conclusion, and on atoms beside
+    # units, which have no level of their own: the report for all levels,
+    # and the error for a level out of range (each level alone is the
+    # closed check's, as test_reports_equal_the_closed_check shows); the
+    # counts are nets and members
+    X = Atom("X")
+    nets = [
+        n
+        for n in l3_cutfree_nets(201)
+        if any(is_atomic(n, e) for e in n.conclusions) and not all(is_atomic(n, e) for e in n.conclusions)
+    ]
+    nets += [
+        builder.mix(builder.ax(X), builder.one_rule()),
+        builder.mix(builder.one_rule(), builder.bottom_rule(builder.ax(X))),
+        builder.mix(builder.ax(OfCourse(X)), builder.ax(X)),
+    ]
+    members = 0
+    for net in nets:
+        closed = parr_closure(net)
+        report = doubled_l3_check(closed)
+        assert interactive_l3_check(net) == report
+        level = len(report.levels)
+        assert outcome(interactive_l3_check, net, level) == outcome(doubled_l3_check, closed, level)
+        members += report.member
+    assert (len(nets), members) == (284, 94)
+
+
+def test_one_cut_per_compound_conclusion_and_no_test_for_an_atomic_one():
+    # on the seed-201 l3-cutfree nets: each compound conclusion is cut
+    # against a test of as many links as its identity net, and each atomic
+    # one stays a conclusion, with no test link or cut
+    atomic = compound = 0
+    for net in l3_cutfree_nets(201):
+        eta, ws, cuts, _ = interactive._identity_cut(net)
+        kept = [e for e in net.conclusions if is_atomic(net, e)]
+        tested = [net.edges[e].formula for e in net.conclusions if not is_atomic(net, e)]
+        assert len(cuts) == len(tested) == sum(link.kind == "cut" for link in ws.links.values())
+        assert len(ws.links) - len(eta.links) == sum(len(identity_net(a).links) + 1 for a in tested)
+        assert [e for e in ws.conclusions if e in eta.edges] == kept
+        atomic, compound = atomic + len(kept), compound + len(tested)
+    assert (atomic, atomic + compound) == (1802, 3388)
+
+
 def test_one_reduction_per_check_on_the_l3_cutfree_corpus(monkeypatch):
     # the benchmark's seed-201 l3-cutfree corpus: 300 nets and 710 levels,
     # so reducing once per level would take 710 reductions
@@ -280,17 +331,19 @@ def test_the_verdict_compares_the_normal_form_with_pib(monkeypatch):
     assert (len(changed), uncrossed) == (19, 12)
 
 
-def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys):
+def test_one_workspace_and_no_closing_per_l3_call(monkeypatch, tmp_path, capsys):
     # l3 --method all on the same 300 nets, unclosed: the check builds its
     # composite in the workspace it loads the eta-expanded net into, so
     # nothing renames the identity test (300 calls before), nothing
     # composes nets (300), nothing loads the composite into a second
     # workspace or the identity test into a third (900 workspaces), far
     # fewer nets are made (3,563, then 1,763 while the check froze pib and
-    # uncrossed its doubled normal form; 1,163 now), and the CLI closes
-    # each net once, for the geometric route only: the interactive check
-    # tests each conclusion on its own (600 closings of a net with more
-    # than one conclusion while both routes closed it)
+    # uncrossed its doubled normal form, and 900 while the geometric route
+    # closed each net; 600 now), and no route closes a net: the
+    # interactive check tests each conclusion on its own, and the geometric
+    # route walks the closing pars without building them (600 closings of
+    # a net with more than one conclusion while both routes closed it, 300
+    # while the geometric route did)
     calls = Counter()
 
     def count(name, *modules):
@@ -318,7 +371,7 @@ def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys
         paths[-1].write_bytes(save(net))
     count("absorb", builder._Draft)
     count("cut_compose", interactive)
-    for module in (net_mod, correctness):
+    for module in (net_mod, stratnet):
         close = module.parr_closure
 
         def counted_closure(net, close=close):
@@ -331,16 +384,17 @@ def test_one_workspace_and_one_closing_per_l3_call(monkeypatch, tmp_path, capsys
     for path in paths:
         assert main(["l3", "--method", "all", str(path)]) in (0, 1)
     assert '"verdicts"' in capsys.readouterr().out
-    assert (calls["absorb"], calls["cut_compose"], calls["parr_closure"]) == (0, 0, 300)
-    assert calls["_Workspace"] <= 300 and calls["Net"] <= 1200
+    assert (calls["absorb"], calls["cut_compose"], calls["parr_closure"]) == (0, 0, 0)
+    assert calls["_Workspace"] <= 300 and calls["Net"] <= 600
 
 
 def test_no_closing_on_the_interactive_route(monkeypatch, tmp_path, capsys):
     # l3 --method interactive and test on the same 300 nets: every
-    # conclusion gets its own identity test, so neither closes a net (each
-    # closed the 300 nets, all with more than one conclusion, before)
+    # compound conclusion gets its own identity test, so neither closes a
+    # net (each closed the 300 nets, all with more than one conclusion,
+    # before)
     closings = 0
-    for module in (net_mod, correctness):
+    for module in (net_mod, stratnet):
 
         def counted_closure(net, close=module.parr_closure):
             nonlocal closings
