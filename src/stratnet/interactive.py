@@ -24,11 +24,14 @@ Each atomic axiom of the normal form is a block of the doubled one, whose
 par and tensor are the two test links that consume the axiom's ends,
 lifted through the trace; an end that is an atomic conclusion counts at
 level 0, where the closed test's par would consume it, so such a net has
-level 0 even when no test has an atom.  The block is crossed at level k
-when exactly one of its two positions is at level k.  The doubled form
-crosses no block, so a level passes when none is crossed and the normal
-form equals the eta-expanded net under ``nets_equal``.  The doubled reduction and the
-per-level one, both of the par-closure, are kept as oracles in
+level 0 even when no test has an atom.  One pass over the axioms reads
+both levels of each.  The block is crossed at level k when exactly one of
+its two positions is at level k.  The doubled form crosses no block, so a
+level passes when none is crossed and the normal form equals the
+eta-expanded net.  The walk behind ``nets_equal`` compares the reduced
+workspace with the net in place; only when it fails is the normal form
+frozen for ``nets_equal``.  The doubled reduction and the per-level one,
+both of the par-closure, are kept as oracles in
 ``tests/interactive_oracle.py``, with ``atom_sites``, the reference for
 the test's block levels.
 """
@@ -55,11 +58,16 @@ from .formula import (
     dual,
     print_formula,
 )
-from .net import Label, Link, Net, _Fresh, nets_equal
+from .net import Label, Link, Net, _Fresh, _walk_isomorphic, nets_equal
 from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _MBox, _reduce, _Workspace, normalize, normalize_no_axiom
 
 
 # -- eta-expansion ------------------------------------------------------------
+
+
+# The entries of ``_EtaBuilder.expand``'s stack: a subformula to open, a
+# connective's two links to close, an exponential box to close.
+_OPEN, _CLOSE, _CLOSE_BOX = range(3)
 
 
 class _EtaBuilder:
@@ -75,99 +83,95 @@ class _EtaBuilder:
         self.ws = ws
         self.fresh = fresh
         self.where: _MBox | None = None
-        self.depth = 0
         self.atoms: dict[str, int] = {}
         self.levels: dict[tuple[str, int], int] = {}
 
     def edge(self, label: Label) -> str:
-        e = self.fresh.edge()
+        fresh = self.fresh
+        e = f"e{fresh.n}"
+        fresh.n += 1
         self.ws.edges[e] = label
         return e
 
     def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...]) -> str:
-        lid = self.fresh.link()
+        fresh, atoms = self.fresh, self.atoms
+        lid = f"l{fresh.n}"
+        fresh.n += 1
         self.ws.add_link(lid, Link(kind, premises, conclusions), self.where)
         for slot, e in enumerate(premises):
-            if e in self.atoms:
-                self.levels[lid, slot] = self.atoms.pop(e)
+            if e in atoms:
+                self.levels[lid, slot] = atoms.pop(e)
         return lid
 
     def expand(self, a: Formula, da: Formula, out_neg: str, out_pos: str) -> None:
         """Build links concluding out_neg (labelled da, the dual of a) and
-        out_pos (labelled a).  Iterative: each step returns the steps that
-        follow it, in order, and a connective's own links wait on the stack
-        until the expansions of its subformulas are built."""
-        stack: list[tuple] = [(self._open, a, da, out_neg, out_pos)]
+        out_pos (labelled a).  Iterative: a connective's own links wait on
+        the stack, tagged, until the expansions of its subformulas, pushed
+        after them, are built."""
+        fresh, edges, link = self.fresh, self.ws.edges, self.link
+        depth = 0
+        stack: list[tuple] = [(_OPEN, a, da, out_neg, out_pos)]
         while stack:
-            step, *args = stack.pop()
-            stack += reversed(step(*args))
-
-    def _open(self, a: Formula, da: Formula, out_neg: str, out_pos: str) -> list[tuple]:
-        match a:
-            case Atom():
-                self.link("ax", (), (out_neg, out_pos))
-                self.atoms[out_neg] = self.atoms[out_pos] = self.depth
-            case One() | Bottom():
-                neg, pos = ("bot", "one") if isinstance(a, One) else ("one", "bot")
-                self.link(neg, (), (out_neg,))
-                self.link(pos, (), (out_pos,))
-            case Tensor(l, r) | Par(l, r):
-                nl = self.edge(Label(da.left))
-                pl = self.edge(Label(l))
-                nr = self.edge(Label(da.right))
-                pr = self.edge(Label(r))
-                neg, pos = ("par", "tensor") if isinstance(a, Tensor) else ("tensor", "par")
-                return [
-                    (self._open, l, da.left, nl, pl),
-                    (self._open, r, da.right, nr, pr),
-                    (self._close, 0, neg, (nl, nr), out_neg, pos, (pl, pr), out_pos),
-                ]
-            case Paragraph(b):
-                nb = self.edge(Label(da.body))
-                pb = self.edge(Label(b))
-                self.depth += 1
-                return [
-                    (self._open, b, da.body, nb, pb),
-                    (self._close, 1, "paragraph", (nb,), out_neg, "paragraph", (pb,), out_pos),
-                ]
-            case OfCourse(b) | WhyNot(b):
-                outer = self.where
-                box = self.ws.open_box(outer)
-                self.where = box
-                nb = self.edge(Label(da.body))
-                pb = self.edge(Label(b))
-                self.depth += 1
-                if isinstance(a, OfCourse):
-                    doors = (pb, nb, da.body, out_pos, out_neg)
+            item = stack.pop()
+            tag = item[0]
+            if tag == _CLOSE:
+                _, levels, neg, neg_in, out_neg, pos, pos_in, out_pos = item
+                depth -= levels
+                link(neg, neg_in, (out_neg,))
+                link(pos, pos_in, (out_pos,))
+                continue
+            if tag == _CLOSE_BOX:
+                # The box of an exponential axiom: its principal door bangs
+                # one side of the body's expansion; the other side is
+                # flattened inside, exits through one pax port, and meets a
+                # unary why-not.
+                _, outer, principal_in, flat_in, flat_body, oc_out, wn_out = item
+                depth -= 1
+                flat_label = Label(flat_body, flat=True)
+                flat_out = self.edge(flat_label)
+                link("flat", (flat_in,), (flat_out,))
+                pax_out = self.edge(flat_label)
+                link("pax", (flat_out,), (pax_out,))
+                link("ofcourse", (principal_in,), (oc_out,))
+                self.where = outer
+                link("whynot", (pax_out,), (wn_out,))
+                continue
+            _, a, da, out_neg, out_pos = item
+            cls = type(a)
+            if cls is Atom:
+                link("ax", (), (out_neg, out_pos))
+                self.atoms[out_neg] = self.atoms[out_pos] = depth
+            elif cls is One or cls is Bottom:
+                neg, pos = ("bot", "one") if cls is One else ("one", "bot")
+                link(neg, (), (out_neg,))
+                link(pos, (), (out_pos,))
+            elif cls is Tensor or cls is Par:
+                n = fresh.n
+                fresh.n = n + 4
+                nl, pl, nr, pr = f"e{n}", f"e{n + 1}", f"e{n + 2}", f"e{n + 3}"
+                edges[nl], edges[pl] = Label(da.left), Label(a.left)
+                edges[nr], edges[pr] = Label(da.right), Label(a.right)
+                neg, pos = ("par", "tensor") if cls is Tensor else ("tensor", "par")
+                stack.append((_CLOSE, 0, neg, (nl, nr), out_neg, pos, (pl, pr), out_pos))
+                stack.append((_OPEN, a.right, da.right, nr, pr))
+                stack.append((_OPEN, a.left, da.left, nl, pl))
+            elif cls is Paragraph or cls is OfCourse or cls is WhyNot:
+                n = fresh.n
+                fresh.n = n + 2
+                nb, pb = f"e{n}", f"e{n + 1}"
+                edges[nb], edges[pb] = Label(da.body), Label(a.body)
+                depth += 1
+                if cls is Paragraph:
+                    stack.append((_CLOSE, 1, "paragraph", (nb,), out_neg, "paragraph", (pb,), out_pos))
                 else:
-                    doors = (nb, pb, b, out_neg, out_pos)
-                return [(self._open, b, da.body, nb, pb), (self._close_box, outer, box, *doors)]
-            case _:
+                    outer, self.where = self.where, self.ws.open_box(self.where)
+                    if cls is OfCourse:
+                        stack.append((_CLOSE_BOX, outer, pb, nb, da.body, out_pos, out_neg))
+                    else:
+                        stack.append((_CLOSE_BOX, outer, nb, pb, a.body, out_neg, out_pos))
+                stack.append((_OPEN, a.body, da.body, nb, pb))
+            else:
                 raise TypeError(f"not a formula: {a!r}")
-        return []
-
-    def _close(self, levels: int, neg: str, neg_in: tuple, out_neg: str, pos: str, pos_in: tuple, out_pos: str) -> list:
-        self.depth -= levels
-        self.link(neg, neg_in, (out_neg,))
-        self.link(pos, pos_in, (out_pos,))
-        return []
-
-    def _close_box(
-        self, outer: _MBox | None, box, principal_in: str, flat_in: str, flat_body: Formula, oc_out: str, wn_out: str
-    ) -> list:
-        """Close the box of an exponential axiom: its principal door bangs
-        one side of the body's expansion; the other side is flattened
-        inside, exits through one pax port, and meets a unary why-not."""
-        self.depth -= 1
-        flat_label = Label(flat_body, flat=True)
-        flat_out = self.edge(flat_label)
-        self.link("flat", (flat_in,), (flat_out,))
-        pax_out = self.edge(flat_label)
-        self.link("pax", (flat_out,), (pax_out,))
-        self.link("ofcourse", (principal_in,), (oc_out,))
-        self.where = outer
-        self.link("whynot", (pax_out,), (wn_out,))
-        return []
 
 
 def eta_expand(net: Net) -> Net:
@@ -447,18 +451,19 @@ def interactive_l3_check(
     # The levels of the test positions that each axiom's ends lift to; an
     # atomic conclusion gets no test and stays a conclusion, whose end
     # counts at level 0, where the closed test's par would consume it.
-    ends: dict[str, list] = {}
-    for lid, link in ws.links.items():
-        for slot, e in enumerate(link.premises):
-            if ws.kind_of_producer(e) == "ax":
-                ends.setdefault(ws.producer[e], []).append(level_of.get((trace.lift_to_source(lid), slot)))
-    for e in ws.conclusions:
-        if ws.kind_of_producer(e) == "ax":
-            ends.setdefault(ws.producer[e], []).append(0)
-    same = nets_equal(ws.freeze(), eta)
+    links, consumer, lift = ws.links, ws.consumer, trace.lift_to_source
+    pairs = []
+    for link in links.values():
+        if link.kind == "ax":
+            pair = []
+            for e in link.conclusions:
+                c = consumer.get(e)
+                pair.append(0 if c is None else level_of.get((lift(c), links[c].premises.index(e))))
+            pairs.append(pair)
+    same = _walk_isomorphic(ws, eta) or nets_equal(ws.freeze(), eta)
     reports: list[LevelReport] = []
     for k in levels:
-        crossed = sum(pair.count(k) == 1 for pair in ends.values())
+        crossed = sum(pair.count(k) == 1 for pair in pairs)
         # pib crosses no block, so a level's doubled normal form is pib
         # exactly when it crosses none and the normal form is the net.
         passed = same and crossed == 0

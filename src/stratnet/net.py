@@ -900,7 +900,7 @@ def nets_equal(a: Net, b: Net) -> bool:
     return _walk_isomorphic(a, b) or canonical_form(a) == canonical_form(b)
 
 
-def _walk_isomorphic(a: Net, b: Net) -> bool:
+def _walk_isomorphic(a, b) -> bool:
     """Walk both nets from their conclusions in step, pairing links and
     edges one to one: conclusions in order, premises slot by slot, an
     axiom's conclusions by label.  A cut is reached through one premise,
@@ -908,9 +908,12 @@ def _walk_isomorphic(a: Net, b: Net) -> bool:
     in stored order, a guess, so False proves nothing.  True means the
     pairing covers every link and keeps kinds, labels (by identity, as they
     are interned), premise slots, box roles and boxes: an isomorphism in
-    ``canonical_form``'s sense."""
+    ``canonical_form``'s sense.  Either side may also be a rewrite
+    workspace, which has the same maps and places its links itself."""
     if len(a.links) != len(b.links) or len(a.conclusions) != len(b.conclusions):
         return False
+    a_links, a_edges, a_producer, a_consumer, a_place = _walk_view(a)
+    b_links, b_edges, b_producer, b_consumer, b_place = _walk_view(b)
     link_to: dict[str, str] = {}
     edge_to: dict[str, str] = {}
     todo: list[tuple[str, str]] = []
@@ -925,11 +928,11 @@ def _walk_isomorphic(a: Net, b: Net) -> bool:
         if e in edge_to:
             return edge_to[e] == f
         edge_to[e] = f
-        ca, cb = a.consumer(e), b.consumer(f)
+        ca, cb = a_consumer.get(e), b_consumer.get(f)
         return (
-            a.edges[e] is b.edges[f]
+            a_edges[e] is b_edges[f]
             and (ca is None) == (cb is None)
-            and pair_link(a.producer(e), b.producer(f))
+            and pair_link(a_producer[e], b_producer[f])
             and (ca is None or pair_link(ca, cb))
         )
 
@@ -937,7 +940,7 @@ def _walk_isomorphic(a: Net, b: Net) -> bool:
         return False
     while todo:
         x, y = todo.pop()
-        lx, ly = a.links[x], b.links[y]
+        lx, ly = a_links[x], b_links[y]
         if (lx.kind, len(lx.premises), len(lx.conclusions)) != (
             ly.kind, len(ly.premises), len(ly.conclusions)
         ):
@@ -948,7 +951,7 @@ def _walk_isomorphic(a: Net, b: Net) -> bool:
             rest = iter([f for f in premises if f not in partners])
             premises = [next(rest, None) if f is None else f for f in partners]
         conclusions = ly.conclusions
-        if lx.kind == "ax" and a.edges[lx.conclusions[0]] is not b.edges[conclusions[0]]:
+        if lx.kind == "ax" and a_edges[lx.conclusions[0]] is not b_edges[conclusions[0]]:
             conclusions = conclusions[::-1]
         if not all(
             f is not None and pair_edge(e, f)
@@ -957,13 +960,21 @@ def _walk_isomorphic(a: Net, b: Net) -> bool:
             return False
     # Each paired edge keeps its producer's and consumer's pairing, so a
     # one-to-one pairing of all links pairs all edges one to one.
-    if len(link_to) != len(a.links) or len(set(link_to.values())) != len(link_to):
+    if len(link_to) != len(a_links) or len(set(link_to.values())) != len(link_to):
         return False
     for x, y in link_to.items():
-        role, up = _box_place(a, x)
-        if _box_place(b, y) != (role, None if up is None else link_to[up]):
+        role, up = a_place(x)
+        if b_place(y) != (role, None if up is None else link_to[up]):
             return False
     return True
+
+
+def _walk_view(x) -> tuple:
+    """What the walk reads of a net or a workspace: links, edges, the
+    producer and consumer maps, and each link's box place."""
+    if isinstance(x, Net):
+        return x.links, x.edges, x._producer, x._consumer, lambda lid: _box_place(x, lid)
+    return x.links, x.edges, x.producer, x.consumer, x.box_place
 
 
 # -- serialization ----------------------------------------------------------

@@ -21,7 +21,9 @@ auxiliary, any other link a direct link.  ``_place`` applies this rule and
 ``open_box`` opens an empty box whose border links are added afterwards,
 and ``remove_box`` removes a box whole.  Loading a net, copying a box's
 contents in the exponential step, ``shift_net`` here and ``eta_expand``
-and ``bullet_net`` in ``interactive`` all go through these.
+and ``bullet_net`` in ``interactive`` all go through these; only taking a
+box moves links between boxes itself.  ``box_place`` reads a link's box
+role back, as the isomorphism walk in ``net`` compares it.
 
 Cuts wait in a priority worklist.  A cut is classified by its premise
 producers (the shared ``_family``, which ``find_redexes`` also uses) when
@@ -34,9 +36,11 @@ the strategy:
   skips: every later rank extends its rank.  A cut a step creates
   inherits the rank of the cut it replaces (the redex, or, for a copy of a
   box, the original cut inside it) followed by its position among the
-  step's new cuts, so ranks stay distinct and deterministic.
+  step's new cuts, so ranks stay distinct and deterministic.  A cut that
+  moves with its box keeps its id and its rank.
 - ``in`` (innermost): the deepest cut first, its depth read from the
-  workspace's location map, then rank.
+  workspace's location map, then rank.  No cut waits inside a box that
+  moves: its cuts are deeper than the redex, so they went first.
 - ``level``: the lowest level first, then rank.  A cut's level is that of
   its first premise under a plain indexing of the input net, shifted to
   start at zero in each indexing component and carried to new edges along
@@ -49,10 +53,16 @@ only shapes the trace.
 The exponential step is implemented in full generality.  A why-not premise
 may reach its flat link through a chain of pax ports (the flat then lives
 inside those boxes), and a box auxiliary wire may exit through the pax
-ports of enclosing boxes before meeting the why-not that consumes it.  The
-step therefore places each copy of the box contents next to its flat,
-re-routes every copied auxiliary wire through fresh pax chains, and merges
-the wires into the original target why-not links.
+ports of enclosing boxes before meeting the why-not that consumes it.  When
+the why-not has one premise, the step takes the box: its contents move
+next to the flat under their own ids (each direct link changes place and
+each child box its parent; nothing deeper is visited), every auxiliary wire leaves through new pax ports on the
+flat's chain and rejoins its own chain down to its why-not, and only the
+box's border goes.  Otherwise the step places one copy of the box
+contents next to each flat, re-routes every copied auxiliary wire through
+fresh pax chains, merges the wires into the original target why-not
+links, and removes the box; with no premise it only removes it.  Either
+way each wire ends its why-not's premises.
 """
 
 from __future__ import annotations
@@ -184,10 +194,10 @@ class _Workspace:
         for box in net.all_boxes():
             mb = self.open_box(around(box.principal))
             for lid in box.border():
-                self._place(lid, mb)
+                self._place(lid, mb, net.links[lid].kind)
         for lid in net.links:
             if lid not in self.loc:
-                self._place(lid, around(lid))
+                self._place(lid, around(lid), net.links[lid].kind)
 
     # identifiers ------------------------------------------------------------
 
@@ -213,42 +223,58 @@ class _Workspace:
             d, mb = d + 1, mb.parent
         return d
 
+    def box_place(self, lid: str) -> tuple[int, str | None]:
+        """``net._box_place`` read off the location map: the link's box role
+        (0 plain, 1 box principal, 2 box auxiliary) and the principal of the
+        box it borders as an auxiliary, else of the innermost box around it."""
+        mb = self.loc[lid]
+        if mb is None:
+            return 0, None
+        kind = self.links[lid].kind
+        if kind == "pax":
+            return 2, mb.principal
+        if kind == "ofcourse":
+            return 1, None if mb.parent is None else mb.parent.principal
+        return 0, mb.principal
+
     # structural edits --------------------------------------------------------
 
     def put_link(self, lid: str, link: Link, origin: str | None = None) -> None:
         """Add a link or replace its ports, keeping producer and consumer
         maps; a cut is recorded in ``touched`` with its rank origin."""
-        old = self.links.get(lid)
+        links = self.links
+        old = links.get(lid)
         if old is not None:
             self._unhook(lid, old)
-        self.links[lid] = link
+        links[lid] = link
+        consumer, producer = self.consumer, self.producer
         for e in link.premises:
-            self.consumer[e] = lid
+            consumer[e] = lid
         for e in link.conclusions:
-            self.producer[e] = lid
+            producer[e] = lid
         if link.kind == "cut":
             self.touched.append((lid, origin))
 
     def _unhook(self, lid: str, link: Link) -> None:
+        consumer, producer = self.consumer, self.producer
         for e in link.premises:
-            if self.consumer.get(e) == lid:
-                del self.consumer[e]
+            if consumer.get(e) == lid:
+                del consumer[e]
         for e in link.conclusions:
-            if self.producer.get(e) == lid:
-                del self.producer[e]
+            if producer.get(e) == lid:
+                del producer[e]
 
     def add_link(self, lid: str, link: Link, box: _MBox | None, origin: str | None = None) -> None:
         """Add a link in a box, or at the top, which also places it there."""
         self.put_link(lid, link, origin)
-        self._place(lid, box)
+        self._place(lid, box, link.kind)
 
-    def _place(self, lid: str, box: _MBox | None) -> None:
+    def _place(self, lid: str, box: _MBox | None, kind: str) -> None:
         """Put a link in a box, or at the top with None; in a box an
         of-course link becomes its principal, a pax link its next auxiliary
         and any other link a direct link.  ``remove_link`` undoes it."""
         self.loc[lid] = box
         if box is not None:
-            kind = self.links[lid].kind
             if kind == "ofcourse":
                 box.principal = lid
             elif kind == "pax":
@@ -266,15 +292,17 @@ class _Workspace:
     def remove_link(self, lid: str) -> None:
         box = self.loc.pop(lid)
         link = self.links.pop(lid)
+        kind = link.kind
         if box is not None:
-            if link.kind == "ofcourse":
+            if kind == "ofcourse":
                 box.principal = ""
-            elif link.kind == "pax":
+            elif kind == "pax":
                 box.auxiliaries.remove(lid)
             else:
                 del box.direct[lid]
         self._unhook(lid, link)
-        self.queued.pop(lid, None)
+        if kind == "cut":
+            self.queued.pop(lid, None)
 
     def remove_edge(self, e: str) -> None:
         del self.edges[e]
@@ -501,7 +529,69 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
         aux_info.append((pax_id, u, q, down_chain, target_wn))
 
     oc_premise = links[oc_id].premises[0]  # the A conclusion of the contents
+    if len(ups) == 1:
+        _take_box(ws, cut, box, ups[0], oc_premise, aux_info)
+    else:
+        _copy_box(ws, cut, box, ups, oc_premise, aux_info)
+    ws.remove_link(cut)
+    ws.remove_link(wn_id)
+    ws.remove_edge(p_wn)
+    for e in premises:
+        _remove_up_chain(ws, e)
 
+
+def _take_box(
+    ws: _Workspace, cut: str, box: _MBox, up: tuple[list[_MBox], str], oc_premise: str, aux_info: list
+) -> None:
+    """The step for a why-not with one premise: the box's contents move to
+    the flat's place under their own ids, and each auxiliary wire leaves
+    through new pax links on the flat's up-chain and rejoins the pax chain
+    it had down to its why-not.  Only the box's border goes."""
+    links, loc = ws.links, ws.loc
+    up_boxes, flat_id = up
+    where = loc[flat_id]
+    for lid in box.direct:
+        loc[lid] = where
+    if where is None:
+        ws.roots += box.children
+    else:
+        where.direct.update(box.direct)
+        where.children += box.children
+    for child in box.children:
+        child.parent = where
+    # A moved cut keeps its id and its queue key: its rank and its level
+    # do not change, and under ``in`` no cut waits inside the box, since
+    # every cut in it is deeper than the redex and went first.
+    ws.add_link(ws.fresh(cut, "x0"), Link("cut", (oc_premise, links[flat_id].premises[0]), ()), where, cut)
+    for pax_id, u, q, down_chain, target_wn in aux_info:
+        wire, label = u, ws.edges[u]
+        for mb in reversed(up_boxes):  # innermost first
+            wire = _add_pax(ws, mb, wire, label, lift_to=pax_id, edge_lift=q)
+        if down_chain:  # the wire enters its chain's first pax
+            first = down_chain[0][1]
+            ws.put_link(first, Link("pax", (wire,), links[first].conclusions))
+            gone = last = down_chain[-1][2]
+        else:  # the wire takes q's place
+            gone, last = q, wire
+        # The wire comes last among the why-not's premises, as a rebuilt
+        # chain's would.
+        tgt = links[target_wn]
+        kept = tuple(e for e in tgt.premises if e != gone)
+        ws.put_link(target_wn, Link(tgt.kind, kept + (last,), tgt.conclusions))
+        ws.remove_link(pax_id)
+        ws.remove_edge(q)
+    oc_id = box.principal
+    ws.remove_edge(links[oc_id].conclusions[0])
+    ws.remove_link(oc_id)
+    (ws.roots if box.parent is None else box.parent.children).remove(box)
+
+
+def _copy_box(ws: _Workspace, cut: str, box: _MBox, ups: list, oc_premise: str, aux_info: list) -> None:
+    """The step for a why-not with no premise or several: one copy of the
+    box's contents per premise, placed next to its flat, each auxiliary
+    wire routed through a fresh pax chain down to its why-not; then the
+    box goes whole."""
+    links = ws.links
     # New premises to merge into each target why-not, in deterministic order.
     merged: dict[str, list[str]] = {}
 
@@ -522,18 +612,8 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
                 wire = _add_pax(ws, mb, wire, label, lift_to=chain_pax, edge_lift=chain_edge)
             merged.setdefault(target_wn, []).append(wire)
 
-    # Remove the consumed material: flats, up-chain paxes, the why-not, the
-    # cut, the box border, the original aux chains, and the original
-    # contents (now replaced by the copies).
-    for e in premises:
-        while True:
-            prod = ws.producer[e]
-            link = links[prod]
-            ws.remove_edge(e)
-            ws.remove_link(prod)
-            if link.kind == "flat":
-                break
-            e = link.premises[0]
+    # Remove the consumed material: the original aux chains, the box and
+    # the original contents (now replaced by the copies).
     for (pax_id, u, q, down_chain, target_wn) in aux_info:
         last_edge = q if not down_chain else down_chain[-1][2]
         tgt = links[target_wn]
@@ -544,13 +624,20 @@ def _exponential_step(ws: _Workspace, cut: str, p_oc: str, p_wn: str) -> None:
         for (mb, chain_pax, chain_edge) in down_chain:
             ws.remove_link(chain_pax)
             ws.remove_edge(chain_edge)
-    for target_wn, wires in merged.items():
-        tgt = links[target_wn]
-        ws.put_link(target_wn, Link(tgt.kind, tgt.premises + tuple(wires), tgt.conclusions))
-    ws.remove_link(cut)
-    ws.remove_link(wn_id)
-    ws.remove_edge(p_wn)
     ws.remove_box(box)
+
+
+def _remove_up_chain(ws: _Workspace, e: str) -> None:
+    """Remove a why-not premise's pax chain up to its flat link, with the
+    edges they conclude."""
+    while True:
+        prod = ws.producer[e]
+        link = ws.links[prod]
+        ws.remove_edge(e)
+        ws.remove_link(prod)
+        if link.kind == "flat":
+            return
+        e = link.premises[0]
 
 
 def _add_pax(

@@ -264,8 +264,10 @@ def test_one_reduction_per_check_on_the_l3_cutfree_corpus(monkeypatch):
 def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch):
     # on the same corpus: two labellings in all, where one of pib and one
     # of the normal form per check took 600 and labelling each level's view
-    # 1,010, since nets_equal's walk proves the normal form isomorphic to
-    # the eta-expanded net on 299 of the 300 checks and only the last falls
+    # 1,010, since the walk proves the reduced workspace isomorphic to the
+    # eta-expanded net in place on 299 of the 300 checks, freezing nothing,
+    # and only the last (whose walk pairs a why-not's two premises the
+    # wrong way round) freezes its normal form for nets_equal, which falls
     # back to both canonical forms; no traversal to rank the composite's
     # lone cut; no quasi-indexing of the identity test, whose levels the
     # eta-expansion counts; no block scan, since the undoubled normal form
@@ -287,10 +289,11 @@ def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch
     count(net_mod, "traversal_order")
     count(correctness, "default_exponential_quasi_indexing")
     count(interactive, "_blocks")
+    count(rewrite._Workspace, "freeze")
     nets = l3_cutfree_corpus(201)
     for net in nets:
         interactive_l3_check(net)
-    assert (len(nets), calls["_labelling"]) == (300, 2)
+    assert (len(nets), calls["_labelling"], calls["freeze"]) == (300, 2, 1)
     assert calls["_blocks"] == 0
     assert calls["traversal_order"] == calls["default_exponential_quasi_indexing"] == 0
 
@@ -331,15 +334,44 @@ def test_the_verdict_compares_the_normal_form_with_pib(monkeypatch):
     assert (len(changed), uncrossed) == (19, 12)
 
 
+def test_the_in_place_walk_agrees_with_nets_equal(monkeypatch):
+    # on the seed-201 l3-cutfree nets, as loaded and closed: the walk over
+    # the reduced workspace, with the workspace on either side, says what
+    # the walk over its frozen normal form says, and the check's
+    # comparison is nets_equal's on the frozen normal form
+    made = []
+    identity_cut = interactive._identity_cut
+
+    def keep(net):
+        made.append(identity_cut(net))
+        return made[-1]
+
+    monkeypatch.setattr(interactive, "_identity_cut", keep)
+    walked = equal = 0
+    for net in l3_cutfree_nets(201) + l3_cutfree_corpus(201):
+        report = interactive_l3_check(net)
+        eta, ws, _, _ = made[-1]
+        frozen = ws.freeze()
+        in_place = net_mod._walk_isomorphic(ws, eta)
+        assert in_place == net_mod._walk_isomorphic(eta, ws) == net_mod._walk_isomorphic(frozen, eta)
+        same = any(r.passed or r.residue_is_swapping for r in report.levels)
+        assert same == net_mod.nets_equal(frozen, eta)
+        walked, equal = walked + in_place, equal + same
+    assert (len(made), walked, equal) == (600, 598, 600)
+
+
 def test_one_workspace_and_no_closing_per_l3_call(monkeypatch, tmp_path, capsys):
     # l3 --method all on the same 300 nets, unclosed: the check builds its
     # composite in the workspace it loads the eta-expanded net into, so
     # nothing renames the identity test (300 calls before), nothing
     # composes nets (300), nothing loads the composite into a second
-    # workspace or the identity test into a third (900 workspaces), far
-    # fewer nets are made (3,563, then 1,763 while the check froze pib and
-    # uncrossed its doubled normal form, and 900 while the geometric route
-    # closed each net; 600 now), and no route closes a net: the
+    # workspace or the identity test into a third (900 workspaces), and
+    # one net is made per call, the one loaded (3,563, then 1,763 while the
+    # check froze pib and uncrossed its doubled normal form, 900 while the
+    # geometric route closed each net, and 600 while the check froze its
+    # normal form to compare it; the walk compares the workspace in place,
+    # and a normal form is frozen only when the walk fails, which it does
+    # on none of these documents), and no route closes a net: the
     # interactive check tests each conclusion on its own, and the geometric
     # route walks the closing pars without building them (600 closings of
     # a net with more than one conclusion while both routes closed it, 300
@@ -385,7 +417,7 @@ def test_one_workspace_and_no_closing_per_l3_call(monkeypatch, tmp_path, capsys)
         assert main(["l3", "--method", "all", str(path)]) in (0, 1)
     assert '"verdicts"' in capsys.readouterr().out
     assert (calls["absorb"], calls["cut_compose"], calls["parr_closure"]) == (0, 0, 0)
-    assert calls["_Workspace"] <= 300 and calls["Net"] <= 600
+    assert (calls["_Workspace"], calls["Net"]) == (300, 300)
 
 
 def test_no_closing_on_the_interactive_route(monkeypatch, tmp_path, capsys):

@@ -27,7 +27,8 @@ from stratnet.net import (
 )
 from stratnet import builder
 from stratnet.correctness import find_cyclic_switching
-from stratnet.interactive import bullet_net, eta_expand
+from stratnet import rewrite
+from stratnet.interactive import bullet_net, eta_expand, interactive_l3_check
 from stratnet.rewrite import normalize, shift_net
 
 from conftest import make_id_bang, paragraph_chain, shuffle_net, tensor_loop_net
@@ -102,7 +103,7 @@ def test_depth():
         b2.depth("nonexistent")
 
 
-def test_box_walks_run_far_deeper_than_the_recursion_limit():
+def test_box_walks_run_far_deeper_than_the_recursion_limit(monkeypatch):
     # A promotion chain 1,500 boxes deep, closed by a why-not.  Not
     # validated: the box-closure check walks every box's whole contents.
     draft = builder._Draft.take(builder.flat_rule(builder.ax(X), 0))
@@ -113,8 +114,7 @@ def test_box_walks_run_far_deeper_than_the_recursion_limit():
     assert find_cyclic_switching(n) is None
     assert len(list(bullet_net(n).all_boxes())) == 1_500
     # cut against a weakening, which erases the boxes, and against a
-    # one-premise why-not, which absorbs the chain under new ids and copies
-    # its boxes
+    # one-premise why-not, which takes the chain's boxes under their own ids
     body = dual(n.edges[n.conclusions[1]].formula).body
     weakening = builder.whynot_rule(builder.daimon(), [], weakening_of=body)
     nf, trace = normalize(builder.cut_rule(n, 1, weakening, 0))
@@ -123,6 +123,24 @@ def test_box_walks_run_far_deeper_than_the_recursion_limit():
     dereliction = builder.whynot_rule(builder.flat_rule(builder.ax(body), 1), [1])
     nf, trace = normalize(builder.cut_rule(dereliction, 1, n, 1))
     assert not nf.cut_links() and len(list(nf.all_boxes())) == 1_499
+    # the interactive check cuts the chain against its identity test; each
+    # of its 1,501 exponential steps meets a one-premise why-not and takes
+    # the box, so no box is copied (the copying step did not finish in
+    # 300 s).  The axiom's ends sit at levels 1 and 1,500, so those two
+    # levels fail.
+    copies = 0
+    copy_contents = rewrite._copy_contents
+
+    def counted(*args):
+        nonlocal copies
+        copies += 1
+        return copy_contents(*args)
+
+    monkeypatch.setattr(rewrite, "_copy_contents", counted)
+    report = interactive_l3_check(n)
+    assert copies == 0 and not report.member and len(report.levels) == 1_501
+    failed = [(r.k, r.swapped_sites, r.residue_is_swapping) for r in report.levels if not r.passed]
+    assert failed == [(1, 1, True), (1_500, 1, True)]
 
 
 def test_parr_closure_single_and_empty():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from stratnet.formula import Atom, OfCourse, Tensor, bullet_formula, dual, parse_formula, shift_formula
-from stratnet import interactive
+from stratnet import interactive, rewrite
 from stratnet.net import Label, Link, Net, nets_equal, parr_closure, save, validate
 from stratnet import builder
 from stratnet.builder import GenParams
@@ -35,7 +35,7 @@ from stratnet.rewrite import (
 )
 
 from conftest import make_id_bang, make_unstable_membership_net
-from rewrite_oracle import lift_to_source_by_walk, oracle_normalize
+from rewrite_oracle import copying_exponential_step, lift_to_source_by_walk, oracle_normalize
 from test_acceptance import cut_free_corpus
 
 X = Atom("X")
@@ -391,7 +391,11 @@ def test_exponential_ids_and_boxes_are_pinned():
     # (per box: principal, auxiliaries, the links directly inside, child
     # boxes), for flats one box deep, two boxes deep and at top level; the
     # copied box holds a box of its own in the last two, and in the second
-    # that box's copy stays in the normal form, two boxes deep
+    # that box stays in the normal form, two boxes deep.  A why-not with one
+    # premise takes the box: its contents keep their ids (l0, where a copy
+    # was l0~c0), and only the flat's up-chain gets new pax links (l21~px,
+    # l21~px.1); in the last net each copy of the outer box gives its inner
+    # box's contents to the flat inside it (l2~c0, once l2~c0~c0)
     def shape(net):
         def tree(box):
             inner = {lid for c in box.children for lid in c.contents | set(c.border())}
@@ -410,22 +414,22 @@ def test_exponential_ids_and_boxes_are_pinned():
         [("l26", ("l28~px", "l28~px.1"), ["l0~c0", "l0~c1", "l24", "l2~c0", "l2~c1"], [])],
     )
     assert shape(normalize(box_copied_two_boxes_deep())[0]) == (
-        ["l0~c0", "l15~c0", "l17~c0", "l21~px", "l21~px.1", "l23~px", "l23~px.2", "l25", "l27", "l2~c0", "l42",
-         "l43", "l46", "l48", "l4~c0", "l6~c0", "l8~c0"],
-        ["e0~c0", "e16~c0", "e16~c0~px", "e16~c0~px~px", "e18~c0", "e18~c0~px", "e18~c0~px~px", "e1~c0", "e26",
-         "e28", "e31", "e32", "e33", "e36", "e38", "e3~c0", "e5~c0", "e7~c0", "e9~c0"],
+        ["l0", "l15", "l17", "l2", "l21~px", "l21~px.1", "l23~px", "l23~px.2", "l25", "l27", "l4", "l42", "l43",
+         "l46", "l48", "l6", "l8"],
+        ["e0", "e1", "e16", "e16~px", "e16~px~px", "e18", "e18~px", "e18~px~px", "e26", "e28", "e3", "e31", "e32",
+         "e33", "e36", "e38", "e5", "e7", "e9"],
         [("l48", ("l21~px.1", "l23~px.2"), [], [
-            ("l46", ("l21~px", "l23~px"), ["l15~c0", "l17~c0", "l42", "l43", "l8~c0"], [
-                ("l4~c0", ("l6~c0",), ["l0~c0", "l2~c0"], []),
+            ("l46", ("l21~px", "l23~px"), ["l15", "l17", "l42", "l43", "l8"], [
+                ("l4", ("l6",), ["l0", "l2"], []),
             ]),
         ])],
     )
     assert shape(normalize(top)[0]) == (
-        ["l10~c0", "l10~c1", "l16", "l2~c0~c0", "l2~c1~c0", "l42", "l44", "l48", "l50", "l6~c0~px",
-         "l6~c1~px", "l8~c0", "l8~c1"],
-        ["e11~c0", "e11~c1", "e17", "e27", "e28", "e30", "e34", "e35", "e37", "e3~c0~c0", "e3~c0~c0~px",
-         "e3~c1~c0", "e3~c1~c0~px", "e9~c0", "e9~c1"],
-        [("l44", ("l6~c0~px",), ["l2~c0~c0", "l42"], []), ("l50", ("l6~c1~px",), ["l2~c1~c0", "l48"], [])],
+        ["l10~c0", "l10~c1", "l16", "l2~c0", "l2~c1", "l42", "l44", "l48", "l50", "l6~c0~px", "l6~c1~px",
+         "l8~c0", "l8~c1"],
+        ["e11~c0", "e11~c1", "e17", "e27", "e28", "e30", "e34", "e35", "e37", "e3~c0", "e3~c0~px", "e3~c1",
+         "e3~c1~px", "e9~c0", "e9~c1"],
+        [("l44", ("l6~c0~px",), ["l2~c0", "l42"], []), ("l50", ("l6~c1~px",), ["l2~c1", "l48"], [])],
     )
 
 
@@ -561,6 +565,81 @@ def test_normalize_agrees_with_per_step_oracle(differential_corpus, strategy, no
     assert (byte_diffs, replay_diffs, key_misses, invalid, source_diffs) == (0, 0, 0, 0, 0)
     expected = {STEP_UNIT, STEP_MULT, STEP_EXP, STEP_PARG} | (set() if no_axiom else {STEP_AXIOM})
     assert families == expected and steps > 2000
+
+
+def lifted_links(net, trace):
+    """Each link but a cut as the input link it lifts to, with the input
+    edges its premises lift to, in premise order, sorted."""
+    lift = trace.lift_to_source
+    return sorted(
+        (lift(lid), link.kind, [lift(e) for e in link.premises])
+        for lid, link in net.links.items()
+        if link.kind != "cut"
+    )
+
+
+def box_with_cut_against_dereliction():
+    """A box with a cut inside it, cut against a one-premise why-not: lo
+    and level take the box first, with the inner cut, which keeps its id
+    and its rank; in reduces the inner cut first."""
+    inner = builder.cut_rule(builder.ax(X), 1, builder.ax(X), 0)
+    box = builder.whynot_rule(builder.promotion(builder.flat_rule(inner, 0), 1), [0])
+    return builder.cut_rule(builder.whynot_rule(builder.flat_rule(builder.ax(X), 0), [0]), 0, box, 1)
+
+
+@pytest.fixture(scope="module")
+def box_heavy_draws():
+    params = GenParams(target_size=40, cut_bias=0.4, exponential_bias=0.5, box_bias=0.5)
+    return [builder.random_net(seed, params) for seed in range(200)]
+
+
+@pytest.mark.parametrize("no_axiom", [False, True], ids=["all-steps", "no-axiom"])
+@pytest.mark.parametrize("strategy", ["lo", "in", "level"])
+def test_taking_the_box_agrees_with_copying_it(differential_corpus, box_heavy_draws, monkeypatch, strategy, no_axiom):
+    # A why-not with one premise takes the box where the copying step made
+    # a copy and removed the original: the same normal form under save, the
+    # same sequence of step families, and every id of the normal form but a
+    # cut lifts to an input id.  A waiting cut that moves with its box keeps
+    # its queue key, which is right under lo and level, whose keys do not
+    # change, and under in no taken box holds a waiting cut (the per-step
+    # oracle test checks that each step reduces a deepest cut).
+    taken = exponential = carried = 0
+    take_box = rewrite._take_box
+
+    def counted(ws, cut, box, *args):
+        nonlocal carried
+        stack = [box]
+        while stack:
+            mb = stack.pop()
+            carried += sum(lid in ws.queued for lid in mb.direct)
+            stack += mb.children
+        return take_box(ws, cut, box, *args)
+
+    monkeypatch.setattr(rewrite, "_take_box", counted)
+    for net in [*differential_corpus, *box_heavy_draws, box_with_cut_against_dereliction()]:
+        nf, trace = normalize(net, strategy=strategy, no_axiom=no_axiom)
+        with monkeypatch.context() as m:
+            m.setattr(rewrite, "_exponential_step", copying_exponential_step)
+            copied_nf, copied = normalize(net, strategy=strategy, no_axiom=no_axiom)
+        assert save(nf) == save(copied_nf)
+        assert [s.redex.kind for s in trace.steps] == [s.redex.kind for s in copied.steps]
+        # Without axiom steps, which pick the surviving axiom by id, each
+        # link of the two normal forms lifts to the same input link with
+        # the same premises, in order.
+        assert not no_axiom or lifted_links(nf, trace) == lifted_links(copied_nf, copied)
+        inputs = set(net.links) | set(net.edges)
+        assert all(trace.lift_to_source(x) in inputs for x in nf.edges)
+        assert all(trace.lift_to_source(x) in inputs for x, link in nf.links.items() if link.kind != "cut")
+        taken += set(nf.links) != set(copied_nf.links)
+        exponential += any(s.redex.kind == STEP_EXP for s in trace.steps)
+    # 384 of the 556 nets take an exponential step, and 254 take a box;
+    # only the last takes one with a cut waiting inside, an axiom cut, under
+    # lo and level with axiom steps
+    assert (len(differential_corpus) + len(box_heavy_draws), exponential, taken) == (555, 384, 254)
+    assert carried == (strategy != "in" and not no_axiom)
+    _, trace = normalize(box_with_cut_against_dereliction(), strategy=strategy, no_axiom=no_axiom)
+    expected = ["l24", "l29", "l29~x0"] if strategy == "in" else ["l29", "l29~x0", "l24"]
+    assert [s.redex.cut for s in trace.steps] == (["l29"] if no_axiom else expected)
 
 
 def test_lo_cuts_inherit_the_rank_of_the_cut_they_replace():
