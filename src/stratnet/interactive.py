@@ -11,14 +11,14 @@ itself.
 A level-k test differs from the identity test only in the order of some
 tensor premises, which no reduction step looks at, and doubling commutes
 with cut-elimination: a doubled atomic identity block reduces as the atomic
-axiom it replaces.  So the decider reduces once, undoubled: each compound
-conclusion of the eta-expanded net is cut against the identity test of its
-formula, in one workspace, where the tests are expanded recording the
-level of each atom position they build.  An atomic conclusion gets no
-test: its test would be a bare axiom, whose one step hands the conclusion
-back.  A net with several conclusions gets the report of its par-closure,
-which is never built: the closing pars only peel off against the closed
-test's tensors, and pars add no level.
+axiom it replaces.  So the decider reduces once, undoubled, in one
+workspace: the net is eta-expanded there, and each compound conclusion is
+cut against the identity test of its formula, expanded there too,
+recording the level of each atom position it builds.  An atomic
+conclusion gets no test: its test would be a bare axiom, whose one step
+hands the conclusion back.  A net with several conclusions gets the
+report of its par-closure, which is never built: the closing pars only
+peel off against the closed test's tensors, and pars add no level.
 
 Each atomic axiom of the normal form is a block of the doubled one, whose
 par and tensor are the two test links that consume the axiom's ends,
@@ -28,8 +28,9 @@ level 0 even when no test has an atom.  One pass over the axioms reads
 both levels of each.  The block is crossed at level k when exactly one of
 its two positions is at level k.  The doubled form crosses no block, so a
 level passes when none is crossed and the normal form equals the
-eta-expanded net.  The walk behind ``nets_equal`` compares the reduced
-workspace with the net in place; only when it fails is the normal form
+eta-expanded net, which is frozen for the comparison only when the net
+has a compound axiom.  The walk behind ``nets_equal`` compares the reduced
+workspace with that net in place; only when it fails is the normal form
 frozen for ``nets_equal``.  The doubled reduction and the per-level one,
 both of the par-closure, are kept as oracles in
 ``tests/interactive_oracle.py``, with ``atom_sites``, the reference for
@@ -58,7 +59,7 @@ from .formula import (
     dual,
     print_formula,
 )
-from .net import Label, Link, Net, _Fresh, _walk_isomorphic, nets_equal
+from .net import Label, Link, Net, _walk_isomorphic, nets_equal
 from .rewrite import DEFAULT_STEP_BUDGET, RewriteTrace, _MBox, _reduce, _Workspace, normalize, normalize_no_axiom
 
 
@@ -71,33 +72,31 @@ _OPEN, _CLOSE, _CLOSE_BOX = range(3)
 
 
 class _EtaBuilder:
-    """Expands axioms into a workspace.  Each new link goes to ``where``:
-    the replaced axiom's box (None at the top), or the box being built,
-    whose border takes its of-course and pax links.  ``levels`` records
+    """Expands axioms into a workspace, drawing ids from its counter.
+    Each new link goes to ``where``: the replaced axiom's box (None at the
+    top), or the box being built, whose border takes its of-course and pax
+    links.  ``levels`` records
     the level of each atom position built, the number of paragraph,
     of-course and why-not links below it down to the replaced axiom's
     wires, keyed by the new link and premise slot that consume the
     position; ``atoms`` holds the positions not yet consumed."""
 
-    def __init__(self, ws: _Workspace, fresh: _Fresh):
+    def __init__(self, ws: _Workspace):
         self.ws = ws
-        self.fresh = fresh
+        ws.id_mark()  # taken: the net frozen from the workspace hands it on
         self.where: _MBox | None = None
         self.atoms: dict[str, int] = {}
         self.levels: dict[tuple[str, int], int] = {}
 
     def edge(self, label: Label) -> str:
-        fresh = self.fresh
-        e = f"e{fresh.n}"
-        fresh.n += 1
+        e = self.ws.new_id("e")
         self.ws.edges[e] = label
         return e
 
     def link(self, kind: str, premises: tuple[str, ...], conclusions: tuple[str, ...]) -> str:
-        fresh, atoms = self.fresh, self.atoms
-        lid = f"l{fresh.n}"
-        fresh.n += 1
-        self.ws.add_link(lid, Link(kind, premises, conclusions), self.where)
+        ws, atoms = self.ws, self.atoms
+        lid = ws.new_id("l")
+        ws.add_link(lid, Link(kind, premises, conclusions), self.where)
         for slot, e in enumerate(premises):
             if e in atoms:
                 self.levels[lid, slot] = atoms.pop(e)
@@ -108,7 +107,7 @@ class _EtaBuilder:
         out_pos (labelled a).  Iterative: a connective's own links wait on
         the stack, tagged, until the expansions of its subformulas, pushed
         after them, are built."""
-        fresh, edges, link = self.fresh, self.ws.edges, self.link
+        link = self.link
         depth = 0
         stack: list[tuple] = [(_OPEN, a, da, out_neg, out_pos)]
         while stack:
@@ -146,20 +145,13 @@ class _EtaBuilder:
                 link(neg, (), (out_neg,))
                 link(pos, (), (out_pos,))
             elif cls is Tensor or cls is Par:
-                n = fresh.n
-                fresh.n = n + 4
-                nl, pl, nr, pr = f"e{n}", f"e{n + 1}", f"e{n + 2}", f"e{n + 3}"
-                edges[nl], edges[pl] = Label(da.left), Label(a.left)
-                edges[nr], edges[pr] = Label(da.right), Label(a.right)
+                nl, pl, nr, pr = map(self.edge, (Label(da.left), Label(a.left), Label(da.right), Label(a.right)))
                 neg, pos = ("par", "tensor") if cls is Tensor else ("tensor", "par")
                 stack.append((_CLOSE, 0, neg, (nl, nr), out_neg, pos, (pl, pr), out_pos))
                 stack.append((_OPEN, a.right, da.right, nr, pr))
                 stack.append((_OPEN, a.left, da.left, nl, pl))
             elif cls is Paragraph or cls is OfCourse or cls is WhyNot:
-                n = fresh.n
-                fresh.n = n + 2
-                nb, pb = f"e{n}", f"e{n + 1}"
-                edges[nb], edges[pb] = Label(da.body), Label(a.body)
+                nb, pb = map(self.edge, (Label(da.body), Label(a.body)))
                 depth += 1
                 if cls is Paragraph:
                     stack.append((_CLOSE, 1, "paragraph", (nb,), out_neg, "paragraph", (pb,), out_pos))
@@ -184,22 +176,28 @@ def _eta_expand(net: Net) -> tuple[Net, dict[tuple[str, int], int]]:
     """``eta_expand``, and the levels of the atom positions it built."""
     if net.cut_links():
         raise PreconditionError("eta-expansion is defined on cut-free nets")
+    ws = _Workspace(net)
+    levels = _expand_axioms(ws, net)
+    return (net, {}) if levels is None else (ws.freeze(), levels)
+
+
+def _expand_axioms(ws: _Workspace, net: Net) -> dict[tuple[str, int], int] | None:
+    """Expand in place each axiom on a compound formula of the net loaded
+    into the workspace; the levels of the atom positions built, or None
+    when every axiom is atomic."""
     targets = [
         lid
         for lid in sorted(net.links)
         if net.links[lid].kind == "ax"
         and not isinstance(net.edges[net.links[lid].conclusions[0]].formula, Atom)
     ]
-    if not targets:
-        return net, {}
-    ws = _Workspace(net)
-    eb = _EtaBuilder(ws, _Fresh(net))
+    eb = _EtaBuilder(ws)
     for lid in targets:
         e_neg, e_pos = net.links[lid].conclusions
         eb.where = ws.loc[lid]
         ws.remove_link(lid)
         eb.expand(net.edges[e_pos].formula, net.edges[e_neg].formula, e_neg, e_pos)
-    return ws.freeze(eb.fresh.n), eb.levels
+    return eb.levels if targets else None
 
 
 def identity_net(a: Formula) -> Net:
@@ -285,23 +283,21 @@ def _swap_sites(net: Net, sites: list[AtomSite]) -> Net:
 def bullet_net(net: Net) -> Net:
     """Double every edge label atom-wise and replace each atomic axiom with
     the identity block on the doubled atom."""
-    for lid in net.links:
-        if net.links[lid].kind == "ax":
-            f = net.edges[net.links[lid].conclusions[0]].formula
-            if not isinstance(f, Atom):
-                raise PreconditionError("bullet substitution needs atomic axioms; eta-expand first")
+    axioms = sorted(lid for lid, link in net.links.items() if link.kind == "ax")
+    if not all(isinstance(net.edges[net.links[lid].conclusions[0]].formula, Atom) for lid in axioms):
+        raise PreconditionError("bullet substitution needs atomic axioms; eta-expand first")
     ws = _Workspace(net)
     for e, lab in ws.edges.items():
         ws.edges[e] = Label(bullet_formula(lab.formula), lab.flat)
-    eb = _EtaBuilder(ws, _Fresh(net))
-    for lid in sorted(lid for lid, link in net.links.items() if link.kind == "ax"):
+    eb = _EtaBuilder(ws)
+    for lid in axioms:
         e_neg, e_pos = net.links[lid].conclusions
         if isinstance(ws.edges[e_pos].formula, Par):
             e_neg, e_pos = e_pos, e_neg
         eb.where = ws.loc[lid]
         ws.remove_link(lid)
         eb.expand(ws.edges[e_pos].formula, ws.edges[e_neg].formula, e_neg, e_pos)
-    return ws.freeze(eb.fresh.n)
+    return ws.freeze()
 
 
 # -- tests ---------------------------------------------------------------------
@@ -357,12 +353,12 @@ def cut_compose(net: Net, partners: list[Net | tuple[Net, int]]) -> Net:
         raise CompositionError(
             f"need one partner per conclusion ({len(net.conclusions)}), got {len(partners)}"
         )
-    draft, spans = builder._Draft.take(net), []
+    ws, spans = _Workspace(net), []
     for item in partners:
         partner, pick = item if isinstance(item, tuple) else (item, -1)
-        offset = len(draft.conclusions)
-        spans.append((draft.absorb(partner).conclusions[offset:], pick))
-    edges = draft.edges
+        offset = len(ws.conclusions)
+        spans.append((ws.absorb(partner).conclusions[offset:], pick))
+    edges = ws.edges
     for i, (span, pick) in enumerate(spans):
         mine = net.conclusions[i]
         want = dual(edges[mine].formula)
@@ -377,8 +373,8 @@ def cut_compose(net: Net, partners: list[Net | tuple[Net, int]]) -> Net:
         other = candidates[0]
         if edges[other].flat or edges[other].formula != want:
             raise CompositionError(f"partner {i} conclusion {other} is not dual to {edges[mine]}")
-        draft.add("cut", (mine, other))
-    return draft.freeze()
+        builder._add(ws, "cut", (mine, other))
+    return ws.freeze()
 
 
 def compose(f: Net, g: Net) -> Net:
@@ -485,12 +481,13 @@ def _identity_cut(net: Net) -> tuple[Net, _Workspace, list[str], dict[tuple[str,
     its conclusions, in order, where an atomic conclusion stays itself:
     its test would be a bare axiom, which the axiom step removes again; the
     cuts, in conclusion order; and the level of each atom position of the
-    tests, keyed by the link and premise slot that consume it."""
-    eta = eta_expand(net)
-    ws = _Workspace(eta)
-    eb = _EtaBuilder(ws, _Fresh(eta))
+    tests, keyed by the link and premise slot that consume it.  The net is
+    expanded there, and frozen only if it has a compound axiom."""
+    ws = _Workspace(net)
+    eta = net if _expand_axioms(ws, net) is None else ws.freeze()
+    eb = _EtaBuilder(ws)
     cuts, positives = [], []
-    for c in eta.conclusions:
+    for c in net.conclusions:
         a = ws.edges[c].formula
         if isinstance(a, Atom):
             positives.append(c)

@@ -6,15 +6,16 @@ the conclusions of the net, in a declared order.  Boxes carry an explicit
 border (one principal of-course link plus pax auxiliaries) and an explicit
 set of contained links; two boxes are disjoint or nested.
 
-Nets are immutable after construction.  Cut elimination and the net
-transforms (eta-expansion, doubling, the shift) edit one mutable copy,
-``rewrite._Workspace``, and build the new net once, at the end, on the
-wiring the copy kept; the sequent rules edit a ``builder._Draft`` and
-freeze it once.  No walk of a built net's box tree recurses, so boxes nest
-to any depth.  New ids e<n> and l<n> come from ``_Fresh``, which counts on
-from a net's id mark, one past every such id.  The builder's rules and the
-interactive transforms hand the mark to the nets they build; any other
-net, one from ``load`` say, scans its ids for it once, on first use.
+Nets are immutable after construction.  The sequent rules, cut
+elimination and the net transforms (eta-expansion, doubling, the shift)
+all edit one kind of mutable net, ``rewrite._Workspace``, and build the
+new net once, at the end, on the wiring the workspace kept.  No walk of a
+built net's box tree recurses, so boxes nest to any depth.  New ids e<n>
+and l<n> count on from a net's id mark, one past every such id: the
+workspace keeps the counter, and ``_Fresh`` names the closing pars.  The
+builder's rules and the interactive transforms hand the mark to the nets
+they build; any other net, one from ``load`` say, scans its ids for it
+once, on first use.
 
 A net's saved document decodes the encoding behind ``canonical_form``, so
 isomorphic nets save to the same bytes.
@@ -904,12 +905,15 @@ def _walk_isomorphic(a, b) -> bool:
     """Walk both nets from their conclusions in step, pairing links and
     edges one to one: conclusions in order, premises slot by slot, an
     axiom's conclusions by label.  A cut is reached through one premise,
-    which fixes the other; a why-not's premises not yet paired are paired
-    in stored order, a guess, so False proves nothing.  True means the
-    pairing covers every link and keeps kinds, labels (by identity, as they
-    are interned), premise slots, box roles and boxes: an isomorphism in
-    ``canonical_form``'s sense.  Either side may also be a rewrite
-    workspace, which has the same maps and places its links itself."""
+    which fixes the other.  A why-not with several premises not yet
+    paired waits until their producers pair all of them but at most one;
+    only when nothing else is left does the walk guess, pairing a waiting
+    why-not's premises in stored order, so False proves nothing.  True
+    means the pairing covers every link and keeps kinds, labels (by
+    identity, as they are interned), premise slots, box roles and boxes:
+    an isomorphism in ``canonical_form``'s sense.  Either side may also be
+    a rewrite workspace, which has the same maps and places its links
+    itself."""
     if len(a.links) != len(b.links) or len(a.conclusions) != len(b.conclusions):
         return False
     a_links, a_edges, a_producer, a_consumer, a_place = _walk_view(a)
@@ -917,6 +921,7 @@ def _walk_isomorphic(a, b) -> bool:
     link_to: dict[str, str] = {}
     edge_to: dict[str, str] = {}
     todo: list[tuple[str, str]] = []
+    waiting: dict[str, int] = {}  # why-not -> its premises not yet paired
 
     def pair_link(x: str, y: str) -> bool:
         if x not in link_to:
@@ -929,6 +934,11 @@ def _walk_isomorphic(a, b) -> bool:
             return edge_to[e] == f
         edge_to[e] = f
         ca, cb = a_consumer.get(e), b_consumer.get(f)
+        if ca in waiting:
+            waiting[ca] -= 1
+            if waiting[ca] < 2:
+                del waiting[ca]
+                todo.append((ca, link_to[ca]))
         return (
             a_edges[e] is b_edges[f]
             and (ca is None) == (cb is None)
@@ -938,7 +948,11 @@ def _walk_isomorphic(a, b) -> bool:
 
     if not all(pair_edge(e, f) for e, f in zip(a.conclusions, b.conclusions)):
         return False
-    while todo:
+    while todo or waiting:
+        guess = not todo
+        if guess:
+            x = waiting.popitem()[0]
+            todo.append((x, link_to[x]))
         x, y = todo.pop()
         lx, ly = a_links[x], b_links[y]
         if (lx.kind, len(lx.premises), len(lx.conclusions)) != (
@@ -948,6 +962,9 @@ def _walk_isomorphic(a, b) -> bool:
         premises = ly.premises
         if lx.kind in UNORDERED_PREMISES:
             partners = [edge_to.get(e) for e in lx.premises]
+            if partners.count(None) > 1 and not guess:
+                waiting[x] = partners.count(None)
+                continue
             rest = iter([f for f in premises if f not in partners])
             premises = [next(rest, None) if f is None else f for f in partners]
         conclusions = ly.conclusions

@@ -1,29 +1,31 @@
 """Cut-elimination engine: redex discovery, the five step families,
 normalization strategies, and residue tracking.
 
-``normalize`` loads the net into one mutable net, ``_Workspace``, and
-reduces it there with ``_reduce``, which the interactive check also runs
-on a workspace it fills itself.  The workspace owns the links and edges,
-their producer and consumer maps, and the box tree with each link's place
-in it; a step edits them in place around its cut and records its lift
-map, and the immutable ``Net`` is built once, at the end.  The trace
-composes the lift maps forward, once, when an id is first lifted to the
-input.  ``apply_step`` runs the same step code on a fresh workspace and
-freezes after one step.
+``normalize`` loads the net into the one mutable net, ``_Workspace``,
+and reduces it there with ``_reduce``, which the interactive check also
+runs on a workspace it fills itself.  The workspace owns the links and
+edges, their producer and consumer maps, the box tree with each link's
+place in it, and the counter behind new ids e<n> and l<n>; a step edits
+them in place around its cut and records its lift map, and the immutable
+``Net`` is built once, at the end.  The trace composes the lift maps
+forward, once, when an id is first lifted to the input.  ``apply_step``
+runs the same step code on a fresh workspace and freezes after one step.
 
-The rewrite steps and the transforms edit a net only through the
-workspace (the sequent rules in ``builder`` edit a draft of their own).
-A link's location is the box it sits in or on whose border it sits, or
-None at the top, and its kind gives its role there, as ``validate``
-requires: an of-course link is the box's principal, a pax link an
-auxiliary, any other link a direct link.  ``_place`` applies this rule and
-``remove_link`` undoes it; ``add_link`` adds a link and places it,
-``open_box`` opens an empty box whose border links are added afterwards,
-and ``remove_box`` removes a box whole.  Loading a net, copying a box's
-contents in the exponential step, ``shift_net`` here and ``eta_expand``
-and ``bullet_net`` in ``interactive`` all go through these; only taking a
-box moves links between boxes itself.  ``box_place`` reads a link's box
-role back, as the isomorphism walk in ``net`` compares it.
+The sequent rules in ``builder``, the rewrite steps and the transforms
+all edit a net through the workspace.  A link's location is the box it
+sits in or on whose border it sits, or None at the top, and its kind
+gives its role there, as ``validate`` requires: an of-course link is the
+box's principal, a pax link an auxiliary, any other link a direct link.
+``_place`` applies this rule and ``remove_link`` undoes it; ``add_link``
+adds a link and places it, ``open_box`` opens an empty box whose border
+links are added afterwards, and ``remove_box`` removes a box whole.
+Loading a net, absorbing one beside the net already there (renamed on a
+clash, as the builder's juxtaposition wants), copying a box's contents in
+the exponential step, ``shift_net`` here and ``eta_expand`` and
+``bullet_net`` in ``interactive`` all go through these; only taking a box
+and the builder's promotion move links between boxes themselves.
+``box_place`` reads a link's box role back, as the isomorphism walk in
+``net`` compares it.
 
 Cuts wait in a priority worklist.  A cut is classified by its premise
 producers (the shared ``_family``, which ``find_redexes`` also uses) when
@@ -163,43 +165,47 @@ class _MBox:
 
 
 class _Workspace:
-    """A net edited in place, by reduction steps or by a transform.  Each
-    link's location, ``loc[lid]``, is its box or None at the top; its kind
-    gives its role there.  ``step`` resets ``lift`` (the step's new ids ->
-    their sources) and ``touched`` (the cuts the step put, each with the
-    cut whose rank it inherits, or None when a rewired cut keeps its own);
-    ``queued`` holds the redexes waiting in ``normalize``.  Loading copies
-    the net's wiring, opens its boxes, outermost first, places each box's
-    border, and then places every other link in ``net.links`` order.  A box
-    lists its direct links in insertion order, so no order in the workspace
-    depends on the hash seed."""
+    """The one mutable net: the sequent rules in ``builder`` build on it,
+    the reduction steps and the transforms edit it in place, and ``freeze``
+    builds the immutable ``Net``, handing on ``mark``, the counter behind
+    new ids e<n> and l<n>.  Each link's location, ``loc[lid]``, is its box
+    or None at the top; its kind gives its role there.  ``step`` resets
+    ``lift`` (the step's new ids -> their sources) and ``touched`` (the
+    cuts the step put, each with the cut whose rank it inherits, or None
+    when a rewired cut keeps its own); ``queued`` holds the redexes waiting
+    in ``normalize``.  A box lists its direct links in insertion order, so
+    no order in the workspace depends on the hash seed."""
 
-    def __init__(self, net: Net):
-        self.edges: dict[str, Label] = dict(net.edges)
-        self.links: dict[str, Link] = dict(net.links)
-        self.producer = dict(net._producer)
-        self.consumer = dict(net._consumer)
-        self.conclusions: list[str] = list(net.conclusions)
+    def __init__(self, net: Net | None = None):
+        self.edges: dict[str, Label] = {}
+        self.links: dict[str, Link] = {}
+        self.producer: dict[str, str] = {}
+        self.consumer: dict[str, str] = {}
+        self.conclusions: list[str] = []
         self.lift: dict[str, str] = {}
         self.touched: list[tuple[str, str | None]] = []
         self.queued: dict[str, tuple[tuple, str]] = {}  # cut -> (key, step family)
         self.roots: list[_MBox] = []
         self.loc: dict[str, _MBox | None] = {}
         self._serial = 0
-
-        def around(lid: str) -> _MBox | None:
-            outer = net.enclosing_boxes(lid)
-            return self.loc[outer[-1].principal] if outer else None
-
-        for box in net.all_boxes():
-            mb = self.open_box(around(box.principal))
-            for lid in box.border():
-                self._place(lid, mb, net.links[lid].kind)
-        for lid in net.links:
-            if lid not in self.loc:
-                self._place(lid, around(lid), net.links[lid].kind)
+        self.mark: int | None = None
+        self._start = net
+        if net is not None:
+            self.absorb(net)
+            self.mark = None
 
     # identifiers ------------------------------------------------------------
+
+    def id_mark(self) -> int:
+        """The counter's next n, past every id e<n> and l<n> here; read
+        first, it is the loaded net's mark, and unread, none is handed on."""
+        if self.mark is None:
+            self.mark = 0 if self._start is None else self._start.id_mark()
+        return self.mark
+
+    def new_id(self, prefix: str) -> str:
+        self.mark = self.id_mark() + 1
+        return f"{prefix}{self.mark - 1}"
 
     def fresh(self, base: str, tag: str) -> str:
         name = f"{base}~{tag}"
@@ -207,6 +213,53 @@ class _Workspace:
             self._serial += 1
             name = f"{base}~{tag}.{self._serial}"
         return name
+
+    def absorb(self, other: Net | _Workspace) -> _Workspace:
+        """Juxtaposition, and the loader: the other net's parts go after
+        this one's, wiring included, its boxes (outermost first, each with
+        its border) after the boxes at the top.  Only when one of its ids is
+        taken here are all of them renamed, edges first, then links,
+        counting on from the larger of the two marks."""
+        self.mark = max(self.id_mark(), other.id_mark())
+        edges, links, conclusions = other.edges, other.links, other.conclusions
+        if isinstance(other, Net):
+            producer, consumer, roots, enclosing = other._producer, other._consumer, other.boxes, other._enclosing
+            around = lambda lid: enclosing[lid][-1] if enclosing[lid] else None
+        else:
+            producer, consumer, roots, around = other.producer, other.consumer, other.roots, other.loc.__getitem__
+        lmap: dict[str, str] = {}
+        if not (self.edges.keys().isdisjoint(edges) and self.links.keys().isdisjoint(links)):
+            n = self.mark
+            emap = {e: f"e{i}" for i, e in enumerate(edges, n)}
+            lmap = {l: f"l{i}" for i, l in enumerate(links, n + len(emap))}
+            self.mark = n + len(emap) + len(lmap)
+            rename = emap.__getitem__
+            edges = {emap[e]: lab for e, lab in edges.items()}
+            links = {
+                lmap[l]: Link(lk.kind, tuple(map(rename, lk.premises)), tuple(map(rename, lk.conclusions)))
+                for l, lk in links.items()
+            }
+            producer = {emap[e]: lmap[l] for e, l in producer.items()}
+            consumer = {emap[e]: lmap[l] for e, l in consumer.items()}
+            conclusions = map(rename, conclusions)
+        self.edges.update(edges)
+        self.links.update(links)
+        self.producer.update(producer)
+        self.consumer.update(consumer)
+        self.conclusions += conclusions
+        opened: dict[int, _MBox] = {}  # by id: a Box hashes its whole subtree
+        stack = [(box, None) for box in reversed(roots)]
+        while stack:  # parents before children
+            box, parent = stack.pop()
+            mb = opened[id(box)] = self.open_box(parent)
+            for lid in (box.principal, *box.auxiliaries):
+                self._place(lmap.get(lid, lid), mb, other.links[lid].kind)
+            stack += ((child, mb) for child in reversed(box.children))
+        for lid, new in zip(other.links, links):
+            if new not in self.loc:
+                box = around(lid)
+                self._place(new, None if box is None else opened[id(box)], links[new].kind)
+        return self
 
     # queries ------------------------------------------------------------------
 
@@ -348,7 +401,7 @@ class _Workspace:
         else:
             raise StepError(f"unknown step kind {redex.kind}")
 
-    def freeze(self, mark: int | None = None) -> Net:
+    def freeze(self) -> Net:
         order, stack = [], self.roots[::-1]
         while stack:  # every box, parents before children
             order.append(stack.pop())
@@ -363,7 +416,7 @@ class _Workspace:
             built[mb] = Box(mb.principal, tuple(mb.auxiliaries), frozenset(total), children)
         boxes = tuple(map(built.__getitem__, self.roots))
         wired = dict(self.producer), dict(self.consumer)
-        return Net(self.edges, self.links, boxes, tuple(self.conclusions), mark, _wired=wired)
+        return Net(self.edges, self.links, boxes, tuple(self.conclusions), self.mark, _wired=wired)
 
 
 # -- the five step families ---------------------------------------------------

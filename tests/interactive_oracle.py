@@ -32,7 +32,7 @@ from stratnet.interactive import (
     cut_compose,
     eta_expand,
 )
-from stratnet.net import Label, Net, _Canonicalizer, _Fresh, canonical_form, nets_equal
+from stratnet.net import Label, Net, _Canonicalizer, canonical_form, nets_equal
 from stratnet.rewrite import DEFAULT_STEP_BUDGET, _reduce, _Workspace, normalize
 
 
@@ -141,10 +141,10 @@ def _identity_cut(net: Net) -> tuple[Net, _Workspace, str, list[AtomSite]]:
     of its conclusion (``cut_compose`` up to the test's ids); the cut; and
     the test's blocks, with their levels."""
     pib = bullet_net(eta_expand(net))
-    ws, fresh = _Workspace(pib), _Fresh(pib)
+    ws = _Workspace(pib)
     (c,) = ws.conclusions
     a = ws.edges[c].formula
-    eb = _EtaBuilder(ws, fresh)
+    eb = _EtaBuilder(ws)
     neg, pos = eb.edge(Label(dual(a))), eb.edge(Label(a))
     eb.expand(a, dual(a), neg, pos)
     cut = eb.link("cut", (c, neg), ())

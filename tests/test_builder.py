@@ -5,7 +5,8 @@ import pytest
 from stratnet.formula import ONE, Atom, parse_formula
 from stratnet.net import Label, Link, Net, nets_equal, save, validate
 from stratnet import builder
-from stratnet.builder import GenParams, RuleError, _Fresh
+from stratnet.builder import GenParams, RuleError
+from stratnet.net import _Fresh
 from stratnet.correctness import is_dr_correct
 
 X = Atom("X")
@@ -83,6 +84,26 @@ def test_index_out_of_range():
         builder.par_rule(builder.ax(X), 0, 5)
     with pytest.raises(RuleError):
         builder.flat_rule(builder.ax(X), 7)
+
+
+def test_negative_indices_are_out_of_range():
+    # Python's negative indexing let these through: a cut of one axiom
+    # with itself (a cyclic switching), and rules that used one edge as
+    # two premises (an invalid net)
+    x, fx = builder.ax(X), builder.flat_rule(builder.ax(X), 0)
+    calls = {
+        "cut": lambda: builder.cut_rule(x, -1, x, 0),
+        "cut, second net": lambda: builder.cut_rule(x, 1, x, -2),
+        "tensor": lambda: builder.tensor_rule(x, 0, x, -1),
+        "why-not": lambda: builder.whynot_rule(builder.mix(fx, fx), [0, -4]),
+        "par": lambda: builder.par_rule(x, 0, -2),
+        "flat": lambda: builder.flat_rule(x, -1),
+        "paragraph": lambda: builder.paragraph_rule(x, -1),
+        "promotion": lambda: builder.promotion(fx, -1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(RuleError, match=r"conclusion index -\d+ out of range \(net has [24]\)"):
+            call()
 
 
 def test_dereliction_shape(dereliction_net):

@@ -2,12 +2,19 @@
 (``builder_oracle``): the same edges and links in the same dict order, the
 same boxes, conclusions and id mark, and the same errors."""
 
+import sys
+from pathlib import Path
+
 import builder_oracle as oracle
 from stratnet import builder
 from stratnet.builder import GenParams, RuleError
 from stratnet.formula import Atom
 from stratnet.interactive import CompositionError, cut_compose
-from stratnet.net import Label, Link, Net
+from stratnet.net import Label, Link, Net, load
+from stratnet.rewrite import _Workspace
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import CheckDR, L3CutFree  # noqa: E402
 
 X = Atom("X")
 Y = Atom("Y")
@@ -41,6 +48,8 @@ def rule_calls(lib):
     x, fx, fy = lib.ax(X), lib.flat_rule(lib.ax(X), 0), lib.flat_rule(lib.ax(Y), 0)
     apart = Net({"e5": Label(X)}, {"l9": Link("one", (), ("e5",))}, (), ("e5",))
     two_flats = lib.mix(lib.flat_rule(lib.ax(X), 1), lib.flat_rule(lib.ax(Y), 0))
+    boxed = lib.promotion(fx, 1)
+    two_deep = lib.promotion(lib.tensor_rule(boxed, 1, fy, 1), 2)
     return {
         "daimon": lambda: lib.daimon(),
         "axiom": lambda: x,
@@ -58,7 +67,10 @@ def rule_calls(lib):
         "paragraph": lambda: lib.paragraph_rule(x, 1),
         "promotion": lambda: lib.promotion(fx, 1),
         "promotion with flat sides": lambda: lib.promotion(lib.tensor_rule(fx, 1, fy, 1), 2),
-        "promotion of a box": lambda: lib.promotion(lib.tensor_rule(lib.promotion(fx, 1), 1, fy, 1), 2),
+        "promotion of a box": lambda: two_deep,
+        "mix of boxed nets with clashing ids": lambda: lib.mix(boxed, boxed),
+        "two-deep boxed net absorbed into a boxed one": lambda: lib.mix(boxed, two_deep),
+        "tensor of a boxed net and a two-deep one": lambda: lib.tensor_rule(boxed, 1, two_deep, 2),
         # the errors each rule raises, with their messages
         "cut out of range": lambda: lib.cut_rule(x, 0, x, 2),
         "cut not dual": lambda: lib.cut_rule(x, 1, lib.ax(Y), 1),
@@ -112,3 +124,16 @@ def test_cut_compose_matches_the_oracle():
         assert results[0] == results[1], (net, partners)
         failed.append(isinstance(results[0], str))
     assert failed == [False, False, False, True, True]
+
+
+def test_a_workspace_freezes_to_the_net_it_loads(tmp_path):
+    # the rules absorb with the loader that normalize and the interactive
+    # check load with: on both seed-201 benchmark corpora, as loaded from
+    # their documents, and on box-heavy draws, a workspace loaded with a
+    # net, or started empty and absorbing it, freezes back to the net
+    slots = L3CutFree().generate(201, tmp_path) + CheckDR().generate(201, tmp_path)
+    nets = [load(Path(slot.path).read_bytes()) for slot in slots]
+    nets += [builder.random_net(seed, MIXES[-1]) for seed in range(30)]
+    assert len(nets) == 830 and sum(bool(net.boxes) for net in nets) > 400
+    for net in nets:
+        assert parts(_Workspace(net).freeze()) == parts(_Workspace().absorb(net).freeze()) == parts(net)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from stratnet.cli import main
 from stratnet.formula import Atom, dual
 from stratnet.net import LINK_ARITIES, load, nets_equal, save, to_document
-from stratnet import builder
+from stratnet import builder, rewrite
 
 from conftest import make_id_bang, make_unstable_membership_net, paragraph_chain, tensor_loop_net
 
@@ -481,10 +481,10 @@ def wide_net(name: str):
     """1,000 juxtaposed axioms (2,000 conclusions), or the net of gen
     --seed 1 --size 3000 --cut-bias 0 (1,821 conclusions)."""
     if name == "axioms":
-        draft = builder._Draft()  # one draft: a chain of mix calls copies the net each time
+        ws = rewrite._Workspace()  # one workspace: a chain of mix calls copies the net each time
         for _ in range(1_000):
-            draft.absorb(builder.ax(X))
-        return draft.freeze()
+            ws.absorb(builder.ax(X))
+        return ws.freeze()
     return builder.random_net(1, builder.GenParams(target_size=3000, cut_bias=0))
 
 

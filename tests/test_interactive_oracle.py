@@ -261,18 +261,19 @@ def test_one_reduction_per_check_on_the_l3_cutfree_corpus(monkeypatch):
     assert observed.compositions == observed.reductions == 300
 
 
-def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch):
-    # on the same corpus: two labellings in all, where one of pib and one
-    # of the normal form per check took 600 and labelling each level's view
+def test_no_labelling_traversal_or_quasi_indexing_per_check(monkeypatch):
+    # on the same corpus: no labelling, where one of pib and one of the
+    # normal form per check took 600 and labelling each level's view
     # 1,010, since the walk proves the reduced workspace isomorphic to the
-    # eta-expanded net in place on 299 of the 300 checks, freezing nothing,
-    # and only the last (whose walk pairs a why-not's two premises the
-    # wrong way round) freezes its normal form for nets_equal, which falls
-    # back to both canonical forms; no traversal to rank the composite's
+    # eta-expanded net in place on all 300 checks, freezing nothing (on
+    # one check it took two labellings and a freeze while the walk paired
+    # a why-not's premises in stored order, the wrong way round, before
+    # their producers were paired); no traversal to rank the composite's
     # lone cut; no quasi-indexing of the identity test, whose levels the
     # eta-expansion counts; no block scan, since the undoubled normal form
     # has one atomic axiom where the doubled one has a block (scanning the
     # doubled normal form took 300, and scanning pib too 600)
+    nets = l3_cutfree_corpus(201)  # drawn first: the builder freezes a workspace too
     calls = Counter()
 
     def count(module, name):
@@ -290,10 +291,9 @@ def test_two_labellings_and_no_traversal_or_quasi_indexing_per_check(monkeypatch
     count(correctness, "default_exponential_quasi_indexing")
     count(interactive, "_blocks")
     count(rewrite._Workspace, "freeze")
-    nets = l3_cutfree_corpus(201)
     for net in nets:
         interactive_l3_check(net)
-    assert (len(nets), calls["_labelling"], calls["freeze"]) == (300, 2, 1)
+    assert (len(nets), calls["_labelling"], calls["freeze"]) == (300, 0, 0)
     assert calls["_blocks"] == 0
     assert calls["traversal_order"] == calls["default_exponential_quasi_indexing"] == 0
 
@@ -338,7 +338,9 @@ def test_the_in_place_walk_agrees_with_nets_equal(monkeypatch):
     # on the seed-201 l3-cutfree nets, as loaded and closed: the walk over
     # the reduced workspace, with the workspace on either side, says what
     # the walk over its frozen normal form says, and the check's
-    # comparison is nets_equal's on the frozen normal form
+    # comparison is nets_equal's on the frozen normal form; the walk
+    # proves all 600 (598 while it paired a why-not's premises in stored
+    # order before their producers were paired)
     made = []
     identity_cut = interactive._identity_cut
 
@@ -357,13 +359,14 @@ def test_the_in_place_walk_agrees_with_nets_equal(monkeypatch):
         same = any(r.passed or r.residue_is_swapping for r in report.levels)
         assert same == net_mod.nets_equal(frozen, eta)
         walked, equal = walked + in_place, equal + same
-    assert (len(made), walked, equal) == (600, 598, 600)
+    assert (len(made), walked, equal) == (600, 600, 600)
 
 
 def test_one_workspace_and_no_closing_per_l3_call(monkeypatch, tmp_path, capsys):
     # l3 --method all on the same 300 nets, unclosed: the check builds its
-    # composite in the workspace it loads the eta-expanded net into, so
-    # nothing renames the identity test (300 calls before), nothing
+    # composite in the workspace it loads the net into, so no sequent rule
+    # adds a link, and the one absorb per call is that load: nothing
+    # absorbs or renames the identity test (300 absorbs before), nothing
     # composes nets (300), nothing loads the composite into a second
     # workspace or the identity test into a third (900 workspaces), and
     # one net is made per call, the one loaded (3,563, then 1,763 while the
@@ -401,7 +404,8 @@ def test_one_workspace_and_no_closing_per_l3_call(monkeypatch, tmp_path, capsys)
     for i, net in enumerate(l3_cutfree_nets(201)):
         paths.append(tmp_path / f"{i}.json")
         paths[-1].write_bytes(save(net))
-    count("absorb", builder._Draft)
+    count("absorb", rewrite._Workspace)
+    count("_add", builder)
     count("cut_compose", interactive)
     for module in (net_mod, stratnet):
         close = module.parr_closure
@@ -416,7 +420,7 @@ def test_one_workspace_and_no_closing_per_l3_call(monkeypatch, tmp_path, capsys)
     for path in paths:
         assert main(["l3", "--method", "all", str(path)]) in (0, 1)
     assert '"verdicts"' in capsys.readouterr().out
-    assert (calls["absorb"], calls["cut_compose"], calls["parr_closure"]) == (0, 0, 0)
+    assert (calls["absorb"], calls["_add"], calls["cut_compose"], calls["parr_closure"]) == (300, 0, 0, 0)
     assert (calls["_Workspace"], calls["Net"]) == (300, 300)
 
 

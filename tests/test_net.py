@@ -106,10 +106,10 @@ def test_depth():
 def test_box_walks_run_far_deeper_than_the_recursion_limit(monkeypatch):
     # A promotion chain 1,500 boxes deep, closed by a why-not.  Not
     # validated: the box-closure check walks every box's whole contents.
-    draft = builder._Draft.take(builder.flat_rule(builder.ax(X), 0))
+    ws = rewrite._Workspace(builder.flat_rule(builder.ax(X), 0))
     for _ in range(1_500):
-        draft.promote(1)
-    n = draft.whynot([0]).freeze()
+        builder._promote(ws, 1)
+    n = builder._whynot(ws, [0]).freeze()
     assert n.depth("l0") == 1_500 and len(list(n.all_boxes())) == 1_500
     assert find_cyclic_switching(n) is None
     assert len(list(bullet_net(n).all_boxes())) == 1_500
@@ -279,10 +279,12 @@ def test_canonical_form_agrees_with_isomorphism_oracle(oracle_corpus):
                 disagreements.append(seed)
     assert disagreements == []
     assert outcomes[True] >= 1020 and outcomes[False] >= 1000
-    # the walk proves 905 of the 1,050 isomorphic pairs by itself; it fails
-    # on nets with a closed component, which no walk from the conclusions
-    # reaches, and where it guesses a why-not's premises wrong
-    assert certified[True] >= 900 and certified[False] == 0
+    # the walk proves 954 of the 1,050 isomorphic pairs by itself (905
+    # while it paired a why-not's premises in stored order before their
+    # producers were paired); it fails on nets with a closed component,
+    # which no walk from the conclusions reaches, and where it must guess
+    # a why-not's premises and guesses wrong
+    assert certified[True] >= 950 and certified[False] == 0
 
 
 def paired_whynots(k: int) -> Net:
